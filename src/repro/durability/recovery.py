@@ -20,12 +20,12 @@ directory:
    immediately (they were flushed before the crash by construction).
 4. Restore the CSN / transaction-id counters and the commit-time
    history (checkpoint history + replayed commits, CSN-ordered so the
-   ``AS OF`` bisect invariant holds), rebuild every secondary index
-   from the recovered version chains, and poison the cache coherence
+   ``AS OF`` bisect invariant holds), and poison the cache coherence
    state: ``ddl_generation`` is bumped strictly past any value the
    pre-crash process could have exposed and every table epoch is
    bumped, so no cache entry captured before the crash can ever
-   validate against the recovered database.
+   validate against the recovered database.  No index pass is needed:
+   steps 2 and 3 maintain every index as each version is applied.
 """
 
 from __future__ import annotations
@@ -304,8 +304,6 @@ def _finalize(
         ),
         history=history,
     )
-    for table in database.catalog.tables_in_creation_order():
-        table.storage.rebuild_indexes()
     # Cache poisoning: the recovered generation must exceed anything the
     # pre-crash process could have stamped into a cache entry.  The
     # checkpoint generation plus one per replayed DDL reconstructs the

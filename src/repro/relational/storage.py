@@ -160,6 +160,10 @@ class TableStorage:
     def _index_key(self, index: Index, values: tuple[Any, ...]) -> tuple[Any, ...]:
         return tuple(values[self.schema.column_position(c)] for c in index.columns)
 
+    def _index_version(self, rowid: int, version: RowVersion) -> None:
+        for index in self.indexes.values():
+            index.add(self._index_key(index, version.values), rowid)
+
     # -- mutation ---------------------------------------------------------
 
     def insert(self, values: Sequence[Any], txn: Transaction) -> int:
@@ -172,8 +176,7 @@ class TableStorage:
             self._rows[rowid] = [version]
             txn.record_create(self, rowid, version)
             txn.note_write("insert", self, rowid, row)
-            for index in self.indexes.values():
-                index.add(self._index_key(index, row), rowid)
+            self._index_version(rowid, version)
         return rowid
 
     def update(
@@ -195,8 +198,7 @@ class TableStorage:
             self._rows[rowid].append(version)
             txn.record_create(self, rowid, version)
             txn.note_write("update", self, rowid, row)
-            for index in self.indexes.values():
-                index.add(self._index_key(index, row), rowid)
+            self._index_version(rowid, version)
 
     def delete(self, rowid: int, txn: Transaction) -> None:
         with self._mutate_lock:
@@ -231,8 +233,9 @@ class TableStorage:
     #
     # These paths bypass constraints and transactions on purpose: they
     # re-apply effects the live engine already validated before they
-    # were logged.  Indexes are not maintained here — recovery rebuilds
-    # them in one pass at the end (rebuild_indexes).
+    # were logged.  Indexes are maintained as versions are applied,
+    # exactly as live insert/update do (delete touches no index), so a
+    # redo costs O(rows written) and needs no rebuild pass.
 
     def restore_version(
         self,
@@ -255,6 +258,7 @@ class TableStorage:
         version.end_time = end_time
         with self._mutate_lock:
             self._rows.setdefault(rowid, []).append(version)
+            self._index_version(rowid, version)
             if rowid >= self._next_rowid:
                 self._next_rowid = rowid + 1
 
@@ -270,6 +274,7 @@ class TableStorage:
         version.begin_time = now
         with self._mutate_lock:
             self._rows.setdefault(rowid, []).append(version)
+            self._index_version(rowid, version)
             if rowid >= self._next_rowid:
                 self._next_rowid = rowid + 1
 
@@ -287,6 +292,7 @@ class TableStorage:
                     current.end_csn = csn
                     current.end_time = now
             chain.append(version)
+            self._index_version(rowid, version)
             if rowid >= self._next_rowid:
                 self._next_rowid = rowid + 1
 
@@ -299,24 +305,6 @@ class TableStorage:
             if current.end_csn is None:
                 current.end_csn = csn
                 current.end_time = now
-
-    def rebuild_indexes(self) -> None:
-        """Replace every index with a freshly-built one covering all
-        restored/replayed versions (recovery's final step)."""
-        from .index import make_index
-
-        with self._mutate_lock:
-            for name, index in list(self.indexes.items()):
-                fresh = make_index(
-                    index.kind, index.name, index.table_name, index.columns, index.unique
-                )
-                positions = [self.schema.column_position(c) for c in index.columns]
-                for rowid, chain in self._rows.items():
-                    for version in chain:
-                        fresh.add(
-                            tuple(version.values[p] for p in positions), rowid
-                        )
-                self.indexes[name] = fresh
 
     # -- reads ------------------------------------------------------------
 

@@ -73,8 +73,6 @@ def bootstrap_database(primary: Database, name: str) -> tuple[Database, Checkpoi
         next_txn_id=state.next_txn_id,
         history=list(state.commit_history),
     )
-    for table in database.catalog.tables_in_creation_order():
-        table.storage.rebuild_indexes()
     database.ddl_generation = state.ddl_generation
     return database, state
 
@@ -183,12 +181,9 @@ class Replica:
     def _apply_commit(self, ops: list[dict[str, Any]], record: dict[str, Any]) -> None:
         csn, now = record["c"], record["w"]
         _apply_group(self.database, ops, csn, now)
-        touched = sorted({op["tb"] for op in ops})
-        # Replay bypasses index maintenance (recovery idiom); rebuild
-        # the touched tables so replica reads see consistent indexes.
-        for table_name in touched:
-            self.database.catalog.get_table(table_name).storage.rebuild_indexes()
-        self.database.epochs.bump(touched)
+        # Redo maintains indexes as it applies each version, so the
+        # commit costs O(rows written) and replica reads see them at once.
+        self.database.epochs.bump(sorted({op["tb"] for op in ops}))
         self.database.txn_manager.note_replicated_commit(csn, now, record["t"])
         self.applied_csn = csn
         self.applied_txns += 1
@@ -203,9 +198,6 @@ class Replica:
     def _apply_ddl_record(self, record: dict[str, Any]) -> None:
         _apply_ddl(self.database, record)
         self.database.bump_ddl_generation()
-        if record["op"] == "create_index":
-            # A new secondary index must cover rows replayed before it.
-            self.database.catalog.get_table(record["table"]).storage.rebuild_indexes()
         self.applied_ddl += 1
         self.cluster.emit(
             obs_metrics.REPL_APPLIED,

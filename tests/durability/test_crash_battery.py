@@ -20,6 +20,7 @@ durable at the crash instant:
 
 After crash+recovery the battery asserts the recovered store is
 row-identical to the shadow on every table, the lock table is clean,
+every index holds exactly what a rebuild from the version chains would,
 the §5 graph mapped over the recovered tables equals the shadow's
 graph, and that the recovered instance accepts new writes that survive
 a second crash (recovery-of-recovery).
@@ -32,6 +33,7 @@ import pytest
 from repro.durability import SimulatedCrash
 from repro.relational import Database
 from repro.testing import graphs_equal, materialize_oracle
+from tests.replication.index_check import assert_indexes_match_chains
 
 pytestmark = [pytest.mark.crash, pytest.mark.timeout(600)]
 
@@ -178,6 +180,7 @@ def _mirror(mirror, kind, payload):
 
 def _assert_matches_shadow(recovered, shadow):
     assert recovered.lock_manager.is_clean()
+    assert_indexes_match_chains(recovered)
     tables = set(shadow.catalog.table_names())
     assert tables == set(recovered.catalog.table_names())
     for table in tables:

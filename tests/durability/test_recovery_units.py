@@ -28,7 +28,7 @@ from repro.obs import metrics as M
 from repro.obs import tracing as T
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceRecorder
-from repro.relational import Database
+from repro.relational import ConstraintViolationError, Database
 
 
 @pytest.fixture
@@ -134,10 +134,26 @@ class TestRoundTrip:
         db.execute("DELETE FROM person WHERE id = 2")
 
         recovered = sim.reopen()
-        # An index probe must agree with a full scan after the rebuild.
+        # An index probe must agree with a full scan after redo.
         assert sorted(
             recovered.execute("SELECT id FROM person WHERE age = 36").rows
         ) == [(1,), (3,)]
+
+    def test_primary_key_enforced_after_checkpoint_plus_suffix(self, tmp_path):
+        # Uniqueness probes the PK index, which restore and redo fill.
+        db = Database.open(str(tmp_path / "pk"))
+        _people(db)
+        db.checkpoint()
+        db.execute("INSERT INTO person VALUES (3, 'alan', 41)")  # WAL suffix
+        db.close()
+
+        recovered = Database.open(str(tmp_path / "pk"))
+        assert recovered.recovery_report.replayed_txns == 1
+        for dup in (1, 3):  # one row from the checkpoint, one from the suffix
+            with pytest.raises(ConstraintViolationError):
+                recovered.execute(f"INSERT INTO person VALUES ({dup}, 'dup', 0)")
+        assert len(recovered.execute("SELECT * FROM person").rows) == 3
+        recovered.close()
 
 
 class TestTemporalHistory:

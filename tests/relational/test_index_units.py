@@ -90,8 +90,8 @@ class TestSortedIndex:
 class TestAddDiscardSequences:
     """Lifecycle properties: after an arbitrary interleaving of adds and
     discards, every index answers exactly for the live (key, rowid) set
-    — the recovery path leans on this when it rebuilds secondary indexes
-    from replayed rows."""
+    — recovery and replica redo lean on this when they add each replayed
+    version to the indexes as it is applied."""
 
     @given(
         st.lists(

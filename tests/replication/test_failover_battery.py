@@ -17,6 +17,7 @@ step was never acked — a commit that *returned* is on the standby
 (sync-ack), so zero acked commits are ever lost:
 
 * every table on the promoted node is row-identical to the shadow,
+* every index on the promoted node equals a rebuild from its chains,
 * the §5 overlay maps the survivor to the shadow's graph,
 * analytics (WCC) on the survivor equals analytics on the shadow,
 * the deposed primary's next write raises ``FencedWriteError``,
@@ -36,6 +37,8 @@ from repro.replication import (
     ReplicationConfig,
 )
 from repro.testing import graphs_equal, materialize_oracle
+
+from .index_check import assert_indexes_match_chains
 
 pytestmark = [pytest.mark.replication, pytest.mark.crash, pytest.mark.timeout(600)]
 
@@ -173,6 +176,7 @@ def _overlay_for(db):
 
 def _assert_matches_shadow(survivor, shadow):
     assert survivor.lock_manager.is_clean()
+    assert_indexes_match_chains(survivor)
     tables = set(shadow.catalog.table_names())
     assert tables == set(survivor.catalog.table_names())
     for table in tables:

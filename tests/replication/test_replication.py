@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import Db2Graph
 from repro.durability.config import DurabilityConfig
-from repro.relational import Database
+from repro.relational import ConstraintViolationError, Database
 from repro.replication import (
     ACK_ASYNC,
     DivergenceError,
@@ -24,6 +24,8 @@ from repro.replication import (
     state_digest,
 )
 from repro.replication.config import ACK_ENV, MAX_STALENESS_ENV, REPLICAS_ENV
+
+from .index_check import assert_indexes_match_chains, live_index_contents
 
 pytestmark = pytest.mark.replication
 
@@ -118,6 +120,76 @@ def test_ddl_replicates_eagerly(tmp_path):
     assert replica_db.execute("SELECT age FROM person WHERE id = 5").rows == [(44,)]
     assert ("tony",) in replica_db.execute("SELECT * FROM names").rows
     check_divergence(cluster)
+
+
+def _person_index_probes(db):
+    """``{index name: {key: sorted rowids}}`` probed through ``lookup``."""
+    storage = db.catalog.get_table("person").storage
+    return {
+        name: {key: sorted(index.lookup(key)) for key in live_index_contents(index)}
+        for name, index in storage.indexes.items()
+    }
+
+
+def test_replica_redo_maintains_indexes_per_commit(tmp_path):
+    db = durable_db(tmp_path)
+    cluster = ReplicationCluster(db, ReplicationConfig(replicas=1))
+    replica_db = cluster.live_replicas()[0].database
+    conn = db.connect("admin")
+    stream = [
+        "CREATE TABLE person (id INT PRIMARY KEY, name VARCHAR, age INT)",
+        "INSERT INTO person VALUES (1, 'ada', 36), (2, 'grace', 29), (3, 'alan', 41)",
+        "UPDATE person SET name = 'countess' WHERE id = 1",  # keeps the key
+        "UPDATE person SET id = 20 WHERE id = 2",  # changes the PK key
+        "DELETE FROM person WHERE id = 3",
+        "BEGIN",
+        "INSERT INTO person VALUES (99, 'ghost', 1)",
+        "ROLLBACK",
+        # Must cover every version replayed before it, deleted ones too.
+        "CREATE SORTED INDEX idx_age ON person (age)",
+        "UPDATE person SET age = 37 WHERE id = 1",
+        "ALTER TABLE person ADD COLUMN city VARCHAR",
+        "INSERT INTO person VALUES (4, 'edsger', 72, 'austin')",
+        "UPDATE person SET city = 'york', age = 30 WHERE id = 20",
+    ]
+    for sql in stream:
+        conn.execute(sql)
+        if sql in ("BEGIN", "INSERT INTO person VALUES (99, 'ghost', 1)"):
+            continue  # nothing shipped until the group ends
+        assert_indexes_match_chains(replica_db)
+        assert _person_index_probes(replica_db) == _person_index_probes(db)
+
+    storage = replica_db.catalog.get_table("person").storage
+    assert set(storage.indexes) == {"pk_person", "idx_age"}
+    # idx_age was created after the row-3 delete but still covers it.
+    assert 3 in set(storage.indexes["idx_age"].lookup((41,)))
+    assert (99,) not in live_index_contents(storage.indexes["pk_person"])
+    probe = "SELECT id, name FROM person WHERE age = 30"
+    assert sorted(replica_db.execute(probe).rows) == sorted(db.execute(probe).rows)
+    assert sorted(replica_db.execute(probe).rows) == [(20, "grace")]
+    check_divergence(cluster)
+
+
+def test_index_check_detects_a_missing_entry(tmp_path):
+    db = seeded(Database(durability=False))
+    index = db.catalog.get_table("person").storage.indexes["pk_person"]
+    index.discard((2,), next(iter(index.lookup((2,)))))
+    with pytest.raises(AssertionError):
+        assert_indexes_match_chains(db)
+
+
+def test_promoted_standby_enforces_primary_key(tmp_path):
+    db = seeded(durable_db(tmp_path))
+    cluster = ReplicationCluster(db, ReplicationConfig(replicas=1))
+    db.execute("INSERT INTO person VALUES (3, 'alan')")  # replayed, not bootstrapped
+    cluster.promote()
+    survivor = cluster.database
+    assert survivor is not db
+    for dup in (1, 3):  # one row from the bootstrap, one from redo
+        with pytest.raises(ConstraintViolationError):
+            survivor.execute(f"INSERT INTO person VALUES ({dup}, 'dup')")
+    survivor.execute("INSERT INTO person VALUES (4, 'edsger')")
+    assert len(survivor.execute("SELECT * FROM person").rows) == 4
 
 
 def test_async_mode_has_bounded_advertised_window(tmp_path):
