@@ -88,11 +88,11 @@ def test_ablation_runtime_report(benchmark, engines, collector):
     # getLinkList (edge fetch by known source) benefits from label-based
     # table elimination: fewer per-query SQL statements with opts on.
     call = setup.workload.sample("getLinkList")
-    on_engine.raw.dialect.stats.reset()
-    off_engine.raw.dialect.stats.reset()
+    on_engine.raw.reset_stats()
+    off_engine.raw.reset_stats()
     call.run(on_engine.traversal())
     call.run(off_engine.traversal())
     assert (
-        on_engine.raw.dialect.stats.queries_issued
-        < off_engine.raw.dialect.stats.queries_issued
+        on_engine.raw.stats()["sql_queries"]
+        < off_engine.raw.stats()["sql_queries"]
     )

@@ -85,11 +85,11 @@ def test_fig4_report(benchmark, engines, collector):
     off_engine = engines["off"].raw
     for kind in ("countLinks", "getLinkList"):
         call = setup.workload.sample(kind)
-        on_engine.dialect.stats.reset()
-        off_engine.dialect.stats.reset()
+        on_engine.reset_stats()
+        off_engine.reset_stats()
         call.run(on_engine.traversal())
         call.run(off_engine.traversal())
         assert (
-            on_engine.dialect.stats.queries_issued
-            < off_engine.dialect.stats.queries_issued
+            on_engine.stats()["sql_queries"]
+            < off_engine.stats()["sql_queries"]
         ), f"{kind}: strategies must reduce the number of SQL statements"

@@ -1,23 +1,21 @@
-"""Parallel multi-table fan-out + traverser batching (DESIGN.md
-"Parallel execution & batching").
+"""Multi-table fan-out + traverser batching (DESIGN.md §9 "Traverser
+batching").
 
-Not a paper figure — the paper's prototype executes fan-out SQL
-serially — but the execution layer added on top is worth quantifying:
-LinkBench ids carry no table prefix, so ``g.V(id)`` fans out across
-every node table, and multi-hop expansions carry hundreds of traverser
-ids that batching coalesces into ``WHERE id IN (...)`` lists.
+Not a paper figure, but the batching layer added on top of the paper's
+serial per-table SQL is worth quantifying: LinkBench ids carry no table
+prefix, so ``g.V(id)`` fans out across every node table, and multi-hop
+expansions carry hundreds of traverser ids that batching coalesces into
+``WHERE id IN (...)`` lists.
 
-Three configurations over the same database:
+Two configurations over the same database:
 
-* ``serial``          — parallelism=1, batch_size=1 (one id, one table,
-                        one statement: the fully unbatched baseline)
-* ``serial+batch``    — parallelism=1, batch_size=64
-* ``parallel+batch``  — parallelism=4, batch_size=64 (the default-on
-                        recommendation)
+* ``serial``          — batch_size=1 (one id, one table, one
+                        statement: the fully unbatched baseline)
+* ``serial+batch``    — batch_size=64
 
 Recorded per configuration: wall-clock latency of a LinkBench-style
 mixed workload and the exact number of SQL statements issued (from
-stats(), so deterministic).  The acceptance bar: ``parallel+batch``
+stats(), so deterministic).  The acceptance bar: ``serial+batch``
 issues >=4x fewer statements than ``serial`` and runs faster.
 """
 
@@ -32,9 +30,8 @@ from repro.core.db2graph import Db2Graph
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchDataset, LinkBenchWorkload
 
 CONFIGS = [
-    ("serial", 1, 1),
-    ("serial+batch", 1, 64),
-    ("parallel+batch", 4, 64),
+    ("serial", 1),
+    ("serial+batch", 64),
 ]
 
 _RESULTS: dict[str, dict[str, float]] = {}
@@ -49,17 +46,10 @@ def fanout_setup():
     dataset.install_relational(database)
     workload = LinkBenchWorkload(dataset, seed=29)
     graphs = {
-        name: Db2Graph.open(
-            database,
-            dataset.overlay_config(),
-            parallelism=workers,
-            batch_size=batch,
-        )
-        for name, workers, batch in CONFIGS
+        name: Db2Graph.open(database, dataset.overlay_config(), batch_size=batch)
+        for name, batch in CONFIGS
     }
-    yield dataset, workload, graphs
-    for graph in graphs.values():
-        graph.close()
+    return dataset, workload, graphs
 
 
 def _workload_calls(workload, rounds: int = 12):
@@ -87,11 +77,11 @@ def _run_workload(graph, workload) -> tuple[float, int]:
     return elapsed, graph.stats()["sql_queries"] - before
 
 
-@pytest.mark.parametrize("mode", [name for name, _w, _b in CONFIGS])
+@pytest.mark.parametrize("mode", [name for name, _b in CONFIGS])
 def test_fanout_latency(benchmark, fanout_setup, mode):
     _dataset, workload, graphs = fanout_setup
     graph = graphs[mode]
-    _run_workload(graph, workload)  # warmup (prepared caches, pool spin-up)
+    _run_workload(graph, workload)  # warmup (prepared caches)
 
     timings: list[float] = []
     statements = 0
@@ -109,14 +99,13 @@ def test_fanout_latency(benchmark, fanout_setup, mode):
 
 
 def test_fanout_report(fanout_setup, collector):
-    assert set(_RESULTS) == {name for name, _w, _b in CONFIGS}
+    assert set(_RESULTS) == {name for name, _b in CONFIGS}
     rows = []
-    for name, workers, batch in CONFIGS:
+    for name, batch in CONFIGS:
         result = _RESULTS[name]
         rows.append(
             [
                 name,
-                workers,
                 batch,
                 f"{result['seconds'] * 1e3:.1f}",
                 int(result["statements"]),
@@ -125,15 +114,15 @@ def test_fanout_report(fanout_setup, collector):
     collector.add(
         "parallel_fanout",
         format_table(
-            ["config", "parallelism", "batch_size", "best ms/round", "sql stmts/round"],
+            ["config", "batch_size", "best ms/round", "sql stmts/round"],
             rows,
-            title="Parallel fan-out + traverser batching (LinkBench-style mix)",
+            title="Multi-table fan-out + traverser batching (LinkBench-style mix)",
         ),
     )
 
     serial = _RESULTS["serial"]
-    combined = _RESULTS["parallel+batch"]
-    # The acceptance bar: batching+parallelism cuts SQL statements >=4x
-    # and wall-clock strictly improves over the unbatched serial run.
-    assert combined["statements"] * 4 <= serial["statements"]
-    assert combined["seconds"] < serial["seconds"]
+    batched = _RESULTS["serial+batch"]
+    # The acceptance bar: batching cuts SQL statements >=4x and
+    # wall-clock strictly improves over the unbatched run.
+    assert batched["statements"] * 4 <= serial["statements"]
+    assert batched["seconds"] < serial["seconds"]

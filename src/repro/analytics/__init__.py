@@ -2,8 +2,8 @@
 
 Level-synchronous, set-at-a-time execution of whole-graph algorithms
 — BFS, single-source shortest paths, weakly-connected components,
-PageRank — on top of the existing batched SQL, fan-out pool, read
-cache, and budget/retry plumbing.  Three front doors:
+PageRank — on top of the existing batched SQL, read cache, and
+budget/retry plumbing.  Three front doors:
 
 * ``Db2Graph.analytics().bfs(...)`` — the Python API,
 * ``Db2Graph.open(..., bulk=True)`` — bulk evaluation of eligible

@@ -154,8 +154,7 @@ class GraphAnalytics:
     @contextmanager
     def _execution(self) -> Iterator[FrontierExecutor]:
         """Mint a frontier executor, activating the budget on the SQL
-        dialect (thread-locally) so statement/row checkpoints fire; the
-        fan-out pool re-enters the scope on its workers."""
+        dialect (thread-locally) so statement/row checkpoints fire."""
         dialect = getattr(self.provider, "dialect", None)
         if self.budget is None:
             yield FrontierExecutor(self.provider)

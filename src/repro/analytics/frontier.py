@@ -4,9 +4,8 @@ GRAPHITE-style bulk execution over the relational overlay: instead of
 expanding one traverser at a time, :class:`FrontierExecutor` hands a
 whole vertex frontier to ``provider.adjacent(...)`` in one call.  The
 overlay provider chunks the ids into batched ``WHERE id IN (...)``
-statements per edge table and dispatches them on the shared fan-out
-pool, so one analytics step costs O(edge tables) statements instead of
-O(frontier vertices).
+statements per edge table, so one analytics step costs O(edge tables)
+statements instead of O(frontier vertices).
 
 Every expansion emits the 1:1 counter/event pair ``analytics.step`` and
 one ``frontier.size`` histogram observation mirrored by a

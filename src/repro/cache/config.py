@@ -1,8 +1,8 @@
 """Cache configuration and ``REPRO_CACHE_*`` environment knobs.
 
-Mirrors the fan-out layer's convention (``REPRO_PARALLELISM`` /
-``REPRO_BATCH_SIZE``): an explicit argument wins, then the environment,
-then a built-in default.  ``Db2Graph.open(cache=...)`` accepts:
+Mirrors the batching knob's convention (``REPRO_BATCH_SIZE``): an
+explicit argument wins, then the environment, then a built-in default.
+``Db2Graph.open(cache=...)`` accepts:
 
 * ``None``  — consult ``REPRO_CACHE_ENABLED`` (off unless truthy),
 * ``False`` — force off regardless of environment,
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+from ..common.env import env_int
 
 ENABLED_ENV = "REPRO_CACHE_ENABLED"
 STATEMENTS_ENV = "REPRO_CACHE_STATEMENTS"
@@ -30,7 +32,8 @@ _TRUTHY = {"1", "true", "yes", "on"}
 @dataclass(frozen=True)
 class CacheConfig:
     """Capacities are entry counts per segment; ``stripes`` is the lock
-    striping factor (fan-out workers on different keys rarely contend)."""
+    striping factor (concurrent sessions on different keys rarely
+    contend)."""
 
     statement_capacity: int = DEFAULT_STATEMENT_CAPACITY
     row_capacity: int = DEFAULT_ROW_CAPACITY
@@ -45,25 +48,15 @@ class CacheConfig:
             raise ValueError("stripes must be positive")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
 def env_enabled() -> bool:
     return os.environ.get(ENABLED_ENV, "").strip().lower() in _TRUTHY
 
 
 def config_from_env() -> CacheConfig:
     return CacheConfig(
-        statement_capacity=max(1, _env_int(STATEMENTS_ENV, DEFAULT_STATEMENT_CAPACITY)),
-        row_capacity=max(1, _env_int(ROWS_ENV, DEFAULT_ROW_CAPACITY)),
-        stripes=max(1, _env_int(STRIPES_ENV, DEFAULT_STRIPES)),
+        statement_capacity=max(1, env_int(STATEMENTS_ENV, DEFAULT_STATEMENT_CAPACITY)),
+        row_capacity=max(1, env_int(ROWS_ENV, DEFAULT_ROW_CAPACITY)),
+        stripes=max(1, env_int(STRIPES_ENV, DEFAULT_STRIPES)),
     )
 
 

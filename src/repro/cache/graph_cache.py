@@ -35,8 +35,8 @@ Correctness rules:
 Concurrency: each level is striped over independent
 :class:`~repro.common.lru.LruCache` segments.  Lookups and fills take
 one stripe lock for one dict operation; no SQL or loader ever runs
-under a cache lock, so fan-out workers cannot deadlock through the
-cache (and the pool's no-nested-dispatch rule is untouched).
+under a cache lock, so concurrent sessions cannot deadlock through the
+cache.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ Typical use::
 
 from .auto_overlay import generate_overlay, identify_tables
 from .db2graph import Db2Graph
-from .fanout import FanoutPool, resolve_batch_size, resolve_parallelism
-from .graph_structure import OverlayGraph, RuntimeOptimizations
+from .graph_structure import OverlayGraph, RuntimeOptimizations, resolve_batch_size
 from .ids import IdTemplate, ImplicitEdgeId
 from .overlay import (
     EdgeTableConfig,
@@ -46,8 +45,6 @@ __all__ = [
     "Topology",
     "OverlayGraph",
     "RuntimeOptimizations",
-    "FanoutPool",
-    "resolve_parallelism",
     "resolve_batch_size",
     "SqlDialect",
     "SqlPredicate",

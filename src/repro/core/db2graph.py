@@ -23,8 +23,7 @@ from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
 from ..relational.database import Connection, Database
-from .fanout import FanoutPool, resolve_batch_size, resolve_parallelism
-from .graph_structure import OverlayGraph, RuntimeOptimizations
+from .graph_structure import OverlayGraph, RuntimeOptimizations, resolve_batch_size
 from .overlay import OverlayConfig
 from .sql_dialect import SqlDialect
 from .strategies import optimized_strategies
@@ -63,12 +62,6 @@ class Db2Graph:
         # Default QueryBudget for traversals (None = unlimited); set by
         # open(budget=...) or per-source via g.with_budget(...).
         self.budget = None
-        # FanoutPool shared by every traversal on this graph; set by
-        # open(parallelism=...).  None = serial.  A pool handed in by
-        # open(pool=...) belongs to its creator (the service layer) and
-        # is not shut down by close().
-        self.pool: FanoutPool | None = None
-        self._owns_pool = True
         # Transactional read cache (repro.cache); set by open(cache=...).
         # None = every read goes to the relational engine.
         self.cache: GraphCache | None = None
@@ -91,27 +84,21 @@ class Db2Graph:
         auto_refresh: bool = False,
         budget: Any = None,
         retry_policy: Any = None,
-        parallelism: int | None = None,
         batch_size: int | None = None,
         cache: CacheConfig | bool | GraphCache | None = None,
         durability: Any = None,
         replication: Any = None,
         registry: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
-        pool: FanoutPool | None = None,
         bulk: bool = False,
     ) -> "Db2Graph":
         """Open a property graph over relational data.
 
-        ``parallelism`` bounds the worker pool that runs a fan-out
-        step's per-table SQL statements concurrently (default 1 =
-        serial, today's behavior; the ``REPRO_PARALLELISM`` env var
-        changes the default).  ``batch_size`` caps how many traversers
-        coalesce into one ``WHERE id IN (...)`` statement per table
-        (default 256; env default ``REPRO_BATCH_SIZE``; 1 = one
-        statement per traverser).  Results are demultiplexed back to
-        their originating traversers in submission order, so any
-        (parallelism, batch_size) setting returns identical results.
+        ``batch_size`` caps how many traversers coalesce into one
+        ``WHERE id IN (...)`` statement per table (default 256; env
+        default ``REPRO_BATCH_SIZE``; 1 = one statement per traverser).
+        Results are demultiplexed back to their originating traversers,
+        so every ``batch_size`` returns identical results.
 
         ``budget`` (a :class:`~repro.resilience.budget.QueryBudget`)
         bounds every traversal spawned from :meth:`traversal` —
@@ -146,12 +133,10 @@ class Db2Graph:
         the service layer shares one cache across every session's
         handle so an invalidation from any session covers all of them.
 
-        ``registry``/``recorder``/``pool`` share an existing metrics
-        registry, trace recorder, and fan-out worker pool instead of
-        creating fresh ones — the service layer passes its own so one
-        observability snapshot (and one bounded worker pool) spans
-        every session multiplexed over the database.  A shared pool is
-        not shut down by :meth:`close`; its owner does that.
+        ``registry``/``recorder`` share an existing metrics registry and
+        trace recorder instead of creating fresh ones — the service
+        layer passes its own so one observability snapshot spans every
+        session multiplexed over the database.
 
         ``bulk=True`` adds the :class:`BulkRepeatStrategy` runtime
         strategy: eligible ``repeat(out(...))`` chains evaluate
@@ -223,15 +208,10 @@ class Db2Graph:
         # stats()/traces reconcile across layers.
         connection.database.bind_observability(registry, recorder)
         cluster = cls._resolve_replication(connection.database, replication)
-        owns_pool = pool is None
-        if pool is None:
-            workers = resolve_parallelism(parallelism)
-            pool = FanoutPool(workers, registry=registry, trace=recorder)
         provider = OverlayGraph(
             topology,
             dialect,
             runtime_opts,
-            pool=pool,
             batch_size=resolve_batch_size(batch_size),
             cache=graph_cache,
         )
@@ -239,8 +219,6 @@ class Db2Graph:
             connection, topology, dialect, provider, optimized, auto_refresh=auto_refresh
         )
         graph.budget = budget
-        graph.pool = pool
-        graph._owns_pool = owns_pool
         graph.cache = graph_cache
         graph.bulk = bulk
         graph.replication = cluster
@@ -389,20 +367,19 @@ class Db2Graph:
     def stats(self) -> dict[str, Any]:
         cache = self.connection.database.statement_cache
         return {
-            "sql_queries": self.dialect.stats.queries_issued,
-            "rows_fetched": self.dialect.stats.rows_fetched,
-            "prepared_hits": self.dialect.stats.prepared_hits,
-            "vertex_table_queries": self.provider.stats.vertex_table_queries,
-            "edge_table_queries": self.provider.stats.edge_table_queries,
-            "tables_eliminated": self.provider.stats.tables_eliminated,
-            "vertices_from_edges": self.provider.stats.vertices_from_edges,
-            "lazy_vertices": self.provider.stats.lazy_vertices,
+            "sql_queries": self.registry.counter(M.SQL_QUERIES).value,
+            "rows_fetched": self.registry.counter(M.SQL_ROWS).value,
+            "prepared_hits": self.registry.counter(M.SQL_PREPARED_HITS).value,
+            "vertex_table_queries": self.registry.counter(M.VERTEX_TABLE_QUERIES).value,
+            "edge_table_queries": self.registry.counter(M.EDGE_TABLE_QUERIES).value,
+            "tables_eliminated": self.registry.counter(M.TABLES_ELIMINATED).value,
+            "vertices_from_edges": self.registry.counter(M.VERTICES_FROM_EDGES).value,
+            "lazy_vertices": self.registry.counter(M.LAZY_VERTICES).value,
             "statement_cache_hits": cache.hits,
             "statement_cache_misses": cache.misses,
-            # parallel fan-out + traverser batching
+            # traverser batching
             "batched_statements": self.registry.counter(M.SQL_BATCHED).value,
             "batched_ids": self.registry.counter(M.BATCH_IDS).value,
-            "parallel_fanouts": self.registry.counter(M.FANOUT_PARALLEL).value,
             # graph read cache (repro.cache)
             "cache_hits": self.registry.counter(M.CACHE_HITS).value,
             "cache_misses": self.registry.counter(M.CACHE_MISSES).value,
@@ -490,9 +467,9 @@ class Db2Graph:
         return self.registry.snapshot()
 
     def reset_stats(self) -> None:
-        # One registry holds every counter both stats facades write —
+        # One registry holds every counter the graph layer writes —
         # reset it wholesale, plus the prepared-statement cache counters
-        # and trace buffer the old implementation missed.
+        # and the trace buffer.
         self.registry.reset()
         cache = self.connection.database.statement_cache
         cache.hits = 0
@@ -528,15 +505,10 @@ class Db2Graph:
             executor.timing_hook = None
 
     def close(self) -> None:
-        """Release the graph (the relational data stays untouched —
-        there never was a copy).  Shuts down the fan-out worker pool,
-        unless the pool is shared (owned by the service layer)."""
-        if self.pool is not None and self._owns_pool:
-            self.pool.shutdown()
-
-    @property
-    def parallelism(self) -> int:
-        return self.pool.parallelism if self.pool is not None else 1
+        """Release the graph.  A no-op, kept for callers that pair
+        ``open`` with ``close``: the graph holds no threads or files,
+        and the relational data stays untouched — there never was a
+        copy."""
 
     @property
     def batch_size(self) -> int:
@@ -546,7 +518,7 @@ class Db2Graph:
         return (
             f"Db2Graph(v_tables={len(self.topology.vertex_tables)}, "
             f"e_tables={len(self.topology.edge_tables)}, "
-            f"parallelism={self.parallelism}, batch_size={self.batch_size}, "
+            f"batch_size={self.batch_size}, "
             f"cache={'on' if self.cache is not None else 'off'}, "
             f"optimized={self.optimized})"
         )

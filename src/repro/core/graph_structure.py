@@ -18,23 +18,49 @@ benchmarks can quantify each:
   decompose composite ids into conjunctive predicates
 * ``use_implicit_edge_ids``— use the label inside ``src::label::dst``
   edge ids for table elimination
+
+A step's per-table statements run one after another on the caller's
+thread.  Traverser batching coalesces up to ``batch_size`` ids into one
+``IN (...)`` probe per table (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
+from ..common.env import env_int
 from ..graph.model import Direction, Edge, GraphProvider, Pushdown, Vertex
 from ..graph.predicates import P
 from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
-from .fanout import FanoutPool, chunked, resolve_batch_size
 from .sql_dialect import SqlDialect, SqlPredicate, predicate_to_sql
 from .topology import EdgeTopology, Topology, VertexTopology
+
+#: Traverser-coalescing default: matches the step layer's historical
+#: batch of 256 traversers per ``adjacent()`` call, so an unconfigured
+#: graph issues exactly the SQL it always did.
+DEFAULT_BATCH_SIZE = 256
+
+BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
+
+
+def resolve_batch_size(batch_size: int | None) -> int:
+    """Explicit argument, else ``REPRO_BATCH_SIZE``, else 256."""
+    if batch_size is None:
+        batch_size = env_int(BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE)
+    return max(1, int(batch_size))
+
+
+def chunked(values: Sequence[Any], size: int) -> list[Sequence[Any]]:
+    """Split ``values`` into ``len(values)//size (+1)`` runs of at most
+    ``size``, preserving order — the traverser-batching unit."""
+    if size <= 0 or len(values) <= size:
+        return [values]
+    return [values[i : i + size] for i in range(0, len(values), size)]
 
 
 @dataclass
@@ -53,53 +79,6 @@ class RuntimeOptimizations:
     @classmethod
     def all_off(cls) -> "RuntimeOptimizations":
         return cls(False, False, False, False, False, False)
-
-
-class StructureStats:
-    """Observability for tests and ablation benches — a read-only facade
-    over the shared :class:`MetricsRegistry` that keeps the historical
-    attribute names intact.  Writes go through ``Counter.increment``: a
-    ``+= 1`` through a facade is a read then an unlocked store, which
-    loses updates when fan-out workers race."""
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def vertex_table_queries(self) -> int:
-        return self.registry.counter(M.VERTEX_TABLE_QUERIES).value
-
-    @property
-    def edge_table_queries(self) -> int:
-        return self.registry.counter(M.EDGE_TABLE_QUERIES).value
-
-    @property
-    def tables_eliminated(self) -> int:
-        return self.registry.counter(M.TABLES_ELIMINATED).value
-
-    @property
-    def vertices_from_edges(self) -> int:
-        return self.registry.counter(M.VERTICES_FROM_EDGES).value
-
-    @property
-    def lazy_vertices(self) -> int:
-        return self.registry.counter(M.LAZY_VERTICES).value
-
-    def reset(self) -> None:
-        for counter in list(self.registry.counters()):
-            if counter.name.startswith("structure."):
-                counter.reset()
-
-    def __repr__(self) -> str:
-        return (
-            f"StructureStats(vertex_table_queries={self.vertex_table_queries}, "
-            f"edge_table_queries={self.edge_table_queries}, "
-            f"tables_eliminated={self.tables_eliminated}, "
-            f"vertices_from_edges={self.vertices_from_edges}, "
-            f"lazy_vertices={self.lazy_vertices})"
-        )
 
 
 class OverlayVertex(Vertex):
@@ -129,7 +108,6 @@ class OverlayGraph(GraphProvider):
         registry: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
         *,
-        pool: FanoutPool | None = None,
         batch_size: int | None = None,
         cache: Any = None,
     ):
@@ -144,12 +122,9 @@ class OverlayGraph(GraphProvider):
         # snapshot covers both modules.
         self.registry = registry if registry is not None else dialect.registry
         self.trace = recorder if recorder is not None else dialect.trace
-        self.stats = StructureStats(self.registry)
-        # Parallel fan-out pool (None/parallelism=1 = serial, today's
-        # behavior) and the traverser-coalescing unit: at most this many
-        # ids ride one IN (...) probe per table.  ``None`` falls back to
-        # the REPRO_BATCH_SIZE env default, then 256.
-        self.pool = pool
+        # The traverser-coalescing unit: at most this many ids ride one
+        # IN (...) probe per table.  ``None`` falls back to the
+        # REPRO_BATCH_SIZE env default, then 256.
         self.batch_size = resolve_batch_size(batch_size)
         # The step layer reads this to size its traverser batches so the
         # two batching levels agree (see graph/steps.py).
@@ -157,33 +132,6 @@ class OverlayGraph(GraphProvider):
 
     def describe(self) -> str:
         return "Db2Graph(OverlayGraph)"
-
-    # -- parallel fan-out ----------------------------------------------
-
-    def _run_fanout(self, tasks: Sequence[Callable[[], list]]) -> list[list]:
-        """Run a fan-out's per-(table, batch) tasks, returning each
-        task's result list in submission order (deterministic demux).
-
-        Serial unless a pool with parallelism > 1 is configured.  The
-        caller's thread-local budget tracker is re-entered inside each
-        worker so parallel sub-statements hit the same checkpoints —
-        and a budget tripped by one worker cancels the outstanding
-        tasks of the batch (see FanoutPool.run)."""
-        if not tasks:
-            return []
-        pool = self.pool
-        if pool is None or pool.parallelism <= 1 or len(tasks) == 1:
-            return [task() for task in tasks]
-        budget = self.dialect.active_budget
-        scope = None
-        if budget is not None:
-            dialect = self.dialect
-
-            def scope(task: Callable[[], list]) -> list:
-                with dialect.budget_scope(budget):
-                    return task()
-
-        return pool.run(tasks, scope=scope)
 
     # -- observability -------------------------------------------------
 
@@ -219,7 +167,7 @@ class OverlayGraph(GraphProvider):
         if return_type == "vertex":
             yield from self._vertices(ids, pushdown)
         else:
-            yield from self._edges(ids, pushdown, endpoint=None)
+            yield from self._edges(ids, pushdown)
 
     # -- vertices ------------------------------------------------------------
 
@@ -238,36 +186,29 @@ class OverlayGraph(GraphProvider):
         if ids is not None:
             # Gremlin semantics: g.V(1, 1) yields the vertex twice and
             # preserves request order; the SQL IN-list dedups, so fetch
-            # unique ids and re-emit per request.  The per-(table, batch)
-            # statements are independent, so they fan out on the pool;
-            # results demux positionally, keeping serial order.
+            # unique ids and re-emit per request.  Every (table, batch)
+            # group is planned before the first statement runs, so all
+            # elimination events precede the SQL events.
             unique = list(dict.fromkeys(ids))
-            tasks: list[Callable[[], list]] = []
-            for vtop in candidates:
-                tasks.extend(self._vertex_table_tasks(vtop, unique, pushdown))
+            plan = [
+                (vtop, group)
+                for vtop in candidates
+                for group in self._vertex_predicate_groups(vtop, unique, pushdown)
+                if group is not None
+            ]
             fetched: dict[str, Any] = {}
-            for batch in self._run_fanout(tasks):
-                for vertex in batch:
+            for vtop, group in plan:
+                for vertex in self._run_vertex_select(vtop, group, pushdown):
                     fetched.setdefault(str(vertex.id), vertex)
             for requested in ids:
                 vertex = fetched.get(str(requested))
                 if vertex is not None:
                     yield vertex
             return
-        if self._parallel_active() and len(candidates) > 1:
-            scan_tasks: list[Callable[[], list]] = []
-            for vtop in candidates:
-                scan_tasks.extend(self._vertex_table_tasks(vtop, ids, pushdown))
-            for batch in self._run_fanout(scan_tasks):
-                yield from batch
-            return
-        # Serial scans stay lazy: a downstream limit()/next() that stops
+        # Scans stay lazy: a downstream limit()/next() that stops
         # pulling must not issue SQL against the remaining tables.
         for vtop in candidates:
             yield from self._query_vertex_table(vtop, ids, pushdown)
-
-    def _parallel_active(self) -> bool:
-        return self.pool is not None and self.pool.parallelism > 1
 
     def _candidate_vertex_tables(
         self, pushdown: Pushdown, record: bool = True
@@ -328,8 +269,7 @@ class OverlayGraph(GraphProvider):
         self, vtop: VertexTopology, predicates: list[SqlPredicate], pushdown: Pushdown
     ) -> list[OverlayVertex]:
         """One SQL statement against one vertex table — the fan-out
-        unit.  Safe to run on a pool worker: counters/trace are locked
-        and the MVCC read path takes no table locks."""
+        unit."""
         columns = vtop.required_columns(self._effective_projection(pushdown))
         self._note_table_query(vtop.table_name, "vertex")
         out: list[OverlayVertex] = []
@@ -338,18 +278,6 @@ class OverlayGraph(GraphProvider):
             if vertex is not None:
                 out.append(vertex)
         return out
-
-    def _vertex_table_tasks(
-        self, vtop: VertexTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> list[Callable[[], list[OverlayVertex]]]:
-        """The table's statements as schedulable thunks, one per
-        predicate group (= per id batch).  Groups are materialized here,
-        on the scheduling thread, so elimination events stay ordered."""
-        return [
-            lambda group=group: self._run_vertex_select(vtop, group, pushdown)
-            for group in self._vertex_predicate_groups(vtop, ids, pushdown)
-            if group is not None
-        ]
 
     def _vertex_predicate_groups(
         self, vtop: VertexTopology, ids: Sequence[Any] | None, pushdown: Pushdown
@@ -459,41 +387,32 @@ class OverlayGraph(GraphProvider):
 
     # -- edges ------------------------------------------------------------------
 
-    def _edges(
-        self,
-        ids: Sequence[Any] | None,
-        pushdown: Pushdown,
-        endpoint: tuple[Direction, Sequence[Any]] | None,
-    ) -> Iterator[Any]:
+    def _edges(self, ids: Sequence[Any] | None, pushdown: Pushdown) -> Iterator[Any]:
         candidates, _ = self._candidate_edge_tables(pushdown, edge_labels=None)
-        if pushdown.aggregate is not None and endpoint is None:
+        if pushdown.aggregate is not None:
             if ids is not None and len({str(i) for i in ids}) != len(ids):
                 fetch = pushdown.copy()
                 fetch.aggregate = None
-                yield _memory_aggregate_final(list(self._edges(ids, fetch, None)), pushdown)
+                yield _memory_aggregate_final(list(self._edges(ids, fetch)), pushdown)
                 return
             yield self._aggregate_over_tables(candidates, ids, pushdown, kind="edge")
             return
         if ids is not None:
             unique = list(dict.fromkeys(ids))
-            tasks: list[Callable[[], list]] = []
-            for etop in candidates:
-                tasks.extend(self._edge_table_tasks(etop, unique, pushdown))
+            plan = [
+                (etop, group)
+                for etop in candidates
+                for group in self._edge_id_groups(etop, unique, pushdown)
+                if group is not None
+            ]
             fetched: dict[str, Any] = {}
-            for batch in self._run_fanout(tasks):
-                for edge in batch:
+            for etop, group in plan:
+                for edge in self._run_edge_select(etop, group, pushdown):
                     fetched.setdefault(str(edge.id), edge)
             for requested in ids:
                 edge = fetched.get(str(requested))
                 if edge is not None:
                     yield edge
-            return
-        if self._parallel_active() and len(candidates) > 1:
-            scan_tasks: list[Callable[[], list]] = []
-            for etop in candidates:
-                scan_tasks.extend(self._edge_table_tasks(etop, ids, pushdown))
-            for batch in self._run_fanout(scan_tasks):
-                yield from batch
             return
         for etop in candidates:
             yield from self._query_edge_table(etop, ids, pushdown)
@@ -549,15 +468,6 @@ class OverlayGraph(GraphProvider):
             if edge is not None:
                 out.append(edge)
         return out
-
-    def _edge_table_tasks(
-        self, etop: EdgeTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> list[Callable[[], list[OverlayEdge]]]:
-        return [
-            lambda group=group: self._run_edge_select(etop, group, pushdown)
-            for group in self._edge_id_groups(etop, ids, pushdown)
-            if group is not None
-        ]
 
     def _edge_id_groups(
         self, etop: EdgeTopology, ids: Sequence[Any] | None, pushdown: Pushdown
@@ -722,43 +632,27 @@ class OverlayGraph(GraphProvider):
             v.id: [] for v in vertices
         }
 
-        # Plan the whole fan-out first — one task per (table, direction,
-        # id batch) — then dispatch.  Results come back in submission
-        # order, so the demux below fills per_vertex_edges exactly as
-        # the serial nested loop always did.
-        tasks: list[Callable[[], list]] = []
-        task_directions: list[Direction] = []
+        # Plan every (table, direction) pair first, so all src/dst
+        # eliminations are noted before the first statement runs.
+        plan: list[tuple[EdgeTopology, Direction, list[Vertex]]] = []
         for etop in candidates:
             for d in directions:
                 matching = self._vertices_matching_endpoint(etop, vertices, d)
                 if not matching:
                     self._note_eliminations([(etop.table_name, "src_dst_tables")])
                     continue
-                if aggregate_edges:
-                    tasks.append(
-                        lambda etop=etop, matching=matching, d=d: [
-                            self._aggregate_edges_for(
-                                etop, matching, d, edge_pushdown, edge_labels
-                            )
-                        ]
-                    )
-                    task_directions.append(d)
-                    continue
-                for fetch in self._edge_fetch_tasks(
-                    etop, matching, d, edge_pushdown, edge_labels
-                ):
-                    tasks.append(fetch)
-                    task_directions.append(d)
-
-        batches = self._run_fanout(tasks)
+                plan.append((etop, d, matching))
 
         if aggregate_edges:
-            aggregates = [value for batch in batches for value in batch]
+            aggregates = [
+                self._aggregate_edges_for(etop, matching, d, edge_pushdown, edge_labels)
+                for etop, d, matching in plan
+            ]
             result[None] = [_combine_aggregates(pushdown.aggregate, aggregates)]
             return result
 
-        for batch, d in zip(batches, task_directions):
-            for edge in batch:
+        for etop, d, matching in plan:
+            for edge in self._fetch_edges_for(etop, matching, d, edge_pushdown, edge_labels):
                 key = edge.out_v_id if d is Direction.OUT else edge.in_v_id
                 if key in per_vertex_edges:
                     per_vertex_edges[key].append((edge, d))
@@ -856,41 +750,22 @@ class OverlayGraph(GraphProvider):
         pushdown: Pushdown,
         edge_labels: tuple[str, ...] | None,
     ) -> Iterator[OverlayEdge]:
-        for task in self._edge_fetch_tasks(etop, vertices, d, pushdown, edge_labels):
-            yield from task()
-
-    def _edge_fetch_tasks(
-        self,
-        etop: EdgeTopology,
-        vertices: Sequence[Vertex],
-        d: Direction,
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None,
-    ) -> list[Callable[[], list[OverlayEdge]]]:
-        """One thunk per id batch: each runs a single SELECT against the
-        edge table and returns its matching edges."""
+        """One SELECT against the edge table per id batch, yielding the
+        matching edges."""
         base = self._sql_predicates(etop, pushdown)
         base.extend(self._endpoint_predicates(etop, pushdown))
         base.extend(self._edge_label_sql(etop, edge_labels))
         label_filter = Pushdown(labels=edge_labels) if edge_labels else None
         columns = etop.required_columns(self._effective_projection(pushdown))
-
-        def run(id_group: list[SqlPredicate]) -> list[OverlayEdge]:
+        for id_group in self._endpoint_id_predicates(etop, vertices, d):
             self._note_table_query(etop.table_name, "edge")
-            out: list[OverlayEdge] = []
             for row in self.dialect.select(etop.table_name, columns, id_group + base):
                 edge = self._make_edge(etop, row, pushdown)
                 if edge is None:
                     continue
                 if label_filter is not None and not label_filter.matches_labels(edge.label):
                     continue
-                out.append(edge)
-            return out
-
-        return [
-            lambda id_group=id_group: run(id_group)
-            for id_group in self._endpoint_id_predicates(etop, vertices, d)
-        ]
+                yield edge
 
     def _aggregate_edges_for(
         self,
@@ -1177,68 +1052,60 @@ class OverlayGraph(GraphProvider):
                 continue
             hint = vertex.source_table if self.opts.use_src_dst_tables else None
             by_hint.setdefault(hint, []).append(vertex)
+        for hint, group in by_hint.items():
+            self._materialize_group(hint, group)
+
+    def _materialize_group(self, hint: str | None, group: list[Vertex]) -> None:
+        ids = list(dict.fromkeys(v.id for v in group))
+        ticket = None
+        if self.cache is not None:
+            # The (hint, id-tuple) group is the cache unit: the
+            # hint-table-then-fallback logic below is group-composition
+            # dependent, so a hit must replay exactly one previously
+            # computed group, never per-id slices.
+            status, payload = self.cache.lookup_group(
+                self.dialect.connection,
+                self._vertex_relations(),
+                hint,
+                tuple(ids),
+            )
+            if status == "hit":
+                found = {
+                    vid: (label, dict(items), table)
+                    for vid, label, items, table in payload
+                }
+                for vertex in group:
+                    entry = found.get(vertex.id)
+                    if entry is not None:
+                        vertex.absorb(*entry)
+                return
+            if status == "miss":
+                ticket = payload
         empty = Pushdown()
-
-        def materialize_group(hint: str | None, group: list[Vertex]) -> list:
-            ids = list(dict.fromkeys(v.id for v in group))
-            ticket = None
-            if self.cache is not None:
-                # The (hint, id-tuple) group is the cache unit: the
-                # hint-table-then-fallback logic below is group-
-                # composition dependent, so a hit must replay exactly
-                # one previously computed group, never per-id slices.
-                status, payload = self.cache.lookup_group(
-                    self.dialect.connection,
-                    self._vertex_relations(),
-                    hint,
-                    tuple(ids),
-                )
-                if status == "hit":
-                    found = {
-                        vid: (label, dict(items), table)
-                        for vid, label, items, table in payload
-                    }
-                    for vertex in group:
-                        entry = found.get(vertex.id)
-                        if entry is not None:
-                            vertex.absorb(*entry)
-                    return []
-                if status == "miss":
-                    ticket = payload
-            loaded: dict[Any, OverlayVertex] = {}
-            if hint is not None:
-                try:
-                    vtop = self.topology.vertex_table(hint)
-                except Exception:
-                    vtop = None
-                if vtop is not None:
-                    for vertex in self._query_vertex_table(vtop, ids, empty):
-                        loaded[vertex.id] = vertex
-            if not loaded:
-                for vertex in self._vertices(ids, empty):
-                    loaded.setdefault(vertex.id, vertex)
-            # Each input vertex belongs to exactly one hint group, so
-            # absorbing here is safe even when groups run on workers.
-            for vertex in group:
-                fetched = loaded.get(vertex.id)
-                if fetched is not None:
-                    vertex.absorb(fetched.label, fetched.properties, fetched.source_table)
-            if ticket is not None:
-                self.cache.store(
-                    ticket,
-                    tuple(
-                        (vid, v.label, tuple(v.properties.items()), v.source_table)
-                        for vid, v in loaded.items()
-                    ),
-                )
-            return []
-
-        self._run_fanout(
-            [
-                lambda hint=hint, group=group: materialize_group(hint, group)
-                for hint, group in by_hint.items()
-            ]
-        )
+        loaded: dict[Any, OverlayVertex] = {}
+        if hint is not None:
+            try:
+                vtop = self.topology.vertex_table(hint)
+            except Exception:
+                vtop = None
+            if vtop is not None:
+                for vertex in self._query_vertex_table(vtop, ids, empty):
+                    loaded[vertex.id] = vertex
+        if not loaded:
+            for vertex in self._vertices(ids, empty):
+                loaded.setdefault(vertex.id, vertex)
+        for vertex in group:
+            fetched = loaded.get(vertex.id)
+            if fetched is not None:
+                vertex.absorb(fetched.label, fetched.properties, fetched.source_table)
+        if ticket is not None:
+            self.cache.store(
+                ticket,
+                tuple(
+                    (vid, v.label, tuple(v.properties.items()), v.source_table)
+                    for vid, v in loaded.items()
+                ),
+            )
 
     def _vertex_relations(self) -> tuple[str, ...]:
         """The level-2 cache's dependency set: every vertex table of the
@@ -1307,7 +1174,7 @@ class OverlayGraph(GraphProvider):
 
     def load_edge(self, edge_id: Any) -> Edge | None:
         empty = Pushdown()
-        for edge in self._edges([edge_id], empty, endpoint=None):
+        for edge in self._edges([edge_id], empty):
             return edge
         return None
 
@@ -1318,35 +1185,30 @@ class OverlayGraph(GraphProvider):
     def _aggregate_over_tables(
         self, candidates: list, ids: Sequence[Any] | None, pushdown: Pushdown, kind: str
     ) -> Any:
-        tasks: list[Callable[[], list]] = []
+        # (table, predicates) pairs, planned before any statement runs;
+        # ``None`` predicates mean "fetch and aggregate in memory".
+        plan: list[tuple[Any, list[SqlPredicate] | None]] = []
         for top in candidates:
             if not self._table_fully_pushable(top, pushdown):
-                def memory_partial(top=top) -> list:
-                    fetch_pushdown = pushdown.copy()
-                    fetch_pushdown.aggregate = None
-                    if kind == "vertex":
-                        elements = list(self._query_vertex_table(top, ids, fetch_pushdown))
-                    else:
-                        elements = list(self._query_edge_table(top, ids, fetch_pushdown))
-                    return [_memory_aggregate(elements, pushdown)]
-
-                tasks.append(memory_partial)
+                plan.append((top, None))
                 continue
             groups = (
                 self._vertex_predicate_groups(top, ids, pushdown)
                 if kind == "vertex"
                 else self._edge_id_groups(top, ids, pushdown)
             )
-            for predicates in groups:
-                if predicates is None:
-                    continue
-
-                def sql_partial(top=top, predicates=predicates) -> list:
-                    self._note_table_query(top.table_name, kind)
-                    return [self._table_aggregate(top.table_name, pushdown, predicates)]
-
-                tasks.append(sql_partial)
-        partials = [value for batch in self._run_fanout(tasks) for value in batch]
+            plan.extend((top, group) for group in groups if group is not None)
+        partials: list[Any] = []
+        for top, predicates in plan:
+            if predicates is None:
+                fetch_pushdown = pushdown.copy()
+                fetch_pushdown.aggregate = None
+                query = self._query_vertex_table if kind == "vertex" else self._query_edge_table
+                elements = list(query(top, ids, fetch_pushdown))
+                partials.append(_memory_aggregate(elements, pushdown))
+            else:
+                self._note_table_query(top.table_name, kind)
+                partials.append(self._table_aggregate(top.table_name, pushdown, predicates))
         return _combine_aggregates(pushdown.aggregate, partials)
 
     def _table_fully_pushable(self, top: Any, pushdown: Pushdown) -> bool:

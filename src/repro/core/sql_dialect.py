@@ -125,52 +125,6 @@ def _text_predicate_to_sql(column: str, predicate: "P") -> list[SqlPredicate] | 
     return [SqlPredicate(column, op, (pattern,))]
 
 
-class DialectStats:
-    """Facade over the shared :class:`MetricsRegistry` keeping the old
-    ``stats.queries_issued += 1`` call sites (and test reads) working
-    while the values live in named registry counters."""
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def queries_issued(self) -> int:
-        return self.registry.counter(M.SQL_QUERIES).value
-
-    @queries_issued.setter
-    def queries_issued(self, value: int) -> None:
-        self.registry.counter(M.SQL_QUERIES).value = value
-
-    @property
-    def rows_fetched(self) -> int:
-        return self.registry.counter(M.SQL_ROWS).value
-
-    @rows_fetched.setter
-    def rows_fetched(self, value: int) -> None:
-        self.registry.counter(M.SQL_ROWS).value = value
-
-    @property
-    def prepared_hits(self) -> int:
-        return self.registry.counter(M.SQL_PREPARED_HITS).value
-
-    @prepared_hits.setter
-    def prepared_hits(self, value: int) -> None:
-        self.registry.counter(M.SQL_PREPARED_HITS).value = value
-
-    def reset(self) -> None:
-        for counter in list(self.registry.counters()):
-            if counter.name.startswith("sql."):
-                counter.reset()
-
-    def __repr__(self) -> str:
-        return (
-            f"DialectStats(queries_issued={self.queries_issued}, "
-            f"rows_fetched={self.rows_fetched}, prepared_hits={self.prepared_hits})"
-        )
-
-
 class FrequentPatternTracker:
     """Counts query shapes; shapes above a threshold are *frequent*
     (paper §6.1) and drive index suggestions."""
@@ -224,18 +178,17 @@ class SqlDialect:
         self.cache = cache
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = recorder if recorder is not None else NULL_RECORDER
-        self.stats = DialectStats(self.registry)
         # Pre-bound counter cells: one locked increment per event, no
-        # registry lookup (and no racy read-modify-write through the
-        # DialectStats property facade) on the hot path.
+        # registry lookup on the hot path.
         self._queries_counter = self.registry.counter(M.SQL_QUERIES)
         self._rows_counter = self.registry.counter(M.SQL_ROWS)
         self._prepared_counter = self.registry.counter(M.SQL_PREPARED_HITS)
         self._batched_counter = self.registry.counter(M.SQL_BATCHED)
         self._batch_ids_counter = self.registry.counter(M.BATCH_IDS)
-        # Stable per-dialect statement ids: worker threads interleave
-        # trace events, so every sql.* event carries the id assigned at
-        # build time (itertools.count is atomic under the GIL).
+        # Stable per-dialect statement ids: concurrent traversals on one
+        # graph interleave trace events, so every sql.* event carries the
+        # id assigned at build time (itertools.count is atomic under the
+        # GIL).
         self._statement_ids = itertools.count(1)
         self.tracker = FrequentPatternTracker(pattern_threshold) if track_patterns else None
         self.log: list[str] | None = None  # set to [] to capture generated SQL

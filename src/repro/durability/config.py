@@ -1,6 +1,6 @@
 """Durability configuration and the ``REPRO_WAL_*`` environment knobs.
 
-Mirrors the cache/fan-out convention: an explicit argument wins, then
+Mirrors the cache/batching convention: an explicit argument wins, then
 the environment, then off.  ``Database(durability=...)`` accepts:
 
 * ``None``  — consult ``REPRO_WAL_DIR``; when set, the database logs
@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from ..common.env import env_int
+
 WAL_DIR_ENV = "REPRO_WAL_DIR"
 WAL_FSYNC_ENV = "REPRO_WAL_FSYNC"
 CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
@@ -43,13 +45,7 @@ def _default_fsync() -> bool:
 
 
 def _default_checkpoint_every() -> int:
-    raw = os.environ.get(CHECKPOINT_EVERY_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    return max(0, env_int(CHECKPOINT_EVERY_ENV, 0))
 
 
 @dataclass

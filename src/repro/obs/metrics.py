@@ -1,8 +1,7 @@
 """Named counters and histograms — the observability substrate.
 
-The ad-hoc counter dataclasses that used to live on ``SqlDialect``
-(``DialectStats``) and ``OverlayGraph`` (``StructureStats``) are now
-views over a shared :class:`MetricsRegistry`, so that
+The SQL Dialect and Graph Structure modules write named counters in
+one shared :class:`MetricsRegistry`, so that
 
 * :meth:`Db2Graph.stats` reads one coherent snapshot,
 * trace/stats consistency is testable (every counter increment has a
@@ -11,10 +10,10 @@ views over a shared :class:`MetricsRegistry`, so that
   text), *execute* (relational engine), and *materialize* (rows ->
   graph elements) phases via histograms.
 
-Counters used to be plain integer cells mutated with a bare ``+= 1``;
-that read-modify-write races once fan-out statements run on a worker
-pool, so each cell now increments under its own lock.  Reads stay
-lock-free (``value`` is a single attribute load) and phase timing is
+A bare ``+= 1`` is a read-modify-write that loses updates when
+concurrent sessions share a registry, so each cell increments under
+its own lock.  Reads stay lock-free (``value`` is a single attribute
+load) and phase timing is
 gated by ``MetricsRegistry.timing_enabled`` (off by default) so Tier-1
 latency is unchanged unless a caller opts in.
 """
@@ -28,8 +27,8 @@ from typing import Any, Iterator
 class Counter:
     """A named monotonically-increasing integer (resettable).
 
-    Increment is atomic under ``_lock`` so worker threads of a parallel
-    fan-out never lose updates; reading ``value`` needs no lock.
+    Increment is atomic under ``_lock`` so concurrent traversals never
+    lose updates; reading ``value`` needs no lock.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -109,8 +108,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        # Guards create-on-demand registration: two fan-out workers
-        # asking for the same new counter must share one cell.
+        # Guards create-on-demand registration: two threads asking for
+        # the same new counter must share one cell.
         self._lock = threading.Lock()
         # Gate for phase timing (perf_counter calls around translate /
         # execute / materialize).  Off by default: counters alone cost
@@ -173,10 +172,9 @@ class MetricsRegistry:
 SQL_QUERIES = "sql.queries_issued"
 SQL_ROWS = "sql.rows_fetched"
 SQL_PREPARED_HITS = "sql.prepared_hits"
-# Parallel fan-out + traverser batching.
+# Traverser batching.
 SQL_BATCHED = "sql.batched"  # statements that coalesced >1 traverser id
 BATCH_IDS = "batch.size"  # total ids carried by those batched statements
-FANOUT_PARALLEL = "fanout.parallel"  # fan-outs dispatched on the worker pool
 VERTEX_TABLE_QUERIES = "structure.vertex_table_queries"
 EDGE_TABLE_QUERIES = "structure.edge_table_queries"
 TABLES_ELIMINATED = "structure.tables_eliminated"

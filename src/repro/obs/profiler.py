@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator
 
+from . import metrics as M
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..graph.steps import Step
     from ..graph.traversal import Traversal
@@ -46,14 +48,23 @@ class TraversalProfiler:
     identity, so repeated invocations of a sub-traversal accumulate)."""
 
     def __init__(self, dialect: Any = None):
-        self.dialect = dialect
+        # The dialect's statement and row counters; a provider without
+        # a SQL dialect (the in-memory graph) meters time only.
+        self._sql_counters = (
+            None
+            if dialect is None
+            else (
+                dialect.registry.counter(M.SQL_QUERIES),
+                dialect.registry.counter(M.SQL_ROWS),
+            )
+        )
         self._metrics: dict[int, StepMetrics] = {}
 
     def _sql_counts(self) -> tuple[int, int]:
-        if self.dialect is None:
+        if self._sql_counters is None:
             return (0, 0)
-        stats = self.dialect.stats
-        return (stats.queries_issued, stats.rows_fetched)
+        queries, rows = self._sql_counters
+        return (queries.value, rows.value)
 
     def metrics(self, step: "Step") -> StepMetrics:
         cell = self._metrics.get(id(step))

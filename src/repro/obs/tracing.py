@@ -19,14 +19,12 @@ event name             attributes
                        ``src_dst_tables``)
 ``sql.issued``         ``sql``, ``params``, ``rows``, ``seconds``,
                        ``statement_id`` — a process-stable id assigned at
-                       build time so events interleaved by worker threads
-                       still correlate with explain()/profile() output
+                       build time so events interleaved by concurrent
+                       traversals still correlate with explain()/profile()
+                       output
 ``sql.batched``        ``statement_id``, ``table``, ``size`` — one
                        statement coalesced ``size`` (>1) traverser ids
                        into a single ``IN (...)`` probe
-``fanout.parallel``    ``tasks``, ``parallelism`` — a multi-statement
-                       fan-out was dispatched on the worker pool instead
-                       of running serially
 ``vertex.from_edge``   ``table`` — endpoint built from the edge row
                        without SQL (§6.3)
 ``vertex.lazy``        ``table`` hint — endpoint handed out unmaterialized
@@ -168,7 +166,7 @@ class TraceRecorder:
         self.max_events = max_events
         self.events: list[TraceEvent] = []
         self.dropped = 0
-        # Fan-out workers emit concurrently; the bound check plus append
+        # Concurrent sessions emit from several threads; the bound check plus append
         # must be atomic or the buffer overshoots / drop counts race.
         self._lock = threading.Lock()
 
@@ -228,7 +226,6 @@ TABLE_QUERIED = "table.queried"
 TABLE_ELIMINATED = "table.eliminated"
 SQL_ISSUED = "sql.issued"
 SQL_BATCHED = "sql.batched"
-FANOUT_PARALLEL = "fanout.parallel"
 VERTEX_FROM_EDGE = "vertex.from_edge"
 VERTEX_LAZY = "vertex.lazy"
 LOCK_WAIT = "lock.wait"

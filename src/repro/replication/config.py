@@ -1,6 +1,6 @@
 """Replication configuration and the ``REPRO_REPL_*`` environment knobs.
 
-Mirrors the WAL/cache/fan-out convention: an explicit argument wins,
+Mirrors the WAL/cache/batching convention: an explicit argument wins,
 then the environment, then off.  ``Db2Graph.open(replication=...)`` and
 ``GraphService(replication=...)`` accept:
 
@@ -31,6 +31,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ..common.env import env_int
+
 REPLICAS_ENV = "REPRO_REPL_REPLICAS"
 ACK_ENV = "REPRO_REPL_ACK"
 MAX_STALENESS_ENV = "REPRO_REPL_MAX_STALENESS"
@@ -39,16 +41,6 @@ ACK_SYNC = "sync"
 ACK_ASYNC = "async"
 
 DEFAULT_MAX_STALENESS = 0
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
 
 
 def _env_ack() -> str:
@@ -105,13 +97,13 @@ def resolve_replication_config(
 ) -> ReplicationConfig | None:
     """``None`` return means "no replication"; see module docstring."""
     if replication is None:
-        replicas = _env_int(REPLICAS_ENV, 0)
+        replicas = env_int(REPLICAS_ENV, 0)
         if replicas <= 0:
             return None
         return ReplicationConfig(
             replicas=replicas,
             ack=_env_ack(),
-            max_staleness_csn=_env_int(MAX_STALENESS_ENV, DEFAULT_MAX_STALENESS),
+            max_staleness_csn=env_int(MAX_STALENESS_ENV, DEFAULT_MAX_STALENESS),
         )
     if replication is False:
         return None

@@ -82,12 +82,11 @@ class QueryBudget:
 class BudgetTracker:
     """Mutable per-execution progress counters + checkpoint logic.
 
-    One tracker is shared by every worker of a parallel fan-out, so the
-    progress increments are locked and tripping is first-wins: the first
-    thread over a ceiling mints the error (and the single counter/trace
-    emission); every later checkpoint — in any thread — re-raises that
-    same instance, which is how outstanding batch work gets cancelled
-    with a consistent partial-progress payload.
+    Progress increments are locked and tripping is first-wins: the
+    first checkpoint over a ceiling mints the error (and the single
+    counter/trace emission); every later checkpoint — in any thread —
+    re-raises that same instance with the same partial-progress
+    payload.
     """
 
     def __init__(

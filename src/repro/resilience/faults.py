@@ -120,7 +120,7 @@ class FaultInjector:
         self.point_hits: dict[str, int] = {}
         self.fires = 0
         # Statement numbering, rule fire-counts, and the shared rng must
-        # stay exact when fan-out sub-statements arrive from the pool.
+        # stay exact when statements arrive from concurrent sessions.
         self._lock = threading.Lock()
 
     def add(
@@ -193,8 +193,8 @@ class FaultInjector:
                     continue
                 error = self._build_error(fault, statement_no)
                 break
-        # Sleep/raise outside the lock so a slow fault on one worker
-        # doesn't serialize the whole pool behind the injector.
+        # Sleep/raise outside the lock so a slow fault on one thread
+        # doesn't serialize every other session behind the injector.
         for delay in delays:
             self.sleep(delay)
         if error is not None:

@@ -2,16 +2,17 @@
 
 ``REPRO_SERVICE_SESSIONS`` caps concurrently-open logical sessions and
 ``REPRO_SERVICE_QUEUE`` bounds the admission queue, mirroring the
-``REPRO_PARALLELISM``/``REPRO_BATCH_SIZE`` convention of the fan-out
-layer: explicit arguments win, then the environment, then defaults.
+``REPRO_BATCH_SIZE`` convention of the graph layer: explicit arguments
+win, then the environment, then defaults.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
+
+from ..common.env import env_int
 
 SESSIONS_ENV = "REPRO_SERVICE_SESSIONS"
 QUEUE_ENV = "REPRO_SERVICE_QUEUE"
@@ -21,27 +22,17 @@ DEFAULT_QUEUE_DEPTH = 256
 DEFAULT_WORKERS = 4
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
 def resolve_max_sessions(max_sessions: int | None) -> int:
     """Explicit argument, else ``REPRO_SERVICE_SESSIONS``, else 64."""
     if max_sessions is None:
-        max_sessions = _env_int(SESSIONS_ENV, DEFAULT_MAX_SESSIONS)
+        max_sessions = env_int(SESSIONS_ENV, DEFAULT_MAX_SESSIONS)
     return max(1, int(max_sessions))
 
 
 def resolve_queue_depth(queue_depth: int | None) -> int:
     """Explicit argument, else ``REPRO_SERVICE_QUEUE``, else 256."""
     if queue_depth is None:
-        queue_depth = _env_int(QUEUE_ENV, DEFAULT_QUEUE_DEPTH)
+        queue_depth = env_int(QUEUE_ENV, DEFAULT_QUEUE_DEPTH)
     return max(1, int(queue_depth))
 
 
@@ -54,8 +45,8 @@ class ServiceConfig:
     * ``queue_depth`` — admission-queue bound (``None`` =
       ``REPRO_SERVICE_QUEUE`` or 256); a full queue rejects with
       :class:`~repro.service.errors.AdmissionRejectedError`.
-    * ``workers`` — dispatch worker threads (the shared
-      :class:`~repro.core.fanout.FanoutPool`'s size).
+    * ``workers`` — dispatch worker threads (the size of the service's
+      thread pool).
     * ``default_retry_after`` — backpressure hint before any request
       has completed (no service-time average exists yet).
     * ``clock`` — injectable monotonic clock; queue timestamps and

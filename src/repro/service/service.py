@@ -4,8 +4,7 @@ Db2 Graph runs *inside* the DBMS process, where many SQL and Gremlin
 sessions hit the graph layer at once.  :class:`GraphService` is that
 shape: one shared :class:`~repro.relational.database.Database`, many
 logical :class:`~repro.service.session.GraphSession` handles, and a
-single bounded admission queue feeding a shared
-:class:`~repro.core.fanout.FanoutPool` of workers.
+single bounded admission queue feeding one thread pool of workers.
 
 Request lifecycle::
 
@@ -15,7 +14,7 @@ Request lifecycle::
             free worker permit? ──► deadline expired while queued?
                   │                     yes ⇒ shed (never executes)
                   ▼ no
-            FanoutPool worker runs fn(session) ──► Future resolves
+            pool worker runs fn(session) ──► Future resolves
 
 Dispatch has no thread of its own: the submitting thread dispatches
 right after its push, and a worker dispatches the next queued request
@@ -60,14 +59,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable
 
 from ..cache import CacheConfig, GraphCache, resolve_cache_config
 from ..core.db2graph import Db2Graph
-from ..core.fanout import FanoutPool
 from ..core.overlay import OverlayConfig
 from ..obs import metrics as M
 from ..obs import tracing
@@ -115,12 +113,10 @@ class GraphService:
         self.trace = TraceRecorder()
         database.bind_observability(self.registry, self.trace)
 
-        # One worker pool serves every session: requests dispatch onto
-        # it, and a request's traversal fan-outs run inline on their
-        # worker (the pool marks workers active), so the pool can never
-        # deadlock against itself.
-        self.pool = FanoutPool(
-            self.config.workers, registry=self.registry, trace=self.trace
+        # One worker pool serves every session; a request runs start to
+        # finish on the worker it was dispatched to.
+        self.executor = ThreadPoolExecutor(
+            max_workers=self.config.workers, thread_name_prefix="repro-service"
         )
         self.queue = AdmissionQueue(
             self.config.resolved_queue_depth(),
@@ -244,7 +240,7 @@ class GraphService:
     ) -> GraphSession:
         """Open a logical session: its own connection and graph handle
         (independent transaction/budget/retry scopes) over the shared
-        database, registry, cache, and worker pool.
+        database, registry, and cache.
 
         ``read_only=True`` on a replicated service binds the session to
         a hot standby (round-robin across live replicas); its requests
@@ -274,7 +270,6 @@ class GraphService:
                 cache=self.cache if self.cache is not None else False,
                 registry=self.registry,
                 recorder=self.trace,
-                pool=self.pool,
             )
             replica_id = replica_connection = replica_graph = None
             if read_only and self.replication is not None:
@@ -311,9 +306,9 @@ class GraphService:
         batch_size: int | None,
     ) -> tuple[str | None, Any, Any]:
         """Pick a live standby round-robin and open a graph handle over
-        its database.  The handle shares the service's registry, trace,
-        and worker pool (replica-served reads count in the same 1:1
-        counter/event streams) but never the primary-bound read cache —
+        its database.  The handle shares the service's registry and
+        trace (replica-served reads count in the same 1:1 counter/event
+        streams) but never the primary-bound read cache —
         cache epochs live per database.  Returns ``(None, None, None)``
         when no standby is live (the session just always falls
         through)."""
@@ -334,7 +329,6 @@ class GraphService:
             cache=False,
             registry=self.registry,
             recorder=self.trace,
-            pool=self.pool,
         )
         return replica.replica_id, connection, graph
 
@@ -496,7 +490,7 @@ class GraphService:
                 continue
             session: GraphSession = request.session
             session._begin_request()
-            self.pool.submit(self._make_runner(request, session))
+            self.executor.submit(self._make_runner(request, session))
 
     def _shed(self, request: Request, queued_seconds: float) -> None:
         with self._accounting_lock:
@@ -627,7 +621,7 @@ class GraphService:
             sessions = list(self.sessions.values())
         for session in sessions:
             self.close_session(session, timeout=timeout)
-        self.pool.shutdown()
+        self.executor.shutdown()
         return drained
 
     def __enter__(self) -> "GraphService":

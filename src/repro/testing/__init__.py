@@ -10,8 +10,8 @@ plus consistent data and mixed read/mutation workloads.
 
 An oracle runner applies the identical workload to an
 :class:`~repro.graph.memory.InMemoryGraph` (the reference semantics)
-and to the overlay engine under the full optimization/parallelism
-matrix, asserting multiset-equal results.  On divergence a minimizing
+and to the overlay engine under the full optimization/batching/cache/
+durability matrix, asserting multiset-equal results.  On divergence a minimizing
 shrinker deletes tables, rows, and workload steps until a minimal
 stand-alone reproduction remains.
 

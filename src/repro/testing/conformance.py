@@ -3,14 +3,14 @@
 :func:`run_scenario` materializes the scenario's relational state,
 builds the pure-Python reference graph (:mod:`repro.testing.oracle`),
 opens the overlay engine once per :class:`Cell` of the configuration
-matrix — {strategies on/off} x {runtime opts on/off} x {serial,
-parallel} x {batch 1, 64} x {read cache off/on} — and replays the
-identical workload on every side:
+matrix — {strategies on/off} x {runtime opts on/off} x {batch 1, 64}
+x {read cache off/on} x {durable off/on} — and replays the identical
+workload on every side:
 
 * traversal chains are checked for multiset-equal results between the
   oracle and every engine cell;
-* the optimized serial cell must never issue *more* SQL statements
-  than the stripped serial cell for the same chain (trace-derived
+* the optimized batch-1 cell must never issue *more* SQL statements
+  than the stripped batch-1 cell for the same chain (trace-derived
   §6.2/§6.3 monotonicity);
 * DML (inside transactions, with commit/rollback) and ``addV``/``addE``
   mutations advance both worlds; after every commit the incrementally
@@ -61,7 +61,6 @@ class Cell:
 
     optimized: bool
     runtime_on: bool
-    parallelism: int
     batch_size: int
     cache_on: bool = False
     # durable=True: the cell's engine runs over a crash-killed-and-
@@ -73,7 +72,7 @@ class Cell:
         return (
             f"{'opt' if self.optimized else 'noopt'}"
             f"/{'rt' if self.runtime_on else 'nort'}"
-            f"/p{self.parallelism}/b{self.batch_size}"
+            f"/b{self.batch_size}"
             f"{'/cache' if self.cache_on else ''}"
             f"{'/dur' if self.durable else ''}"
         )
@@ -84,7 +83,6 @@ class Cell:
             overlay,
             optimized=self.optimized,
             runtime_opts=None if self.runtime_on else RuntimeOptimizations.all_off(),
-            parallelism=self.parallelism,
             batch_size=self.batch_size,
             # Explicit True/False so the matrix is deterministic even
             # when a CI leg exports REPRO_CACHE_ENABLED=1.
@@ -92,35 +90,34 @@ class Cell:
         )
 
 
-#: The full {strategies} x {runtime opts} x {parallelism} x {batch} x
-#: {cache off/on} x {durable off/on} matrix (nightly).
+#: The full {strategies} x {runtime opts} x {batch} x {cache off/on} x
+#: {durable off/on} matrix (nightly).
 CELL_FULL_MATRIX: tuple[Cell, ...] = tuple(
-    Cell(optimized, runtime_on, parallelism, batch_size, cache_on, durable)
+    Cell(optimized, runtime_on, batch_size, cache_on, durable)
     for optimized in (True, False)
     for runtime_on in (True, False)
-    for parallelism in (1, 4)
     for batch_size in (1, 64)
     for cache_on in (False, True)
     for durable in (False, True)
 )
 
 #: The corners used per-seed in CI: both extremes of the optimization
-#: space, serial/batch-1 vs parallel-4/batch-64, plus the same two
-#: shape corners with the read cache on — a cached engine replays the
-#: whole DML-interleaved workload and must stay multiset-identical to
-#: the oracle (and hence to every uncached cell).  The serial uncached
-#: corners double as the SQL-count monotonicity pair.
+#: space, batch-1 vs batch-64, plus the same two shape corners with the
+#: read cache on — a cached engine replays the whole DML-interleaved
+#: workload and must stay multiset-identical to the oracle (and hence
+#: to every uncached cell).  The batch-1 uncached corners double as the
+#: SQL-count monotonicity pair.
 CELL_CORNERS: tuple[Cell, ...] = (
-    Cell(True, True, 1, 1),
-    Cell(False, False, 1, 1),
-    Cell(True, True, 4, 64),
-    Cell(False, False, 4, 64),
-    Cell(True, True, 1, 1, cache_on=True),
-    Cell(True, True, 4, 64, cache_on=True),
+    Cell(True, True, 1),
+    Cell(False, False, 1),
+    Cell(True, True, 64),
+    Cell(False, False, 64),
+    Cell(True, True, 1, cache_on=True),
+    Cell(True, True, 64, cache_on=True),
     # Durability corners: same two shape extremes over a WAL-logged
     # replica that is crash-killed and reopened mid-workload.
-    Cell(True, True, 1, 1, durable=True),
-    Cell(False, False, 4, 64, durable=True),
+    Cell(True, True, 1, durable=True),
+    Cell(False, False, 64, durable=True),
 )
 
 
@@ -290,7 +287,7 @@ class _OracleScriptRunner:
 
 
 def _monotonicity_pair(cells: Sequence[Cell]) -> tuple[int, int] | None:
-    """(optimized serial batch-1 index, stripped serial batch-1 index).
+    """(optimized batch-1 index, stripped batch-1 index).
 
     Cached cells are excluded: a cache hit legitimately skips the
     ``sql.issued`` event, so statement counts are only comparable
@@ -300,12 +297,7 @@ def _monotonicity_pair(cells: Sequence[Cell]) -> tuple[int, int] | None:
     """
     opt = stripped = None
     for index, cell in enumerate(cells):
-        if (
-            cell.parallelism == 1
-            and cell.batch_size == 1
-            and not cell.cache_on
-            and not cell.durable
-        ):
+        if cell.batch_size == 1 and not cell.cache_on and not cell.durable:
             if cell.optimized and cell.runtime_on and opt is None:
                 opt = index
             if not cell.optimized and not cell.runtime_on and stripped is None:

@@ -238,22 +238,25 @@ class TestFailedStatementsLeaveCleanState:
 
 
 class TestChaosUnderParallelism:
+    """Faults and budgets inside one multi-statement fan-out (one SQL
+    statement per surviving table and id batch, run in plan order)."""
+
     def test_chaos_under_parallel_fanout_masks_sub_statement_faults(self, paper_db):
-        """A transient fault on ONE sub-statement of a parallel fan-out
-        is retried on its worker without duplicating or dropping rows:
-        the result multiset is identical to a fault-free serial run."""
-        serial = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY)
+        """A transient fault on ONE sub-statement of a batched fan-out
+        is retried at the statement boundary without duplicating or
+        dropping rows: the result multiset is identical to a fault-free
+        run."""
+        baseline_graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY)
         queries = QUERIES + [
             lambda g: sorted(str(v.id) for v in g.V().both().toList()),
             lambda g: sorted(str(v.id) for v in g.V().both().both().toList()),
         ]
-        baseline = [query(serial.traversal()) for query in queries]
+        baseline = [query(baseline_graph.traversal()) for query in queries]
 
         chaotic = Db2Graph.open(
             paper_db,
             HEALTHCARE_TINY_OVERLAY,
             retry_policy=no_sleep_retry(3),
-            parallelism=4,
             batch_size=2,
         )
         injector = FaultInjector(seed=17)
@@ -264,28 +267,26 @@ class TestChaosUnderParallelism:
             chaotic_results = [query(chaotic.traversal()) for query in queries]
         finally:
             paper_db.fault_injector = None
-            chaotic.close()
 
         assert chaotic_results == baseline
         stats = chaotic.stats()
-        assert stats["parallel_fanouts"] > 0
         assert stats["faults_injected"] == injector.fires > 0
         assert stats["retry_attempts"] >= injector.fires
         assert paper_db.lock_manager.is_clean()
 
     def test_budget_trip_mid_fanout_cancels_outstanding_work(self, paper_db):
-        """A budget exceeded on one worker's sub-statement trips ONCE
-        (first-wins across the pool), cancels the batch work that has
-        not started, and reports an accurate partial-progress payload."""
+        """A budget exceeded on one sub-statement trips ONCE, no later
+        statement of the fan-out is issued, and the error reports an
+        accurate partial-progress payload."""
         from repro.obs import tracing
 
         # cache=False: the budget-trip arithmetic compares exact issued
         # statement counts, which read-cache hits would skip.
         graph = Db2Graph.open(
-            paper_db, HEALTHCARE_TINY_OVERLAY, parallelism=4, batch_size=2, cache=False
+            paper_db, HEALTHCARE_TINY_OVERLAY, batch_size=2, cache=False
         )
         # Fault-free statement count of the same two-hop query: the
-        # cancelled run must issue strictly fewer.
+        # aborted run must issue strictly fewer.
         recorder = graph.enable_tracing()
         graph.traversal().V().both().both().toList()
         full_run_sql = recorder.count(tracing.SQL_ISSUED)
@@ -297,24 +298,20 @@ class TestChaosUnderParallelism:
             g.V().both().both().toList()
 
         assert info.value.reason == "max_sql_statements"
-        # The payload reflects statements *attempted* at trip time: past
-        # the limit, and at most one in-flight attempt per worker beyond
-        # what was actually issued (the tripped attempts never ran).
+        # The payload counts statements *attempted* at trip time: every
+        # issued one plus the attempt that tripped (it never ran).
         issued = recorder.count(tracing.SQL_ISSUED)
-        assert limit < info.value.progress["sql_issued"] <= issued + graph.parallelism
-        # First-wins: concurrent workers re-raise the same trip, they do
-        # not each mint a counter increment / event.
+        assert issued == limit
+        assert info.value.progress["sql_issued"] == issued + 1
         assert graph.stats()["budget_exceeded"] == 1
         assert recorder.count(tracing.BUDGET_EXCEEDED) == 1
-        # Outstanding fan-out work was cancelled: the aborted run issued
-        # strictly fewer statements than the fault-free run.
+        # The rest of the fan-out never ran.
         assert issued < full_run_sql
         assert paper_db.lock_manager.is_clean()
 
         # The graph stays usable after the abort.
         assert graph.traversal().V().hasLabel("patient").count().next() > 0
         graph.disable_tracing()
-        graph.close()
 
     def test_retry_exhaustion_on_one_sub_statement_fails_whole_fanout(self, paper_db):
         """When one sub-statement's fault never heals, the fan-out fails
@@ -323,7 +320,6 @@ class TestChaosUnderParallelism:
             paper_db,
             HEALTHCARE_TINY_OVERLAY,
             retry_policy=no_sleep_retry(2),
-            parallelism=4,
             batch_size=2,
         )
         injector = FaultInjector(seed=5)
@@ -336,6 +332,5 @@ class TestChaosUnderParallelism:
             paper_db.fault_injector = None
         assert graph.stats()["retry_exhausted"] >= 1
         assert paper_db.lock_manager.is_clean()
-        # Healed: the same query now runs clean on the same pool.
+        # Healed: the same query now runs clean on the same graph.
         assert graph.traversal().V().both().count().next() > 0
-        graph.close()

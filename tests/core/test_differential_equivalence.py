@@ -6,12 +6,12 @@ return identical (normalized) results, and the fully optimized engine
 must never issue *more* SQL than the stripped one (checked through
 ``sql.issued`` trace events, not wall time, so it is deterministic).
 
-A second, orthogonal matrix locks in the parallel execution layer:
-{serial, parallelism=4} × {batch_size 1, 8, 64} × {strategies on, off}
-must all return the same result multiset as the in-memory reference,
-and the batched engines must issue *strictly fewer* SQL statements
-than batch_size=1 over the corpus (again counted from ``sql.issued``
-trace events, so deterministic).
+A second, orthogonal matrix locks in traverser batching:
+{batch_size 1, 8, 64} × {strategies on, off} must all return the same
+result multiset as the in-memory reference, and the batched engines
+must issue *strictly fewer* SQL statements than batch_size=1 over the
+corpus (again counted from ``sql.issued`` trace events, so
+deterministic).
 
 Unlike the hypothesis fuzzers (test_fuzz_traversals.py), the corpus
 here is generated with a fixed ``random.Random`` seed so every CI run
@@ -94,13 +94,12 @@ CONFIG_GRID = [
     ("stripped", False, RuntimeOptimizations.all_off()),
 ]
 
-# The parallel execution matrix: {serial, parallelism=4} × {batch_size
-# 1, 8, 64} × {strategies on, off}.  Every cell must agree with the
-# in-memory reference; within a (parallelism, strategies) row the
-# batched cells must issue strictly fewer SQL statements than batch=1.
-PARALLEL_MATRIX = [
-    (f"{mode}/batch{batch}/{'opt' if optimized else 'raw'}", workers, batch, optimized)
-    for mode, workers in (("serial", 1), ("parallel4", 4))
+# The batching matrix: {batch_size 1, 8, 64} × {strategies on, off}.
+# Every cell must agree with the in-memory reference; within a
+# strategies row the batched cells must issue strictly fewer SQL
+# statements than batch=1.
+BATCH_MATRIX = [
+    (f"batch{batch}/{'opt' if optimized else 'raw'}", batch, optimized)
     for batch in (1, 8, 64)
     for optimized in (True, False)
 ]
@@ -125,18 +124,11 @@ def matrix_engines():
     memory, db, overlay = build_dataset()
     graphs = {
         name: Db2Graph.open(
-            db,
-            overlay,
-            optimized=optimized,
-            parallelism=workers,
-            batch_size=batch,
-            cache=False,
+            db, overlay, optimized=optimized, batch_size=batch, cache=False
         )
-        for name, workers, batch, optimized in PARALLEL_MATRIX
+        for name, batch, optimized in BATCH_MATRIX
     }
-    yield GraphTraversalSource(memory), graphs
-    for graph in graphs.values():
-        graph.close()
+    return GraphTraversalSource(memory), graphs
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +280,15 @@ def _sql_issued(graph, recipe) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution matrix (fan-out pool + traverser batching)
+# Batching matrix (traverser batching × strategies)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("index", range(CORPUS_SIZE))
 def test_parallel_matrix_agrees_with_reference(matrix_engines, index):
-    """All 12 (parallelism, batch_size, strategies) cells return the
-    same result multiset as the in-memory graph for every chain — the
-    pool's submission-order demux makes parallel runs bit-identical."""
+    """All 6 (batch_size, strategies) cells return the same result
+    multiset as the in-memory graph for every chain — batched results
+    demultiplex back to their traversers exactly."""
     g_memory, graphs = matrix_engines
     recipe = CORPUS[index]
     expected = normalize(apply_chain(g_memory, recipe))
@@ -308,18 +300,17 @@ def test_parallel_matrix_agrees_with_reference(matrix_engines, index):
         )
 
 
-@pytest.mark.parametrize("workers,optimized", [(1, True), (1, False), (4, True), (4, False)])
-def test_batched_issues_strictly_fewer_sql(matrix_engines, workers, optimized):
+@pytest.mark.parametrize("optimized", [True, False])
+def test_batched_issues_strictly_fewer_sql(matrix_engines, optimized):
     """Traverser batching is not free-floating configuration: within a
-    (parallelism, strategies) row, coalescing ids into ``IN (...)``
-    lists must *strictly* reduce the number of SQL statements issued
-    over the corpus, and monotonically so (64 ≤ 8 < 1)."""
+    strategies row, coalescing ids into ``IN (...)`` lists must
+    *strictly* reduce the number of SQL statements issued over the
+    corpus, and monotonically so (64 ≤ 8 < 1)."""
     _, graphs = matrix_engines
-    mode = "serial" if workers == 1 else "parallel4"
     flavor = "opt" if optimized else "raw"
     totals = {}
     for batch in (1, 8, 64):
-        graph = graphs[f"{mode}/batch{batch}/{flavor}"]
+        graph = graphs[f"batch{batch}/{flavor}"]
         totals[batch] = sum(_sql_issued(graph, recipe) for recipe in CORPUS)
     assert totals[64] <= totals[8] < totals[1], totals
     assert totals[64] < totals[1]
@@ -331,7 +322,7 @@ def test_batched_statement_counts_reconcile(matrix_engines):
     ``sql.batched`` counter the number of those events — the 1:1
     counter/event invariant extended to the new instrumentation."""
     _, graphs = matrix_engines
-    graph = graphs["parallel4/batch8/opt"]
+    graph = graphs["batch8/opt"]
     recorder = graph.enable_tracing()
     before = graph.stats()
     try:

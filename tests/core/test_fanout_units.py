@@ -1,240 +1,16 @@
-"""Unit backfill for :mod:`repro.core.fanout`: the first-error
-cancellation path, the nested-dispatch guard, the ``submit`` dispatch
-primitive, and env-knob resolution — paths the integration suites
-exercise only incidentally.
+"""Unit tests for the fan-out's batching helpers in
+:mod:`repro.core.graph_structure`: the ``REPRO_BATCH_SIZE`` knob and
+the id-chunking that turns a traverser batch into ``IN (...)`` probes.
 """
 
 from __future__ import annotations
 
-import threading
-
-import pytest
-
-from repro.core.fanout import (
+from repro.core.graph_structure import (
     BATCH_SIZE_ENV,
     DEFAULT_BATCH_SIZE,
-    PARALLELISM_ENV,
-    FanoutPool,
     chunked,
-    in_fanout_worker,
     resolve_batch_size,
-    resolve_parallelism,
 )
-
-
-@pytest.fixture
-def pool():
-    p = FanoutPool(parallelism=3)
-    yield p
-    p.shutdown()
-
-
-# -- run(): ordering and the serial fast path ---------------------------------
-
-
-def test_results_keep_submission_order(pool):
-    gate = threading.Event()
-
-    def slow_first():
-        gate.wait(5)
-        return "first"
-
-    def fast_second():
-        gate.set()  # finishes before the first task even unblocks
-        return "second"
-
-    assert pool.run([slow_first, fast_second]) == ["first", "second"]
-
-
-def test_serial_pool_never_creates_threads():
-    serial = FanoutPool(parallelism=1)
-    assert serial.run([lambda: threading.current_thread().name]) == [
-        threading.main_thread().name
-    ]
-    assert serial._executor is None  # fast path: no executor materialized
-    serial.shutdown()
-
-
-def test_single_task_runs_inline(pool):
-    assert pool.run([lambda: threading.current_thread().name]) == [
-        threading.main_thread().name
-    ]
-    assert pool._executor is None
-
-
-# -- first-error cancellation -------------------------------------------------
-
-
-def test_earliest_failure_by_submission_order_wins(pool):
-    barrier = threading.Barrier(3, timeout=5)
-
-    def fail_a():
-        barrier.wait()
-        raise ValueError("a")
-
-    def fail_b():
-        barrier.wait()
-        raise KeyError("b")
-
-    def ok():
-        barrier.wait()
-        return "fine"
-
-    # Both failures happen; the earliest *by submission order*
-    # propagates regardless of which worker raised first.
-    with pytest.raises(ValueError, match="a"):
-        pool.run([fail_a, fail_b, ok])
-
-
-def test_failure_cancels_not_yet_started_tasks():
-    pool = FanoutPool(parallelism=2)
-    try:
-        started: list[str] = []
-        release = threading.Event()
-
-        def fail_fast():
-            started.append("fail")
-            raise RuntimeError("boom")
-
-        def blocker():
-            started.append("blocker")
-            release.wait(5)
-            return "done"
-
-        def never():
-            started.append("never")
-            return "ran"
-
-        tasks = [fail_fast, blocker] + [never] * 8
-        with pytest.raises(RuntimeError, match="boom"):
-            pool.run(tasks)
-        release.set()
-        # The failure was consumed at position 0 while the blocker held
-        # the other worker: the queued tail was cancelled, not run.
-        assert started.count("never") < 8
-    finally:
-        pool.shutdown()
-
-
-def test_running_tasks_finish_after_cancellation():
-    pool = FanoutPool(parallelism=2)
-    try:
-        started = threading.Event()
-        finished = threading.Event()
-
-        def fail():
-            started.wait(5)  # only fail once the other task is running
-            raise RuntimeError("first")
-
-        def running():
-            started.set()
-            finished.set()  # a task a worker already picked up completes
-            return "ok"
-
-        with pytest.raises(RuntimeError, match="first"):
-            pool.run([fail, running])
-        assert finished.wait(5)
-    finally:
-        pool.shutdown()
-
-
-# -- nested-dispatch guard ----------------------------------------------------
-
-
-def test_nested_fanout_runs_inline_on_worker(pool):
-    inner_threads: list[str] = []
-
-    def nested():
-        assert in_fanout_worker()
-        # A nested fan-out from a worker runs inline on that worker —
-        # re-entering the pool could deadlock it against itself.
-        pool.run(
-            [lambda: inner_threads.append(threading.current_thread().name)]
-            * 3
-        )
-        return threading.current_thread().name
-
-    outer = pool.run([nested, nested])
-    assert set(inner_threads) <= set(outer)
-    assert not in_fanout_worker()  # the guard never leaks to the caller
-
-
-def test_guard_cleared_even_when_task_raises(pool):
-    def fail():
-        assert in_fanout_worker()
-        raise ValueError("x")
-
-    with pytest.raises(ValueError):
-        pool.run([fail, fail])
-    # The guard never leaks to the caller, and the pool stays usable.
-    assert not in_fanout_worker()
-    assert pool.run([lambda: 1] * 4) == [1] * 4
-
-
-# -- submit(): the service layer's dispatch primitive -------------------------
-
-
-def test_submit_returns_future_with_result(pool):
-    assert pool.submit(lambda: 41 + 1).result(5) == 42
-
-
-def test_submit_marks_worker_active(pool):
-    assert pool.submit(in_fanout_worker).result(5) is True
-    assert not in_fanout_worker()
-
-
-def test_submit_applies_scope(pool):
-    def scope(task):
-        return ("scoped", task())
-
-    assert pool.submit(lambda: "inner", scope=scope).result(5) == (
-        "scoped",
-        "inner",
-    )
-
-
-def test_submit_propagates_exception(pool):
-    future = pool.submit(lambda: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        future.result(5)
-
-
-def test_submitted_task_can_run_nested_fanout(pool):
-    # The exact deadlock scenario the guard exists for: every worker
-    # occupied by a submitted request, each request fanning out again.
-    def request():
-        return sum(pool.run([lambda: 1, lambda: 2, lambda: 3]))
-
-    futures = [pool.submit(request) for _ in range(6)]  # > worker count
-    assert [f.result(10) for f in futures] == [6] * 6
-
-
-# -- shutdown -----------------------------------------------------------------
-
-
-def test_shutdown_is_idempotent_and_restartable():
-    pool = FanoutPool(parallelism=2)
-    assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
-    pool.shutdown()
-    pool.shutdown()  # no-op
-    # next dispatch lazily materializes a fresh executor
-    assert pool.run([lambda: 3, lambda: 4]) == [3, 4]
-    pool.shutdown()
-
-
-# -- knob resolution and chunking ---------------------------------------------
-
-
-def test_resolve_parallelism(monkeypatch):
-    monkeypatch.delenv(PARALLELISM_ENV, raising=False)
-    assert resolve_parallelism(None) == 1
-    assert resolve_parallelism(4) == 4
-    assert resolve_parallelism(0) == 1  # clamped
-    monkeypatch.setenv(PARALLELISM_ENV, "8")
-    assert resolve_parallelism(None) == 8
-    assert resolve_parallelism(2) == 2  # explicit wins
-    monkeypatch.setenv(PARALLELISM_ENV, "junk")
-    assert resolve_parallelism(None) == 1
 
 
 def test_resolve_batch_size(monkeypatch):

@@ -106,50 +106,50 @@ class TestBasicSemantics:
 
 class TestLabelElimination:
     def test_fixed_label_narrows_tables(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().V().hasLabel("patient").toList()
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
     def test_without_opt_queries_all_tables(self, paper_db):
         opts = RuntimeOptimizations.all_off()
         slow = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, runtime_opts=opts)
-        slow.provider.stats.reset()
+        slow.reset_stats()
         slow.traversal().V().hasLabel("patient").toList()
-        assert slow.provider.stats.vertex_table_queries == 2
+        assert slow.stats()["vertex_table_queries"] == 2
 
     def test_column_label_table_still_searched(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         edges = graph.traversal().E().hasLabel("isa").toList()
         assert len(edges) == 3
         # DiseaseOntology has no fixed label: must be searched; the
         # fixed-label HasDisease table is eliminated
-        assert graph.provider.stats.edge_table_queries == 1
+        assert graph.stats()["edge_table_queries"] == 1
 
 
 class TestPropertyNameElimination:
     def test_predicate_on_missing_property_eliminates_table(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().V().has("conceptCode", "D10").toList()
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
     def test_projection_eliminates_tables_lacking_all_keys(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         names = graph.traversal().V().values("conceptName").toList()
         assert len(names) == 4
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
 
 class TestPrefixedIdPinning:
     def test_prefixed_id_queries_one_table(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().V("patient::1").toList()
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
     def test_unprefixed_id_skips_prefixed_tables(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().V(10).toList()
         # Disease id is a bare column; Patient is prefixed and can't match
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
     def test_composite_id_decomposed_into_conjuncts(self, graph):
         graph.dialect.log = []
@@ -161,9 +161,9 @@ class TestPrefixedIdPinning:
 
 class TestImplicitEdgeIds:
     def test_label_in_id_narrows_edge_tables(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().E("patient::1::hasDisease::11").toList()
-        assert graph.provider.stats.edge_table_queries == 1
+        assert graph.stats()["edge_table_queries"] == 1
 
     def test_wrong_label_in_id_finds_nothing(self, graph):
         assert graph.traversal().E("patient::1::wrongLabel::11").toList() == []
@@ -171,11 +171,11 @@ class TestImplicitEdgeIds:
 
 class TestSrcDstTables:
     def test_adjacency_skips_mismatched_edge_tables(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         graph.traversal().V("patient::1").outE().toList()
         # patient vertices can only source HasDisease (src_v_table), and
         # the prefixed id cannot decode under DiseaseOntology's src spec
-        assert graph.provider.stats.edge_table_queries == 1
+        assert graph.stats()["edge_table_queries"] == 1
 
     def test_lazy_endpoint_vertices_carry_table_hint(self, graph):
         edge = graph.traversal().V("patient::1").outE("hasDisease").next()
@@ -183,11 +183,11 @@ class TestSrcDstTables:
         assert edge.out_v_table == "Patient"
 
     def test_endpoint_loads_via_hint(self, graph):
-        graph.provider.stats.reset()
+        graph.reset_stats()
         vertex = graph.traversal().V("patient::1").outE("hasDisease").inV().next()
         assert vertex.value("conceptName") == "type 2 diabetes"
         # materializing the lazy vertex queried exactly one table
-        assert graph.provider.stats.vertex_table_queries == 1
+        assert graph.stats()["vertex_table_queries"] == 1
 
 
 class TestVertexFromEdge:
@@ -217,14 +217,13 @@ class TestVertexFromEdge:
     def test_vertex_built_from_edge_row_without_sql(self, fact_graph):
         g = fact_graph.traversal()
         edges = g.E().hasLabel("placedBy").toList()
-        fact_graph.dialect.stats.reset()
-        fact_graph.provider.stats.reset()
+        fact_graph.reset_stats()
         for edge in edges:
             vertex = next(fact_graph.provider.edge_vertex(edge, __import__("repro.graph.model", fromlist=["Direction"]).Direction.OUT))
             assert vertex.label == "order"
             assert vertex.is_materialized
-        assert fact_graph.dialect.stats.queries_issued == 0
-        assert fact_graph.provider.stats.vertices_from_edges == len(edges)
+        assert fact_graph.stats()["sql_queries"] == 0
+        assert fact_graph.stats()["vertices_from_edges"] == len(edges)
 
     def test_disabled_falls_back_to_lazy(self, fact_graph, db):
         slow = Db2Graph.open(
@@ -235,7 +234,7 @@ class TestVertexFromEdge:
         g = slow.traversal()
         result = g.E().hasLabel("placedBy").outV().values("note").toList()
         assert sorted(result) == ["first", "second"]
-        assert slow.provider.stats.vertices_from_edges == 0
+        assert slow.stats()["vertices_from_edges"] == 0
 
 
 class TestAggregatesAcrossTables:

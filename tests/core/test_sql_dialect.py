@@ -10,6 +10,7 @@ from repro.core.sql_dialect import (
     predicate_to_sql,
 )
 from repro.graph import P
+from repro.obs import metrics as M
 
 
 class TestPredicateTranslation:
@@ -87,7 +88,8 @@ class TestExecution:
         dialect = SqlDialect(people_db.connect())
         for i in (1, 2, 3):
             dialect.select("person", ["name"], [SqlPredicate("id", "=", (i,))])
-        assert dialect.stats.prepared_hits == 2  # second and third reuse
+        # second and third reuse
+        assert dialect.registry.counter(M.SQL_PREPARED_HITS).value == 2
 
     def test_use_prepared_false_bypasses_cache(self, people_db):
         dialect = SqlDialect(people_db.connect(), use_prepared=False)

@@ -187,21 +187,21 @@ class TestSqlEffects:
             lambda g: g.V("patient::1").outE("hasDisease").count(),
             lambda g: g.V("patient::1").outE("hasDisease"),
         ):
-            optimized.dialect.stats.reset()
-            unoptimized.dialect.stats.reset()
+            optimized.reset_stats()
+            unoptimized.reset_stats()
             a = build(optimized.traversal()).toList()
             b = build(unoptimized.traversal()).toList()
             assert a == b
             assert (
-                optimized.dialect.stats.queries_issued
-                < unoptimized.dialect.stats.queries_issued
+                optimized.stats()["sql_queries"]
+                < unoptimized.stats()["sql_queries"]
             )
 
     def test_aggregate_pushdown_transfers_one_row(self, paper_graph):
-        paper_graph.dialect.stats.reset()
+        paper_graph.reset_stats()
         count = paper_graph.traversal().V().hasLabel("patient").count().next()
         assert count == 3
-        assert paper_graph.dialect.stats.rows_fetched == 1  # just COUNT(*)
+        assert paper_graph.stats()["rows_fetched"] == 1  # just COUNT(*)
 
     def test_projection_pushdown_narrows_select(self, paper_graph):
         paper_graph.dialect.log = []

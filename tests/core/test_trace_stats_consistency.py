@@ -35,7 +35,7 @@ def assert_counters_match_events(graph, recorder):
     assert stats["edge_table_queries"] == recorder.count(tracing.TABLE_QUERIED, kind="edge")
     assert stats["vertices_from_edges"] == recorder.count(tracing.VERTEX_FROM_EDGE)
     assert stats["lazy_vertices"] == recorder.count(tracing.VERTEX_LAZY)
-    assert_parallel_counters_match_events(graph, recorder)
+    assert_batch_counters_match_events(graph, recorder)
     assert_resilience_counters_match_events(graph, recorder)
     assert_cache_counters_match_events(graph, recorder)
     assert_durability_counters_match_events(graph, recorder)
@@ -44,16 +44,14 @@ def assert_counters_match_events(graph, recorder):
     assert_replication_counters_match_events(graph, recorder)
 
 
-def assert_parallel_counters_match_events(graph, recorder):
-    """The parallel-execution counters keep the 1:1 invariant: one
-    ``sql.batched`` event per batched statement, ``batch.size`` is the
-    sum of the events' ``size`` attributes, one ``fanout.parallel``
-    event per pool dispatch."""
+def assert_batch_counters_match_events(graph, recorder):
+    """The traverser-batching counters keep the 1:1 invariant: one
+    ``sql.batched`` event per batched statement, and ``batch.size`` is
+    the sum of the events' ``size`` attributes."""
     stats = graph.stats()
     batched = recorder.named(tracing.SQL_BATCHED)
     assert stats["batched_statements"] == len(batched)
     assert stats["batched_ids"] == sum(e.get("size", 0) for e in batched)
-    assert stats["parallel_fanouts"] == recorder.count(tracing.FANOUT_PARALLEL)
 
 
 def assert_resilience_counters_match_events(graph, recorder):
@@ -426,21 +424,21 @@ def test_counters_still_count_after_reset(paper_graph):
 
 
 def test_parallel_fanout_counters_match_events(paper_db):
-    """A parallel graph's pool dispatches and batched statements keep
-    the 1:1 counter/event invariant, and every batched statement event
-    carries a stable statement id that also appears on ``sql.issued``
-    (so explain()/profile() can stitch interleaved worker events)."""
+    """A multi-table fan-out's batched statements keep the 1:1
+    counter/event invariant, and every batched statement event carries
+    a stable statement id that also appears on ``sql.issued`` (so
+    explain()/profile() can stitch events that concurrent traversals
+    interleave)."""
     from repro.core import Db2Graph
     from tests.conftest import HEALTHCARE_TINY_OVERLAY
 
-    graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, parallelism=4, batch_size=2)
+    graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, batch_size=2)
     recorder = graph.enable_tracing()
     try:
         g = graph.traversal()
         g.V().hasLabel("patient").out("hasDisease").toList()
         g.V().both().toList()
         stats = graph.stats()
-        assert stats["parallel_fanouts"] > 0
         assert stats["batched_statements"] > 0
         assert_counters_match_events(graph, recorder)
         issued_ids = {e.get("statement_id") for e in recorder.named(tracing.SQL_ISSUED)}
@@ -459,7 +457,7 @@ def test_parallel_fanout_counters_match_events(paper_db):
 @pytest.mark.stress
 @pytest.mark.timeout(120)
 def test_concurrent_traversals_and_writers_reconcile(paper_db):
-    """N reader threads run parallel fan-out traversals while M writer
+    """N reader threads run multi-table fan-out traversals while M writer
     threads increment a tally and insert rows on the same Database.
     Afterwards: no lost updates, a clean lock table, no dropped trace
     events, and every counter still reconciles 1:1 with its events."""
@@ -474,7 +472,7 @@ def test_concurrent_traversals_and_writers_reconcile(paper_db):
     database.execute("INSERT INTO tally VALUES (1, 0)")
     initial_patients = database.execute("SELECT COUNT(*) FROM Patient").rows[0][0]
 
-    graph = Db2Graph.open(database, HEALTHCARE_TINY_OVERLAY, parallelism=4, batch_size=4)
+    graph = Db2Graph.open(database, HEALTHCARE_TINY_OVERLAY, batch_size=4)
     recorder = graph.enable_tracing()
 
     n_readers, n_writers, rounds = 4, 3, 20
@@ -490,7 +488,7 @@ def test_concurrent_traversals_and_writers_reconcile(paper_db):
                 assert names
                 assert g.V().hasLabel("patient").outE().count().next() >= 3
                 # both() fans out over every edge table in both
-                # directions — the step that actually hits the pool.
+                # directions.
                 assert g.V().both().count().next() > 0
         except BaseException as exc:  # noqa: BLE001 — surfaced after join
             errors.append(exc)
@@ -537,7 +535,6 @@ def test_concurrent_traversals_and_writers_reconcile(paper_db):
 
         # Counter/event reconciliation survives the interleaving.
         assert recorder.dropped == 0
-        assert graph.stats()["parallel_fanouts"] > 0
         assert_counters_match_events(graph, recorder)
     finally:
         graph.disable_tracing()
@@ -558,9 +555,7 @@ def test_prepared_cache_counters_exact_under_hammer(paper_db):
 
     # cache=False: the hammer arithmetic requires every round to issue
     # SQL; read-cache hits would serve rounds without a statement.
-    graph = Db2Graph.open(
-        paper_db, HEALTHCARE_TINY_OVERLAY, parallelism=4, batch_size=8, cache=False
-    )
+    graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, batch_size=8, cache=False)
     # Prewarm so the hammer sees a fully-populated cache: every lookup
     # after this is a hit and the arithmetic below is exact.
     graph.traversal().V().hasLabel("patient").toList()
@@ -604,10 +599,10 @@ def test_prepared_cache_counters_exact_under_hammer(paper_db):
 @pytest.mark.timeout(60)
 def test_structure_counters_exact_under_fanout_lookups():
     """Regression for lost ``structure.*`` updates: the Graph Structure
-    counters are bumped on fan-out workers, so a read-then-store
+    counters are bumped from every client thread, so a read-then-store
     ``+= 1`` dropped increments.  Eight client threads run LinkBench
-    point lookups as Gremlin text on a parallelism-4 graph; every
-    counter must equal its trace-event count exactly."""
+    point lookups as Gremlin text on one shared graph; every counter
+    must equal its trace-event count exactly."""
     import sys
     import threading
 
@@ -618,9 +613,7 @@ def test_structure_counters_exact_under_fanout_lookups():
     dataset = LinkBenchDataset(LinkBenchConfig(n_vertices=200, seed=5))
     database = Database()
     dataset.install_relational(database)
-    graph = Db2Graph.open(
-        database, dataset.overlay_config(), parallelism=4, batch_size=8, cache=False
-    )
+    graph = Db2Graph.open(database, dataset.overlay_config(), batch_size=8, cache=False)
     recorder = graph.enable_tracing()
     scripts = {
         "getNode": ("g.V(id).hasLabel(lbl)", ("id", "lbl")),
@@ -661,7 +654,6 @@ def test_structure_counters_exact_under_fanout_lookups():
         assert not errors, errors[:3]
         assert recorder.dropped == 0
         counters = graph.provider.registry.counter_values()
-        assert counters["fanout.parallel"] > 0
         eliminated = recorder.named(tracing.TABLE_ELIMINATED)
         assert counters["structure.tables_eliminated"] == len(eliminated) > 0
         for rule in {e.get("rule") for e in eliminated}:

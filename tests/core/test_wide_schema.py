@@ -65,18 +65,18 @@ def test_total_counts(wide):
 
 def test_prefixed_id_pins_one_of_120_vertex_tables(wide):
     _db, _config, graph = wide
-    graph.provider.stats.reset()
+    graph.reset_stats()
     vertex = graph.traversal().V("dim042::1").next()
     assert vertex.value("payload") == "p-42-1"
-    assert graph.provider.stats.vertex_table_queries == 1
+    assert graph.stats()["vertex_table_queries"] == 1
 
 
 def test_label_narrows_45_edge_tables_to_one(wide):
     _db, _config, graph = wide
-    graph.provider.stats.reset()
+    graph.reset_stats()
     edges = graph.traversal().E().hasLabel("fact007_" + _fact_ref(wide, 7)).toList()
     assert len(edges) == 2
-    assert graph.provider.stats.edge_table_queries == 1
+    assert graph.stats()["edge_table_queries"] == 1
 
 
 def _fact_ref(wide, index):
@@ -105,9 +105,9 @@ def test_bridge_edges_navigable_both_ways(wide):
 
 def test_unlabelled_full_scan_touches_every_vertex_table(wide):
     _db, _config, graph = wide
-    graph.provider.stats.reset()
+    graph.reset_stats()
     graph.traversal().V().count().next()
-    assert graph.provider.stats.vertex_table_queries == N_DIMENSION + N_FACT
+    assert graph.stats()["vertex_table_queries"] == N_DIMENSION + N_FACT
 
 
 def test_overlay_json_roundtrip_at_scale(wide):

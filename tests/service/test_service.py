@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.obs import metrics as M
+from repro.obs import tracing
 from repro.relational import Database
 from repro.relational.transactions import Transaction
 from repro.resilience.budget import QueryBudget
@@ -31,6 +32,7 @@ from repro.service import (
     resolve_max_sessions,
     resolve_queue_depth,
 )
+from tests.conftest import HEALTHCARE_TINY_OVERLAY
 
 pytestmark = pytest.mark.service
 
@@ -275,6 +277,22 @@ def test_push_racing_a_permit_release_is_not_stranded():
         svc.shutdown(timeout=10)
 
 
+def test_multi_worker_session_scans_lazily_under_limit(paper_db):
+    """A request's fan-out runs table by table on its worker whatever
+    the pool size, so ``limit(1)`` over two vertex tables stops after
+    the first table's statement."""
+    svc = GraphService(
+        paper_db, HEALTHCARE_TINY_OVERLAY, ServiceConfig(workers=4), cache=False
+    )
+    try:
+        trace = svc.enable_tracing()
+        s = svc.open_session()
+        assert len(s.run(lambda x: x.g.V().limit(1).toList(), timeout=10)) == 1
+        assert trace.count(tracing.SQL_ISSUED) == 1
+    finally:
+        svc.shutdown(timeout=10)
+
+
 # -- drain / shutdown ---------------------------------------------------------
 
 
@@ -309,7 +327,7 @@ def test_shutdown_closes_sessions_and_pool():
     assert s1.rolled_back_on_close
     assert not s2.rolled_back_on_close
     assert len(svc.sessions) == 0
-    assert svc.pool._executor is None  # no worker thread outlives it
+    assert not any(t.is_alive() for t in svc.executor._threads)  # no worker outlives it
     stats = svc.stats()
     assert stats["sessions_closed"] == 2
     with pytest.raises(ServiceError):
@@ -321,7 +339,7 @@ def test_context_managers_shut_down_cleanly():
         with svc.open_session() as s:
             assert s.run(lambda x: x.g.V().count().next()) == 3
         assert s.closed
-    assert svc.pool._executor is None  # no worker thread outlives it
+    assert not any(t.is_alive() for t in svc.executor._threads)  # no worker outlives it
 
 
 # -- session lifecycle --------------------------------------------------------

@@ -15,24 +15,18 @@ from repro.testing import (
 
 
 def test_corner_cells_cover_the_matrix():
-    assert len(CELL_FULL_MATRIX) == 64
+    assert len(CELL_FULL_MATRIX) == 32
     assert {(c.optimized, c.runtime_on) for c in CELL_CORNERS} == {
         (True, True),
         (False, False),
     }
-    assert {(c.parallelism, c.batch_size) for c in CELL_CORNERS} == {(1, 1), (4, 64)}
+    assert {c.batch_size for c in CELL_CORNERS} == {1, 64}
     # Both shape corners are also exercised with the read cache on.
-    assert {(c.parallelism, c.batch_size) for c in CELL_CORNERS if c.cache_on} == {
-        (1, 1),
-        (4, 64),
-    }
+    assert {c.batch_size for c in CELL_CORNERS if c.cache_on} == {1, 64}
     assert {c.cache_on for c in CELL_FULL_MATRIX} == {False, True}
     # The durability axis spans both matrices: crash+reopen corners on
     # PR, every cell durable and not in the nightly full matrix.
-    assert {(c.parallelism, c.batch_size) for c in CELL_CORNERS if c.durable} == {
-        (1, 1),
-        (4, 64),
-    }
+    assert {c.batch_size for c in CELL_CORNERS if c.durable} == {1, 64}
     assert {c.durable for c in CELL_FULL_MATRIX} == {False, True}
 
 
@@ -53,11 +47,11 @@ def test_full_matrix_on_one_seed():
 
 
 def test_cell_names_are_stable():
-    assert Cell(True, True, 1, 1).name == "opt/rt/p1/b1"
-    assert Cell(False, False, 4, 64).name == "noopt/nort/p4/b64"
-    assert Cell(True, True, 4, 64, cache_on=True).name == "opt/rt/p4/b64/cache"
-    assert Cell(True, True, 1, 1, durable=True).name == "opt/rt/p1/b1/dur"
-    assert Cell(True, True, 4, 64, True, True).name == "opt/rt/p4/b64/cache/dur"
+    assert Cell(True, True, 1).name == "opt/rt/b1"
+    assert Cell(False, False, 64).name == "noopt/nort/b64"
+    assert Cell(True, True, 64, cache_on=True).name == "opt/rt/b64/cache"
+    assert Cell(True, True, 1, durable=True).name == "opt/rt/b1/dur"
+    assert Cell(True, True, 64, True, True).name == "opt/rt/b64/cache/dur"
 
 
 def test_cached_cells_replay_dml_interleaved_workloads():
@@ -67,9 +61,9 @@ def test_cached_cells_replay_dml_interleaved_workloads():
     cached cells side-by-side with one uncached reference so a
     coherence bug shrinks like any other divergence."""
     cells = (
-        Cell(True, True, 1, 1),
-        Cell(True, True, 1, 1, cache_on=True),
-        Cell(True, True, 4, 64, cache_on=True),
+        Cell(True, True, 1),
+        Cell(True, True, 1, cache_on=True),
+        Cell(True, True, 64, cache_on=True),
     )
     checked = 0
     for seed in range(15):
@@ -91,9 +85,9 @@ def test_durable_cells_survive_midworkload_crash():
     database.  Replayed side-by-side with an in-memory reference cell
     so a recovery bug shrinks like any other divergence."""
     cells = (
-        Cell(True, True, 1, 1),
-        Cell(True, True, 1, 1, durable=True),
-        Cell(False, False, 4, 64, durable=True),
+        Cell(True, True, 1),
+        Cell(True, True, 1, durable=True),
+        Cell(False, False, 64, durable=True),
     )
     checked = 0
     for seed in range(15):
@@ -113,8 +107,8 @@ def test_durable_primary_cell_keeps_addv_visible_everywhere():
     one, the mutation must still reach the in-memory database so both
     replicas (and the oracle) stay equal."""
     cells = (
-        Cell(True, True, 1, 1, durable=True),
-        Cell(True, True, 1, 1),
+        Cell(True, True, 1, durable=True),
+        Cell(True, True, 1),
     )
     checked = 0
     for seed in range(10):
@@ -130,7 +124,7 @@ def test_durable_primary_cell_keeps_addv_visible_everywhere():
 
 
 def test_sql_monotonicity_is_checked():
-    """The serial corner pair carries tracing: a scenario replay must
+    """The batch-1 corner pair carries tracing: a scenario replay must
     not report the optimized engine issuing more SQL than the stripped
     one (the §6.3 strategies only ever eliminate statements)."""
     for seed in (0, 1, 2):
