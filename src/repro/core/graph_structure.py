@@ -875,16 +875,16 @@ class OverlayGraph(GraphProvider):
 
         result: dict[Any, list[Any]] = {}
         if not needs_resolution:
-            lazy = self.registry.counter(M.LAZY_VERTICES)
+            self.registry.counter(M.LAZY_VERTICES).increment(len(all_ids))
             for vertex_id, entry in targets.items():
-                vertices = []
-                for other_id, hint in entry:
-                    lazy.increment()
-                    self.trace.emit(tracing.VERTEX_LAZY, table=hint)
-                    vertices.append(
-                        Vertex(other_id, provider=self, source_table=hint)
-                    )
-                result[vertex_id] = vertices
+                result[vertex_id] = [
+                    Vertex(other_id, provider=self, source_table=hint)
+                    for other_id, hint in entry
+                ]
+            if self.trace.enabled:
+                for entry in targets.values():
+                    for _other_id, hint in entry:
+                        self.trace.emit(tracing.VERTEX_LAZY, table=hint)
             return result
 
         resolved: dict[Any, Vertex] = {}

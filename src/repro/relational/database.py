@@ -25,7 +25,7 @@ from .access import AccessControl
 from .catalog import Catalog
 from .errors import TransactionError
 from .executor import Executor, ResultSet
-from .planner import ExecContext
+from .planner import ExecContext, TableScanNode
 from .prepared import PreparedStatement, StatementCache
 from .schema import TableSchema
 from .sql_parser import parse_script, parse_statement
@@ -214,7 +214,8 @@ class Database:
 
     def table_row_count(self, table_name: str) -> int:
         table = self.catalog.get_table(table_name)
-        return table.storage.visible_count(self.txn_manager.current_csn())
+        ctx = ExecContext(self, None, (), self.txn_manager.current_csn())
+        return len(TableScanNode(table, table.name, [], None).rows(ctx))
 
     def now(self) -> float:
         return self.clock.now()

@@ -23,8 +23,8 @@ from .errors import (
     ExecutionError,
     SqlSyntaxError,
 )
-from .expressions import Scope
-from .planner import ExecContext, PlannedSelect, Planner
+from .expressions import Scope, split_conjuncts
+from .planner import ExecContext, PlannedSelect, Planner, TableScanNode
 from .schema import Column, ForeignKey, TableSchema
 
 
@@ -275,15 +275,13 @@ class Executor:
 
         txn, own = session.write_transaction(table.name)
         try:
-            ctx = session.exec_context(params, txn)
-            scope = Scope([(stmt.table, c.name) for c in schema.columns])
+            # Planned under the write lock, so the index it probes cannot
+            # be dropped before it runs.
+            scan = TableScanNode(table, stmt.table, split_conjuncts(stmt.where), None)
+            scope = scan.scope()
             assign_fns = [expr.compile(scope) for _c, expr in stmt.assignments]
-            where_fn = stmt.where.compile(scope) if stmt.where is not None else None
-
-            matches: list[tuple[int, tuple]] = []
-            for rowid, values in table.storage.scan(txn.snapshot_csn, txn.txn_id):
-                if where_fn is None or where_fn(values, ctx) is True:
-                    matches.append((rowid, values))
+            ctx = session.exec_context(params, txn)
+            matches = scan.matches(ctx)
 
             for rowid, values in matches:
                 new_values = list(values)
@@ -308,18 +306,11 @@ class Executor:
     def _delete(self, stmt: A.DeleteStmt, session: Any, params: Sequence[Any]) -> ResultSet:
         table = self.database.catalog.get_table(stmt.table)
         self.database.access.check(session.user, "DELETE", table.name, table.owner)
-        schema = table.schema
 
         txn, own = session.write_transaction(table.name)
         try:
-            ctx = session.exec_context(params, txn)
-            scope = Scope([(stmt.table, c.name) for c in schema.columns])
-            where_fn = stmt.where.compile(scope) if stmt.where is not None else None
-
-            matches: list[tuple[int, tuple]] = []
-            for rowid, values in table.storage.scan(txn.snapshot_csn, txn.txn_id):
-                if where_fn is None or where_fn(values, ctx) is True:
-                    matches.append((rowid, values))
+            scan = TableScanNode(table, stmt.table, split_conjuncts(stmt.where), None)
+            matches = scan.matches(session.exec_context(params, txn))
 
             for rowid, values in matches:
                 self._check_not_referenced(table, values, session, txn, changing_to=None)
@@ -380,19 +371,14 @@ class Executor:
 
     @staticmethod
     def _key_exists(table: Any, columns: Sequence[str], key: tuple, txn: Any) -> bool:
+        # The batch pass directly, not a planned TableScanNode: one runs
+        # per inserted row with a foreign key, and planning would
+        # dominate a bulk load.
         storage = table.storage
-        schema = table.schema
         index = storage.index_on(columns)
-        if index is not None:
-            for rowid in index.lookup(key):
-                values = storage.fetch(rowid, txn.snapshot_csn, txn.txn_id)
-                if values is not None and schema.key_of(values, columns) == key:
-                    return True
-            return False
-        for _rowid, values in storage.scan(txn.snapshot_csn, txn.txn_id):
-            if schema.key_of(values, columns) == key:
-                return True
-        return False
+        rowids = None if index is None else list(index.lookup(key))
+        _rowids, rows = storage.visible_rows(txn.snapshot_csn, txn.txn_id, rowids=rowids)
+        return any(table.schema.key_of(values, columns) == key for values in rows)
 
     # -- DDL --------------------------------------------------------------
 

@@ -8,7 +8,8 @@ hot path), expressions *compile* to Python closures against a
 plan time.  The compiled closure signature is ``fn(row, ctx)`` where
 ``row`` is the current input tuple and ``ctx`` is the statement's
 :class:`~repro.relational.executor.ExecContext` (for parameter
-markers).
+markers).  Predicates pushed into a table scan compile instead, via
+:meth:`Expression.compile_filter`, to batch filters ``fn(rows, ctx)``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class Scope:
 
 
 CompiledExpr = Callable[[tuple, Any], Any]
+# fn(rows, ctx) -> the rows for which the predicate is TRUE
+BatchFilter = Callable[[list, Any], list]
 
 
 class Expression:
@@ -59,6 +62,13 @@ class Expression:
 
     def compile(self, scope: Scope) -> CompiledExpr:
         raise NotImplementedError
+
+    def compile_filter(self, scope: Scope) -> BatchFilter:
+        """Compile this predicate into a batch filter.  A row survives
+        only if the predicate ``is True``: FALSE and UNKNOWN both drop
+        it, as in WHERE.  Subclasses override with set-at-a-time forms."""
+        fn = self.compile(scope)
+        return lambda rows, ctx: [row for row in rows if fn(row, ctx) is True]
 
     def references(self) -> set[tuple[str | None, str]]:
         """All (qualifier, column) pairs this expression reads."""
@@ -289,6 +299,35 @@ class InList(Expression):
             if seen_null:
                 return None
             return negated
+
+        return run
+
+    def compile_filter(self, scope: Scope) -> BatchFilter:
+        """``column IN (row-independent items)`` filters a batch with
+        one hash-set comprehension.  A row is kept only when the IN is
+        TRUE, so NULL items (which can only turn FALSE into UNKNOWN) are
+        dropped from the set; Python ``==``/``hash`` agree with
+        ``sql_eq`` on storable scalars.  Unhashable items or column
+        values fall back to the row predicate for the whole batch."""
+        fallback = super().compile_filter(scope)
+        if (
+            self.negated
+            or not isinstance(self.expr, ColumnRef)
+            or any(item.references() for item in self.items)
+        ):
+            return fallback
+        pos = scope.resolve(self.expr.qualifier, self.expr.name)
+        item_fns = [item.compile(scope) for item in self.items]
+
+        def run(rows: list, ctx: Any) -> list:
+            if not rows:
+                return rows
+            try:
+                wanted = {fn((), ctx) for fn in item_fns}
+                wanted.discard(None)
+                return [row for row in rows if row[pos] in wanted]
+            except TypeError:
+                return fallback(rows, ctx)
 
         return run
 

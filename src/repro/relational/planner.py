@@ -1,13 +1,19 @@
 """Query planner and physical plan operators.
 
-The planner turns a SELECT AST into a tree of iterator-style plan
-nodes.  Planning resolves column references to tuple positions and
-picks indexes; execution then only runs compiled closures per row.
+The planner turns a SELECT AST into a tree of plan nodes.  Planning
+resolves column references to tuple positions, picks indexes and
+compiles expressions once.  Table access is set-at-a-time: a
+:class:`TableScanNode` takes the visible rows of its index candidates
+(or of the whole table) in one storage pass, then runs each pushed-down
+conjunct as a compiled batch filter over that list.  Operators above
+the scan (joins, aggregation, sort) still consume rows one at a time.
+UPDATE and DELETE find their rows through the same node.
 
 Optimizations implemented (the ones the paper's generated SQL relies
 on — the graph layer counts on the relational engine doing its part):
 
-* WHERE-conjunct pushdown into single-table scans;
+* WHERE-conjunct pushdown into single-table scans, evaluated as batch
+  filters (``IN`` lists as one hash-set probe per row);
 * index selection: equality conjuncts (including IN lists) probe hash
   or sorted indexes; range conjuncts use sorted indexes;
 * hash joins for equi-join conditions, nested loops otherwise;
@@ -17,6 +23,7 @@ on — the graph layer counts on the relational engine doing its part):
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -62,11 +69,11 @@ ColumnList = list[tuple[str | None, str]]
 
 
 class PlanNode:
-    """Base class: ``columns`` (qualifier, name) and a row iterator."""
+    """Base class: ``columns`` (qualifier, name) and a row iterable."""
 
     columns: ColumnList
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+    def rows(self, ctx: ExecContext) -> Iterable[tuple]:
         raise NotImplementedError
 
     def scope(self) -> Scope:
@@ -100,7 +107,8 @@ class TableScanNode(PlanNode):
 
     Index strategy is chosen at plan time from the pushed-down
     conjuncts; key *values* are computed at run time, so the same plan
-    works for prepared statements with parameter markers.
+    works for prepared statements with parameter markers.  A node holds
+    no per-execution state: prepared plans share it across threads.
     """
 
     def __init__(self, table: Table, alias: str, conjuncts: list[Expression], as_of: Expression | None):
@@ -180,28 +188,49 @@ class TableScanNode(PlanNode):
                         # the index probe is a superset under MVCC.
                         break
 
-        self._residual_fns = [c.compile(scope) for c in residual]
-        self.rows_scanned = 0
+        self._filters = [c.compile_filter(scope) for c in residual]
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        storage = self.table.storage
+    def rows(self, ctx: ExecContext) -> list[tuple]:
+        return self._filter(self._visible(ctx)[1], ctx)
+
+    def matches(self, ctx: ExecContext) -> list[tuple[int, tuple]]:
+        """``(rowid, values)`` of every qualifying row, for UPDATE and
+        DELETE.  Rows pass the filters tagged with their rowid as an
+        extra trailing column, which no compiled conjunct can see."""
+        rowids, rows = self._visible(ctx)
+        width = len(self.columns)
+        tagged = [values + (rowid,) for rowid, values in zip(rowids, rows)]
+        return [(row[width], row[:width]) for row in self._filter(tagged, ctx)]
+
+    def _filter(self, rows: list[tuple], ctx: ExecContext) -> list[tuple]:
+        for keep in self._filters:
+            if not rows:
+                break
+            rows = keep(rows, ctx)
+        return rows
+
+    def _visible(self, ctx: ExecContext) -> tuple[list[int], list[tuple]]:
         as_of_ts: float | None = None
         if self.as_of is not None:
             as_of_ts = ctx.scalar(self.as_of)
             if as_of_ts is None:
                 raise ExecutionError("AS OF timestamp evaluated to NULL")
             as_of_ts = float(as_of_ts)
+        return self.table.storage.visible_rows(
+            ctx.snapshot_csn, ctx.txn_id, as_of_ts, self._candidates(ctx)
+        )
 
+    def _candidates(self, ctx: ExecContext) -> list[int] | None:
+        """Sorted rowids the index probe yields, or None for a full scan."""
         if self._access_path == "index_eq":
             key = tuple(fn((), ctx) for fn in self._key_fns)
-            candidates: Iterable[int] = sorted(self._index.lookup(key))
-        elif self._access_path == "index_in":
+            return sorted(self._index.lookup(key))
+        if self._access_path == "index_in":
             ids: set[int] = set()
             for fn in self._in_fns or ():
-                value = fn((), ctx)
-                ids.update(self._index.lookup((value,)))
-            candidates = sorted(ids)
-        elif self._access_path == "index_range":
+                ids.update(self._index.lookup((fn((), ctx),)))
+            return sorted(ids)
+        if self._access_path == "index_range":
             low = high = None
             low_inc = high_inc = True
             if self._range_low is not None:
@@ -210,25 +239,8 @@ class TableScanNode(PlanNode):
             if self._range_high is not None:
                 high = (self._range_high[0]((), ctx),)
                 high_inc = self._range_high[1]
-            candidates = sorted(set(self._index.range(low, high, low_inc, high_inc)))
-        else:
-            candidates = None  # full scan
-
-        if candidates is None:
-            iterator = storage.scan(ctx.snapshot_csn, ctx.txn_id, as_of_ts)
-        else:
-            iterator = (
-                (rowid, values)
-                for rowid in candidates
-                if (values := storage.fetch(rowid, ctx.snapshot_csn, ctx.txn_id, as_of_ts))
-                is not None
-            )
-
-        residuals = self._residual_fns
-        for _rowid, values in iterator:
-            self.rows_scanned += 1
-            if all(fn(values, ctx) is True for fn in residuals):
-                yield values
+            return sorted(set(self._index.range(low, high, low_inc, high_inc)))
+        return None
 
     def _describe(self) -> str:
         detail = self._access_path
@@ -419,8 +431,22 @@ class ProjectNode(PlanNode):
         self.columns = [(None, name) for _e, name in items]
         scope = child.scope()
         self._fns = [expr.compile(scope) for expr, _name in items]
+        # All-column projections pick tuple slots in C; a slice keeps a
+        # one-column result a tuple.
+        self._getter: Callable[[tuple], tuple] | None = None
+        if items and all(isinstance(expr, ColumnRef) for expr, _name in items):
+            positions = [scope.resolve(e.qualifier, e.name) for e, _n in items]
+            if len(positions) == 1:
+                self._getter = operator.itemgetter(slice(positions[0], positions[0] + 1))
+            else:
+                self._getter = operator.itemgetter(*positions)
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+    def rows(self, ctx: ExecContext) -> Iterable[tuple]:
+        if self._getter is not None:
+            return map(self._getter, self.child.rows(ctx))
+        return self._rows(ctx)
+
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         fns = self._fns
         for row in self.child.rows(ctx):
             yield tuple(fn(row, ctx) for fn in fns)

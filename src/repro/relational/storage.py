@@ -19,7 +19,7 @@ needs cross-table access and therefore lives in the executor.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import ConstraintViolationError
 from .index import HashIndex, Index
@@ -308,14 +308,48 @@ class TableStorage:
 
     # -- reads ------------------------------------------------------------
 
-    def scan(
-        self, snapshot_csn: int, txn_id: int | None = None, as_of: float | None = None
-    ) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield ``(rowid, values)`` for every visible row."""
-        for rowid in list(self._rows.keys()):
-            values = self.fetch(rowid, snapshot_csn, txn_id, as_of)
-            if values is not None:
-                yield rowid, values
+    def visible_rows(
+        self,
+        snapshot_csn: int,
+        txn_id: int | None = None,
+        as_of: float | None = None,
+        rowids: Iterable[int] | None = None,
+    ) -> tuple[list[int], list[tuple[Any, ...]]]:
+        """The visible version of every row (or of each of ``rowids``),
+        as parallel ``(rowids, values)`` lists in input order.
+
+        The one read path of the engine: scans, index probes and DML all
+        come through here.  It returns exactly what :meth:`fetch` returns
+        per rowid, but inlines the common case — the chain's newest
+        version committed at or before the snapshot and carrying no end
+        mark — and falls back to the per-version checks otherwise.
+        """
+        get = self._rows.get
+        if rowids is None:
+            rowids = list(self._rows)  # safe against concurrent inserts
+        out_ids: list[int] = []
+        out_rows: list[tuple[Any, ...]] = []
+        for rowid in rowids:
+            chain = get(rowid)
+            if not chain:
+                continue  # unknown rowid, or a rolled-back insert mid-removal
+            last = chain[-1]
+            begin = last.begin_csn
+            if (
+                as_of is None
+                and begin is not None
+                and begin <= snapshot_csn
+                and last.end_csn is None
+                and last.end_txn is None
+            ):
+                values = last.values
+            else:
+                values = self._fetch_chain(chain, snapshot_csn, txn_id, as_of)
+                if values is None:
+                    continue
+            out_ids.append(rowid)
+            out_rows.append(values)
+        return out_ids, out_rows
 
     def fetch(
         self,
@@ -327,6 +361,15 @@ class TableStorage:
         chain = self._rows.get(rowid)
         if not chain:
             return None
+        return self._fetch_chain(chain, snapshot_csn, txn_id, as_of)
+
+    @staticmethod
+    def _fetch_chain(
+        chain: list[RowVersion],
+        snapshot_csn: int,
+        txn_id: int | None,
+        as_of: float | None,
+    ) -> tuple[Any, ...] | None:
         if as_of is not None:
             for version in reversed(chain):
                 if version.visible_as_of(as_of):
@@ -336,12 +379,6 @@ class TableStorage:
             if version.visible_to(snapshot_csn, txn_id):
                 return version.values
         return None
-
-    def visible_count(self, snapshot_csn: int, txn_id: int | None = None) -> int:
-        return sum(1 for _ in self.scan(snapshot_csn, txn_id))
-
-    def all_rowids(self) -> list[int]:
-        return list(self._rows.keys())
 
     def version_count(self) -> int:
         return sum(len(chain) for chain in self._rows.values())
