@@ -26,13 +26,14 @@ thread.  Traverser batching coalesces up to ``batch_size`` ids into one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
 from ..common.env import env_int
 from ..graph.model import Direction, Edge, GraphProvider, Pushdown, Vertex
-from ..graph.predicates import P
 from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
@@ -158,76 +159,36 @@ class OverlayGraph(GraphProvider):
         self.trace.emit(tracing.TABLE_QUERIED, table=table, kind=kind)
 
     # ------------------------------------------------------------------
-    # GSA entry point: g.V(ids) / g.E(ids)
+    # Planning: which statements a step issues.  Pure — nothing here
+    # counts, traces or runs SQL; callers record the eliminations once,
+    # before their first statement, and explain() renders the same plan.
     # ------------------------------------------------------------------
 
-    def graph_step(
-        self, return_type: str, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[Any]:
-        if return_type == "vertex":
-            yield from self._vertices(ids, pushdown)
-        else:
-            yield from self._edges(ids, pushdown)
-
-    # -- vertices ------------------------------------------------------------
-
-    def _vertices(self, ids: Sequence[Any] | None, pushdown: Pushdown) -> Iterator[Any]:
-        candidates, _ = self._candidate_vertex_tables(pushdown)
-        if pushdown.aggregate is not None:
-            if ids is not None and len({str(i) for i in ids}) != len(ids):
-                # duplicate ids contribute multiply to aggregates
-                # (g.V(1,1).count() == 2): aggregate in memory instead
-                fetch = pushdown.copy()
-                fetch.aggregate = None
-                yield _memory_aggregate_final(list(self._vertices(ids, fetch)), pushdown)
-                return
-            yield self._aggregate_over_tables(candidates, ids, pushdown, kind="vertex")
-            return
-        if ids is not None:
-            # Gremlin semantics: g.V(1, 1) yields the vertex twice and
-            # preserves request order; the SQL IN-list dedups, so fetch
-            # unique ids and re-emit per request.  Every (table, batch)
-            # group is planned before the first statement runs, so all
-            # elimination events precede the SQL events.
-            unique = list(dict.fromkeys(ids))
-            plan = [
-                (vtop, group)
-                for vtop in candidates
-                for group in self._vertex_predicate_groups(vtop, unique, pushdown)
-                if group is not None
-            ]
-            fetched: dict[str, Any] = {}
-            for vtop, group in plan:
-                for vertex in self._run_vertex_select(vtop, group, pushdown):
-                    fetched.setdefault(str(vertex.id), vertex)
-            for requested in ids:
-                vertex = fetched.get(str(requested))
-                if vertex is not None:
-                    yield vertex
-            return
-        # Scans stay lazy: a downstream limit()/next() that stops
-        # pulling must not issue SQL against the remaining tables.
-        for vtop in candidates:
-            yield from self._query_vertex_table(vtop, ids, pushdown)
-
-    def _candidate_vertex_tables(
-        self, pushdown: Pushdown, record: bool = True
-    ) -> tuple[list[VertexTopology], list[tuple[str, str]]]:
-        """Surviving vertex tables plus ``(table, rule)`` eliminations.
-
-        ``record=False`` computes without touching counters/traces —
-        used by ``explain()`` for side-effect-free previews.
-        """
-        candidates = list(self.topology.vertex_tables)
+    def _candidate_tables(
+        self,
+        kind: str,
+        pushdown: Pushdown,
+        edge_labels: tuple[str, ...] | None = None,
+        record: bool = True,
+    ) -> tuple[list[Any], list[tuple[str, str]]]:
+        """Surviving ``kind`` tables plus ``(table, rule)`` eliminations
+        by label value and property name (§6.3).  ``edge_labels`` are the
+        labels of an ``out('l')``-style step."""
+        tables = self.topology.vertex_tables if kind == "vertex" else self.topology.edge_tables
+        candidates = list(tables)
         eliminated: list[tuple[str, str]] = []
         labels = _label_values(pushdown)
+        if edge_labels is not None:
+            labels = tuple(edge_labels) if labels is None else tuple(
+                set(labels) & set(edge_labels)
+            )
         if self.opts.use_label_values and labels is not None:
             survivors = []
-            for v in candidates:
-                if v.fixed_label is None or v.fixed_label in labels:
-                    survivors.append(v)
+            for top in candidates:
+                if top.fixed_label is None or top.fixed_label in labels:
+                    survivors.append(top)
                 else:
-                    eliminated.append((v.table_name, "label_values"))
+                    eliminated.append((top.table_name, "label_values"))
             candidates = survivors
         if self.opts.use_property_names:
             survivors = self._eliminate_by_properties(candidates, pushdown)
@@ -257,86 +218,184 @@ class OverlayGraph(GraphProvider):
             ]
         return survivors
 
-    def _query_vertex_table(
-        self, vtop: VertexTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[OverlayVertex]:
-        for predicates in self._vertex_predicate_groups(vtop, ids, pushdown):
-            if predicates is None:
-                continue
-            yield from self._run_vertex_select(vtop, predicates, pushdown)
-
-    def _run_vertex_select(
-        self, vtop: VertexTopology, predicates: list[SqlPredicate], pushdown: Pushdown
-    ) -> list[OverlayVertex]:
-        """One SQL statement against one vertex table — the fan-out
-        unit."""
-        columns = vtop.required_columns(self._effective_projection(pushdown))
-        self._note_table_query(vtop.table_name, "vertex")
-        out: list[OverlayVertex] = []
-        for row in self.dialect.select(vtop.table_name, columns, predicates):
-            vertex = self._make_vertex(vtop, row, pushdown)
-            if vertex is not None:
-                out.append(vertex)
-        return out
-
-    def _vertex_predicate_groups(
-        self, vtop: VertexTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[list[SqlPredicate] | None]:
-        """One (or more) SQL predicate lists for this table.
-
-        Multiple groups arise for composite ids, where each id becomes
-        its own conjunctive lookup.  A ``None`` group means "skip".
-        """
-        base = self._sql_predicates(vtop, pushdown)
-        if ids is None:
-            yield base
-            return
-        strict = self.opts.use_prefixed_ids
-        decoded: list[dict[str, Any]] = []
-        for vertex_id in ids:
-            values = vtop.id_template.decode(vertex_id, strict=strict)
-            if values is None:
-                continue
-            coerced = self._coerce_values(vtop, values)
-            if coerced is not None:
-                decoded.append(coerced)
-        if not decoded:
-            self._note_eliminations([(vtop.table_name, "prefixed_ids")])
-            return
-        if len(vtop.id_template.columns) == 1:
-            # one varying column (constants already verified by decode):
-            # coalesce up to batch_size ids per probe (batch_size=1
-            # degenerates to one `id = ?` statement per traverser)
-            column = vtop.relation.canonical(vtop.id_template.columns[0])
-            values = tuple(
-                dict.fromkeys(d[vtop.id_template.columns[0]] for d in decoded)
+    def _plan(
+        self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
+    ) -> tuple[list[tuple[str, str]], list[tuple[Any, list[SqlPredicate], bool]]]:
+        """``g.V(ids)`` / ``g.E(ids)``: eliminations plus the
+        ``(table, predicates, aggregated)`` statements in run order —
+        candidate tables in topology order × id groups.  ``aggregated``
+        statements compute the step's aggregate in SQL; the others
+        fetch rows."""
+        candidates, eliminated = self._candidate_tables(kind, pushdown, record=False)
+        if pushdown.aggregate is not None and _has_repeats(ids):
+            # g.V(1, 1).count() == 2, but the IN list dedups: the rows are
+            # fetched and aggregated in memory instead
+            fetch_eliminated, plan = self._plan(kind, ids, _without_aggregate(pushdown))
+            return eliminated + fetch_eliminated, plan
+        plan: list[tuple[Any, list[SqlPredicate], bool]] = []
+        for top in candidates:
+            table_eliminated, groups = self._table_plan(kind, top, ids, pushdown)
+            eliminated += table_eliminated
+            # an aggregate pushes down only when everything else does too
+            aggregated = pushdown.aggregate is not None and self._table_fully_pushable(
+                top, pushdown
             )
-            for chunk in chunked(values, self.batch_size):
-                if len(chunk) == 1:
-                    yield [SqlPredicate(column, "=", (chunk[0],), batch=True)] + base
-                else:
-                    yield [SqlPredicate(column, "IN", tuple(chunk), batch=True)] + base
-            return
-        # multi-column composite id: conjunctive predicates per id (§6.3)
-        for values_map in decoded:
-            group = [
-                SqlPredicate(vtop.relation.canonical(col), "=", (value,))
-                for col, value in values_map.items()
+            plan.extend((top, group, aggregated) for group in groups)
+        return eliminated, plan
+
+    def _table_plan(
+        self, kind: str, top: Any, ids: Sequence[Any] | None, pushdown: Pushdown
+    ) -> tuple[list[tuple[str, str]], list[list[SqlPredicate]]]:
+        """One table's predicate groups: the scan, or one group per id
+        probe.  No id fitting the table eliminates it."""
+        base = self._base_predicates(kind, top, pushdown)
+        if ids is None:
+            return [], [base]
+        if kind == "vertex":
+            template = top.id_template
+            decoded = [d for i in ids if (d := self._decode(top, template, i)) is not None]
+            column, rule = template.only_column, "prefixed_ids"
+        else:
+            decoded = [d for i in ids if (d := self._decode_edge_id(top, i)) is not None]
+            # edge ids are never batched: one conjunctive lookup per id
+            column = None
+            rule = "prefixed_ids" if top.implicit_id is None else "implicit_edge_ids"
+        groups = self._id_groups(top, decoded, column)
+        if not groups:
+            return [(top.table_name, rule)], []
+        return [], [group + base for group in groups]
+
+    def _adjacent_plan(
+        self,
+        vertices: Sequence[Vertex] | None,
+        direction: Direction,
+        edge_labels: tuple[str, ...] | None,
+        pushdown: Pushdown,
+    ) -> tuple[list[tuple[str, str]], list[tuple[Any, Direction, Any, list, bool]]]:
+        """``adjacent()`` for one vertex batch: eliminations plus
+        ``(edge table, direction, matching vertices, predicate groups,
+        aggregated)`` per surviving (table, direction), in run order.
+
+        ``vertices=None`` plans for a batch known only at run time
+        (``explain()`` of ``out()``): nothing is narrowed and the
+        endpoint probe is a placeholder."""
+        directions = (
+            (Direction.OUT, Direction.IN) if direction is Direction.BOTH else (direction,)
+        )
+        candidates, eliminated = self._candidate_tables(
+            "edge", pushdown, edge_labels, record=False
+        )
+        plan: list[tuple[Any, Direction, Any, list, bool]] = []
+        for etop in candidates:
+            base = self._base_predicates("edge", etop, pushdown, edge_labels)
+            pushable = pushdown.aggregate is not None and self._fully_pushable(
+                etop, pushdown, edge_labels
+            )
+            for d in directions:
+                template = etop.src_template if d is Direction.OUT else etop.dst_template
+                if vertices is None:
+                    column = etop.relation.canonical(template.columns[0])
+                    probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
+                    plan.append((etop, d, None, [[probe] + base], pushable))
+                    continue
+                matching = self._vertices_matching_endpoint(etop, vertices, d)
+                if not matching:
+                    eliminated.append((etop.table_name, "src_dst_tables"))
+                    continue
+                decoded = [
+                    x for v in matching if (x := self._decode(etop, template, v.id)) is not None
+                ]
+                groups = self._id_groups(etop, decoded, template.only_column)
+                # duplicate endpoints each count toward an aggregate, but
+                # the IN list dedups them: fetch and weight instead
+                aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
+                plan.append((etop, d, matching, [g + base for g in groups], aggregated))
+        return eliminated, plan
+
+    def _vertices_matching_endpoint(
+        self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
+    ) -> list[Vertex]:
+        """src/dst vertex-table narrowing (§6.3): which of the input
+        vertices can possibly have edges in this table+direction?"""
+        declared = etop.src_v_table if d is Direction.OUT else etop.dst_v_table
+        template = etop.src_template if d is Direction.OUT else etop.dst_template
+        matching: list[Vertex] = []
+        for vertex in vertices:
+            if (
+                self.opts.use_src_dst_tables
+                and declared is not None
+                and vertex.source_table is not None
+                and vertex.source_table.lower() != declared.lower()
+            ):
+                continue
+            if template.decode(vertex.id, strict=self.opts.use_prefixed_ids) is None:
+                continue
+            matching.append(vertex)
+        return matching
+
+    # -- ids -----------------------------------------------------------------
+
+    def _decode(self, top: Any, template: Any, value: Any) -> dict[str, Any] | None:
+        """``value``'s column values under ``template``, coerced to
+        ``top``'s column types; ``None`` when it cannot be an id there
+        (wrong shape or prefix, or a value the column type rejects)."""
+        values = template.decode(value, strict=self.opts.use_prefixed_ids)
+        if values is None:
+            return None
+        coerce = top.relation.coerce
+        try:
+            for column, v in values.items():
+                values[column] = coerce(column, v)
+        except Exception:
+            return None
+        return values
+
+    def _decode_edge_id(self, etop: EdgeTopology, edge_id: Any) -> dict[str, Any] | None:
+        if etop.implicit_id is None:
+            return self._decode(etop, etop.id_template, edge_id)
+        ends = etop.implicit_id.decode(edge_id, strict=self.opts.use_implicit_edge_ids)
+        if ends is None:
+            return None
+        src = self._decode(etop, etop.src_template, ends[0])
+        dst = self._decode(etop, etop.dst_template, ends[1])
+        if src is None or dst is None:
+            return None
+        return {**src, **dst}
+
+    def _id_groups(
+        self, top: Any, decoded: list[dict[str, Any]], column: str | None
+    ) -> list[list[SqlPredicate]]:
+        """Id conjuncts for decoded ids.  With one varying ``column``, its
+        distinct values coalesce into ``=``/``IN`` probes of at most
+        ``batch_size`` (1 degenerates to one ``=`` per traverser);
+        otherwise each distinct id is one conjunctive lookup (§6.3)."""
+        if column is not None:
+            values = list(dict.fromkeys([d[column] for d in decoded]))
+            if not values:
+                return []
+            canonical = top.relation.canonical(column)
+            return [
+                [SqlPredicate(canonical, "IN" if len(chunk) > 1 else "=", tuple(chunk), batch=True)]
+                for chunk in chunked(values, self.batch_size)
             ]
-            yield group + base
+        distinct = {tuple(d.items()): d for d in decoded}
+        return [
+            [SqlPredicate(top.relation.canonical(col), "=", (value,)) for col, value in d.items()]
+            for d in distinct.values()
+        ]
 
-    def _coerce_values(self, top: Any, values: dict[str, Any]) -> dict[str, Any] | None:
-        coerced: dict[str, Any] = {}
-        for column, value in values.items():
-            try:
-                coerced[column] = top.relation.coerce(column, value)
-            except Exception:
-                return None  # value can't inhabit the column's type
-        return coerced
+    # -- pushdown predicates -------------------------------------------------
 
-    def _sql_predicates(self, top: Any, pushdown: Pushdown) -> list[SqlPredicate]:
-        """Translate pushdown property/label predicates to SQL for one
-        table; untranslatable ones are re-checked in memory anyway."""
+    def _base_predicates(
+        self,
+        kind: str,
+        top: Any,
+        pushdown: Pushdown,
+        edge_labels: tuple[str, ...] | None = None,
+    ) -> list[SqlPredicate]:
+        """Every statement's non-id conjuncts for one table: pushed-down
+        property/label predicates and, for edges, endpoint and step-label
+        predicates.  Untranslatable ones are re-checked in memory."""
         predicates: list[SqlPredicate] = []
         for key, p in pushdown.predicates:
             if key == "~label":
@@ -346,13 +405,169 @@ class OverlayGraph(GraphProvider):
                         predicates.extend(converted)
                 continue
             if key.startswith("~"):
-                continue  # ~id handled via id groups; ~src_v/~dst_v by edges
+                continue  # ~id handled via id groups; ~src_v/~dst_v below
             if not top.has_property(key):
                 continue  # post-filter rejects rows from this table
             converted = predicate_to_sql(top.relation.canonical(key), p)
             if converted:
                 predicates.extend(converted)
+        if kind == "edge":
+            predicates.extend(self._endpoint_predicates(top, pushdown))
+            predicates.extend(self._edge_label_sql(top, edge_labels))
         return predicates
+
+    def _endpoint_predicates(self, etop: EdgeTopology, pushdown: Pushdown) -> list[SqlPredicate]:
+        """~src_v / ~dst_v pushdown predicates (from folded
+        ``filter(inV().id() == x)`` patterns)."""
+        predicates: list[SqlPredicate] = []
+        for key, p in pushdown.predicates:
+            if key not in ("~src_v", "~dst_v"):
+                continue
+            template = etop.src_template if key == "~src_v" else etop.dst_template
+            targets = (
+                list(p.value) if p.op == "within" else [p.value] if p.op == "eq" else None
+            )
+            if targets is None:
+                continue  # verified in memory instead
+            groups = [
+                values
+                for target in targets
+                if (values := self._decode(etop, template, target)) is not None
+            ]
+            column = etop.relation.canonical(template.columns[0])
+            if not groups:
+                # no target can live in this table: impossible predicate
+                predicates.append(SqlPredicate(column, "IS NULL"))
+            elif template.is_single_column:
+                values = tuple(g[template.columns[0]] for g in groups)
+                op = "=" if len(values) == 1 else "IN"
+                predicates.append(SqlPredicate(column, op, values))
+            elif len(groups) == 1:
+                for col, value in groups[0].items():
+                    predicates.append(
+                        SqlPredicate(etop.relation.canonical(col), "=", (value,))
+                    )
+            # multiple composite targets: leave to in-memory verification
+        return predicates
+
+    def _edge_label_sql(
+        self, etop: EdgeTopology, edge_labels: tuple[str, ...] | None
+    ) -> list[SqlPredicate]:
+        if edge_labels is None or etop.fixed_label is not None:
+            return []
+        if not etop.label.column:
+            return []
+        column = etop.relation.canonical(etop.label.column)
+        if len(edge_labels) == 1:
+            return [SqlPredicate(column, "=", (edge_labels[0],))]
+        return [SqlPredicate(column, "IN", tuple(edge_labels))]
+
+    def _fully_pushable(
+        self, etop: EdgeTopology, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
+    ) -> bool:
+        if edge_labels is not None and etop.fixed_label is None and not etop.label.column:
+            return False
+        if edge_labels is not None and etop.fixed_label is not None:
+            if etop.fixed_label not in edge_labels:
+                return False
+        for key, p in pushdown.predicates:
+            if key in ("~src_v", "~dst_v"):
+                template = etop.src_template if key == "~src_v" else etop.dst_template
+                if p.op not in ("eq", "within"):
+                    return False
+                targets = list(p.value) if p.op == "within" else [p.value]
+                if not template.is_single_column and len(targets) > 1:
+                    return False
+                continue
+            if key == "~label":
+                if etop.fixed_label is None and not etop.label.column:
+                    return False
+                continue
+            if key == "~id":
+                return False
+            if not etop.has_property(key):
+                continue  # table can't match; COUNT(*) with impossible pred is fine
+            column = etop.relation.canonical(key)
+            if predicate_to_sql(column, p) is None:
+                return False
+        if pushdown.aggregate_key is not None and not etop.has_property(pushdown.aggregate_key):
+            return False
+        return True
+
+    def _table_fully_pushable(self, top: Any, pushdown: Pushdown) -> bool:
+        for key, p in pushdown.predicates:
+            if key == "~label":
+                if top.fixed_label is not None:
+                    if not p.test(top.fixed_label):
+                        # impossible: contributes zero, still pushable
+                        continue
+                    continue
+                if not top.label.column:
+                    return False
+                continue
+            if key in ("~id", "~src_v", "~dst_v"):
+                if key == "~id":
+                    continue  # id groups encode it exactly
+                return False
+            if not top.has_property(key):
+                continue
+            if predicate_to_sql(top.relation.canonical(key), p) is None:
+                return False
+        if pushdown.aggregate_key is not None and not top.has_property(pushdown.aggregate_key):
+            return False
+        # label predicates that exclude this fixed-label table entirely
+        labels = _label_values(pushdown)
+        if labels is not None and top.fixed_label is not None and top.fixed_label not in labels:
+            return False
+        return True
+
+    # ------------------------------------------------------------------
+    # Running a plan
+    # ------------------------------------------------------------------
+
+    def _run_select(
+        self, kind: str, top: Any, predicates: list[SqlPredicate], pushdown: Pushdown
+    ) -> list[Any]:
+        """One SQL statement against one table, rows built into elements."""
+        columns = top.required_columns(self._effective_projection(pushdown))
+        self._note_table_query(top.table_name, kind)
+        make = self._make_vertex if kind == "vertex" else self._make_edge
+        out: list[Any] = []
+        for row in self.dialect.select(top.table_name, columns, predicates):
+            element = make(top, row, pushdown)
+            if element is not None:
+                out.append(element)
+        return out
+
+    def _query_table(
+        self, kind: str, top: Any, ids: Sequence[Any] | None, pushdown: Pushdown
+    ) -> Iterator[Any]:
+        """One table's elements, statement by statement (lazy)."""
+        eliminated, groups = self._table_plan(kind, top, ids, pushdown)
+        self._note_eliminations(eliminated)
+        for predicates in groups:
+            yield from self._run_select(kind, top, predicates, pushdown)
+
+    def _table_aggregate(
+        self, table: str, pushdown: Pushdown, predicates: list[SqlPredicate]
+    ) -> Any:
+        kind, column = aggregate_spec(pushdown)
+        if kind == "sum_count":
+            return self.dialect.sum_and_count(table, column or "", predicates)
+        value = self.dialect.aggregate_value(table, kind, column, predicates)
+        return (value or 0) if kind == "count" else value
+
+    @staticmethod
+    def _effective_projection(pushdown: Pushdown) -> tuple[str, ...] | None:
+        """Projection plus every property the predicates need to re-check."""
+        if pushdown.projection is None:
+            return None
+        extra = [
+            key for key, _p in pushdown.predicates if not key.startswith("~")
+        ]
+        if pushdown.aggregate_key:
+            extra.append(pushdown.aggregate_key)
+        return tuple(dict.fromkeys((*pushdown.projection, *extra)))
 
     def _make_vertex(
         self, vtop: VertexTopology, row: Mapping[str, Any], pushdown: Pushdown
@@ -372,191 +587,6 @@ class OverlayGraph(GraphProvider):
             source_table=vtop.table_name,
             row=row,
         )
-
-    @staticmethod
-    def _effective_projection(pushdown: Pushdown) -> tuple[str, ...] | None:
-        """Projection plus every property the predicates need to re-check."""
-        if pushdown.projection is None:
-            return None
-        extra = [
-            key for key, _p in pushdown.predicates if not key.startswith("~")
-        ]
-        if pushdown.aggregate_key:
-            extra.append(pushdown.aggregate_key)
-        return tuple(dict.fromkeys((*pushdown.projection, *extra)))
-
-    # -- edges ------------------------------------------------------------------
-
-    def _edges(self, ids: Sequence[Any] | None, pushdown: Pushdown) -> Iterator[Any]:
-        candidates, _ = self._candidate_edge_tables(pushdown, edge_labels=None)
-        if pushdown.aggregate is not None:
-            if ids is not None and len({str(i) for i in ids}) != len(ids):
-                fetch = pushdown.copy()
-                fetch.aggregate = None
-                yield _memory_aggregate_final(list(self._edges(ids, fetch)), pushdown)
-                return
-            yield self._aggregate_over_tables(candidates, ids, pushdown, kind="edge")
-            return
-        if ids is not None:
-            unique = list(dict.fromkeys(ids))
-            plan = [
-                (etop, group)
-                for etop in candidates
-                for group in self._edge_id_groups(etop, unique, pushdown)
-                if group is not None
-            ]
-            fetched: dict[str, Any] = {}
-            for etop, group in plan:
-                for edge in self._run_edge_select(etop, group, pushdown):
-                    fetched.setdefault(str(edge.id), edge)
-            for requested in ids:
-                edge = fetched.get(str(requested))
-                if edge is not None:
-                    yield edge
-            return
-        for etop in candidates:
-            yield from self._query_edge_table(etop, ids, pushdown)
-
-    def _candidate_edge_tables(
-        self,
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None,
-        record: bool = True,
-    ) -> tuple[list[EdgeTopology], list[tuple[str, str]]]:
-        candidates = list(self.topology.edge_tables)
-        eliminated: list[tuple[str, str]] = []
-        labels = _label_values(pushdown)
-        if edge_labels is not None:
-            labels = tuple(edge_labels) if labels is None else tuple(
-                set(labels) & set(edge_labels)
-            )
-        if self.opts.use_label_values and labels is not None:
-            survivors = []
-            for e in candidates:
-                if e.fixed_label is None or e.fixed_label in labels:
-                    survivors.append(e)
-                else:
-                    eliminated.append((e.table_name, "label_values"))
-            candidates = survivors
-        if self.opts.use_property_names:
-            survivors = self._eliminate_by_properties(candidates, pushdown)
-            kept = {id(t) for t in survivors}
-            eliminated.extend(
-                (t.table_name, "property_names") for t in candidates if id(t) not in kept
-            )
-            candidates = survivors
-        if record:
-            self._note_eliminations(eliminated)
-        return candidates, eliminated
-
-    def _query_edge_table(
-        self, etop: EdgeTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[OverlayEdge]:
-        for predicates in self._edge_id_groups(etop, ids, pushdown):
-            if predicates is None:
-                continue
-            yield from self._run_edge_select(etop, predicates, pushdown)
-
-    def _run_edge_select(
-        self, etop: EdgeTopology, predicates: list[SqlPredicate], pushdown: Pushdown
-    ) -> list[OverlayEdge]:
-        columns = etop.required_columns(self._effective_projection(pushdown))
-        self._note_table_query(etop.table_name, "edge")
-        out: list[OverlayEdge] = []
-        for row in self.dialect.select(etop.table_name, columns, predicates):
-            edge = self._make_edge(etop, row, pushdown)
-            if edge is not None:
-                out.append(edge)
-        return out
-
-    def _edge_id_groups(
-        self, etop: EdgeTopology, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[list[SqlPredicate] | None]:
-        base = self._sql_predicates(etop, pushdown)
-        base.extend(self._endpoint_predicates(etop, pushdown))
-        if ids is None:
-            yield base
-            return
-        strict_implicit = self.opts.use_implicit_edge_ids
-        strict_prefix = self.opts.use_prefixed_ids
-        matched_any = False
-        for edge_id in ids:
-            group: list[SqlPredicate] | None = None
-            if etop.implicit_id is not None:
-                decoded = etop.implicit_id.decode(edge_id, strict=strict_implicit)
-                if decoded is None:
-                    continue
-                src_id, dst_id = decoded
-                src_values = etop.src_template.decode(src_id, strict=strict_prefix)
-                dst_values = etop.dst_template.decode(dst_id, strict=strict_prefix)
-                if src_values is None or dst_values is None:
-                    continue
-                src_values = self._coerce_values(etop, src_values)
-                dst_values = self._coerce_values(etop, dst_values)
-                if src_values is None or dst_values is None:
-                    continue
-                group = [
-                    SqlPredicate(etop.relation.canonical(col), "=", (value,))
-                    for col, value in {**src_values, **dst_values}.items()
-                ]
-            elif etop.id_template is not None:
-                values = etop.id_template.decode(edge_id, strict=strict_prefix)
-                if values is None:
-                    continue
-                coerced = self._coerce_values(etop, values)
-                if coerced is None:
-                    continue
-                group = [
-                    SqlPredicate(etop.relation.canonical(col), "=", (value,))
-                    for col, value in coerced.items()
-                ]
-            if group is not None:
-                matched_any = True
-                yield group + base
-        if not matched_any:
-            rule = "implicit_edge_ids" if etop.implicit_id is not None else "prefixed_ids"
-            self._note_eliminations([(etop.table_name, rule)])
-
-    def _endpoint_predicates(self, etop: EdgeTopology, pushdown: Pushdown) -> list[SqlPredicate]:
-        """~src_v / ~dst_v pushdown predicates (from folded
-        ``filter(inV().id() == x)`` patterns)."""
-        predicates: list[SqlPredicate] = []
-        for key, p in pushdown.predicates:
-            if key not in ("~src_v", "~dst_v"):
-                continue
-            template = etop.src_template if key == "~src_v" else etop.dst_template
-            targets = (
-                list(p.value) if p.op == "within" else [p.value] if p.op == "eq" else None
-            )
-            if targets is None:
-                continue  # verified in memory instead
-            groups: list[dict[str, Any]] = []
-            for target in targets:
-                values = template.decode(target, strict=self.opts.use_prefixed_ids)
-                if values is None:
-                    continue
-                coerced = self._coerce_values(etop, values)
-                if coerced is not None:
-                    groups.append(coerced)
-            if not groups:
-                # no target can live in this table: impossible predicate
-                column = etop.relation.canonical(template.columns[0])
-                predicates.append(SqlPredicate(column, "IS NULL"))
-                continue
-            if template.is_single_column:
-                column = etop.relation.canonical(template.columns[0])
-                values = tuple(g[template.columns[0]] for g in groups)
-                op = "=" if len(values) == 1 else "IN"
-                predicates.append(
-                    SqlPredicate(column, op, values if op == "IN" else (values[0],))
-                )
-            elif len(groups) == 1:
-                for col, value in groups[0].items():
-                    predicates.append(
-                        SqlPredicate(etop.relation.canonical(col), "=", (value,))
-                    )
-            # multiple composite targets: leave to in-memory verification
-        return predicates
 
     def _make_edge(
         self, etop: EdgeTopology, row: Mapping[str, Any], pushdown: Pushdown
@@ -609,6 +639,71 @@ class OverlayGraph(GraphProvider):
         return True
 
     # ------------------------------------------------------------------
+    # GSA entry point: g.V(ids) / g.E(ids)
+    # ------------------------------------------------------------------
+
+    def graph_step(
+        self, return_type: str, ids: Sequence[Any] | None, pushdown: Pushdown
+    ) -> Iterator[Any]:
+        yield from self._elements(return_type, ids, pushdown)
+
+    def _elements(
+        self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
+    ) -> Iterator[Any]:
+        eliminated, plan = self._plan(kind, ids, pushdown)
+        self._note_eliminations(eliminated)
+        if pushdown.aggregate is not None:
+            if _has_repeats(ids):
+                elements = self._fetch_ids(kind, ids, plan, pushdown)
+                yield _memory_aggregate_final(elements, pushdown)
+            else:
+                yield self._aggregate_over_tables(kind, plan, pushdown)
+            return
+        if ids is not None:
+            yield from self._fetch_ids(kind, ids, plan, pushdown)
+            return
+        # Scans stay lazy: a downstream limit()/next() that stops
+        # pulling must not issue SQL against the remaining tables.
+        for top, predicates, _aggregated in plan:
+            yield from self._run_select(kind, top, predicates, pushdown)
+
+    def _fetch_ids(
+        self, kind: str, ids: Sequence[Any], plan: list, pushdown: Pushdown
+    ) -> list[Any]:
+        """Gremlin semantics: g.V(1, 1) yields the vertex twice and
+        preserves request order; the SQL IN-list dedups, so run every
+        planned statement and re-emit per request."""
+        fetched: dict[str, Any] = {}
+        for top, predicates, _aggregated in plan:
+            for element in self._run_select(kind, top, predicates, pushdown):
+                fetched.setdefault(str(element.id), element)
+        out: list[Any] = []
+        for requested in ids:
+            element = fetched.get(str(requested))
+            if element is not None:
+                out.append(element)
+        return out
+
+    def _aggregate_over_tables(self, kind: str, plan: list, pushdown: Pushdown) -> Any:
+        """Per-table partials: SQL aggregates where they push down, else
+        an in-memory aggregate over the table's fetched rows."""
+        partials: list[Any] = []
+        for top, entries in itertools.groupby(plan, key=lambda entry: entry[0]):
+            entries = list(entries)
+            if entries[0][2]:
+                for _top, predicates, _aggregated in entries:
+                    self._note_table_query(top.table_name, kind)
+                    partials.append(self._table_aggregate(top.table_name, pushdown, predicates))
+                continue
+            elements = [
+                element
+                for _top, predicates, _aggregated in entries
+                for element in self._run_select(kind, top, predicates, pushdown)
+            ]
+            partials.append(_memory_aggregate(elements, pushdown))
+        return _combine_aggregates(pushdown.aggregate, partials)
+
+    # ------------------------------------------------------------------
     # GSA entry point: out()/in()/both()/outE()/... (batched)
     # ------------------------------------------------------------------
 
@@ -620,237 +715,66 @@ class OverlayGraph(GraphProvider):
         return_type: str,
         pushdown: Pushdown,
     ) -> dict[Any, list[Any]]:
-        directions = (
-            (Direction.OUT, Direction.IN) if direction is Direction.BOTH else (direction,)
-        )
         edge_pushdown = pushdown if return_type == "edge" else Pushdown(labels=None)
-        candidates, _ = self._candidate_edge_tables(edge_pushdown, edge_labels)
+        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, edge_pushdown)
+        self._note_eliminations(eliminated)
 
-        aggregate_edges = pushdown.aggregate is not None and return_type == "edge"
-        result: dict[Any, list[Any]] = {}
+        if pushdown.aggregate is not None and return_type == "edge":
+            aggregates = [
+                self._aggregate_edges_for(entry, edge_pushdown, edge_labels) for entry in plan
+            ]
+            return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
+
         per_vertex_edges: dict[Any, list[tuple[OverlayEdge, Direction]]] = {
             v.id: [] for v in vertices
         }
-
-        # Plan every (table, direction) pair first, so all src/dst
-        # eliminations are noted before the first statement runs.
-        plan: list[tuple[EdgeTopology, Direction, list[Vertex]]] = []
-        for etop in candidates:
-            for d in directions:
-                matching = self._vertices_matching_endpoint(etop, vertices, d)
-                if not matching:
-                    self._note_eliminations([(etop.table_name, "src_dst_tables")])
-                    continue
-                plan.append((etop, d, matching))
-
-        if aggregate_edges:
-            aggregates = [
-                self._aggregate_edges_for(etop, matching, d, edge_pushdown, edge_labels)
-                for etop, d, matching in plan
-            ]
-            result[None] = [_combine_aggregates(pushdown.aggregate, aggregates)]
-            return result
-
-        for etop, d, matching in plan:
-            for edge in self._fetch_edges_for(etop, matching, d, edge_pushdown, edge_labels):
+        for etop, d, _matching, groups, _aggregated in plan:
+            for edge in self._fetch_edges_for(etop, groups, edge_pushdown, edge_labels):
                 key = edge.out_v_id if d is Direction.OUT else edge.in_v_id
                 if key in per_vertex_edges:
                     per_vertex_edges[key].append((edge, d))
 
         if return_type == "edge":
-            for vertex_id, pairs in per_vertex_edges.items():
-                result[vertex_id] = [edge for edge, _d in pairs]
-            return result
-
+            return {
+                vertex_id: [edge for edge, _d in pairs]
+                for vertex_id, pairs in per_vertex_edges.items()
+            }
         # return_type == 'vertex': resolve the other endpoints
         return self._resolve_adjacent_vertices(per_vertex_edges, pushdown)
-
-    def _vertices_matching_endpoint(
-        self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
-    ) -> list[Vertex]:
-        """src/dst vertex-table narrowing (§6.3): which of the input
-        vertices can possibly have edges in this table+direction?"""
-        declared = etop.src_v_table if d is Direction.OUT else etop.dst_v_table
-        template = etop.src_template if d is Direction.OUT else etop.dst_template
-        matching: list[Vertex] = []
-        for vertex in vertices:
-            if (
-                self.opts.use_src_dst_tables
-                and declared is not None
-                and vertex.source_table is not None
-                and vertex.source_table.lower() != declared.lower()
-            ):
-                continue
-            if template.decode(vertex.id, strict=self.opts.use_prefixed_ids) is None:
-                continue
-            matching.append(vertex)
-        return matching
-
-    def _endpoint_id_predicates(
-        self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
-    ) -> Iterator[list[SqlPredicate]]:
-        template = etop.src_template if d is Direction.OUT else etop.dst_template
-        strict = self.opts.use_prefixed_ids
-        if len(template.columns) == 1:
-            column = etop.relation.canonical(template.columns[0])
-            values: list[Any] = []
-            for vertex in vertices:
-                decoded = template.decode(vertex.id, strict=strict)
-                if decoded is None:
-                    continue
-                coerced = self._coerce_values(etop, decoded)
-                if coerced is not None:
-                    values.append(coerced[template.columns[0]])
-            values = list(dict.fromkeys(values))
-            if not values:
-                return
-            for chunk in chunked(values, self.batch_size):
-                if len(chunk) == 1:
-                    yield [SqlPredicate(column, "=", (chunk[0],), batch=True)]
-                else:
-                    yield [SqlPredicate(column, "IN", tuple(chunk), batch=True)]
-            return
-        seen: set[tuple[Any, ...]] = set()
-        for vertex in vertices:
-            decoded = template.decode(vertex.id, strict=strict)
-            if decoded is None:
-                continue
-            coerced = self._coerce_values(etop, decoded)
-            if coerced is None:
-                continue
-            # duplicate traversers at one composite-id vertex must not
-            # re-probe (and re-emit) the same edges — mirror the
-            # dict.fromkeys dedup of the single-column path above
-            key = tuple(sorted(coerced.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield [
-                SqlPredicate(etop.relation.canonical(col), "=", (value,))
-                for col, value in coerced.items()
-            ]
-
-    def _edge_label_sql(
-        self, etop: EdgeTopology, edge_labels: tuple[str, ...] | None
-    ) -> list[SqlPredicate]:
-        if edge_labels is None or etop.fixed_label is not None:
-            return []
-        if not etop.label.column:
-            return []
-        column = etop.relation.canonical(etop.label.column)
-        if len(edge_labels) == 1:
-            return [SqlPredicate(column, "=", (edge_labels[0],))]
-        return [SqlPredicate(column, "IN", tuple(edge_labels))]
 
     def _fetch_edges_for(
         self,
         etop: EdgeTopology,
-        vertices: Sequence[Vertex],
-        d: Direction,
+        groups: list[list[SqlPredicate]],
         pushdown: Pushdown,
         edge_labels: tuple[str, ...] | None,
     ) -> Iterator[OverlayEdge]:
         """One SELECT against the edge table per id batch, yielding the
         matching edges."""
-        base = self._sql_predicates(etop, pushdown)
-        base.extend(self._endpoint_predicates(etop, pushdown))
-        base.extend(self._edge_label_sql(etop, edge_labels))
         label_filter = Pushdown(labels=edge_labels) if edge_labels else None
-        columns = etop.required_columns(self._effective_projection(pushdown))
-        for id_group in self._endpoint_id_predicates(etop, vertices, d):
-            self._note_table_query(etop.table_name, "edge")
-            for row in self.dialect.select(etop.table_name, columns, id_group + base):
-                edge = self._make_edge(etop, row, pushdown)
-                if edge is None:
-                    continue
-                if label_filter is not None and not label_filter.matches_labels(edge.label):
-                    continue
-                yield edge
+        for predicates in groups:
+            for edge in self._run_select("edge", etop, predicates, pushdown):
+                if label_filter is None or label_filter.matches_labels(edge.label):
+                    yield edge
 
     def _aggregate_edges_for(
-        self,
-        etop: EdgeTopology,
-        vertices: Sequence[Vertex],
-        d: Direction,
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None,
+        self, entry: tuple, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
     ) -> Any:
-        # Duplicate endpoint ids (g.V(1, 1).outE().count()) must each
-        # contribute to the aggregate, but the SQL IN-list dedups them —
-        # fetch and weight each edge by its endpoint's multiplicity.
-        multiplicity: dict[str, int] = {}
-        for vertex in vertices:
-            key = str(vertex.id)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
-        if any(count > 1 for count in multiplicity.values()):
-            fetch_pushdown = pushdown.copy()
-            fetch_pushdown.aggregate = None
-            unique = list({str(v.id): v for v in vertices}.values())
-            weighted: list[OverlayEdge] = []
-            for edge in self._fetch_edges_for(etop, unique, d, fetch_pushdown, edge_labels):
-                endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
-                weighted.extend([edge] * multiplicity.get(endpoint, 1))
-            return _memory_aggregate(weighted, pushdown)
-        # Aggregates push down only when everything else does too;
-        # otherwise fall back to fetching and aggregating in memory.
-        if not self._fully_pushable(etop, pushdown, edge_labels):
-            fetch_pushdown = pushdown.copy()
-            fetch_pushdown.aggregate = None
-            edges = list(self._fetch_edges_for(etop, vertices, d, fetch_pushdown, edge_labels))
-            return _memory_aggregate(edges, pushdown)
-        base = self._sql_predicates(etop, pushdown)
-        base.extend(self._endpoint_predicates(etop, pushdown))
-        base.extend(self._edge_label_sql(etop, edge_labels))
-        partials: list[Any] = []
-        for id_group in self._endpoint_id_predicates(etop, vertices, d):
-            self._note_table_query(etop.table_name, "edge")
-            partials.append(
-                self._table_aggregate(etop.table_name, pushdown, id_group + base)
-            )
-        return _combine_aggregates(pushdown.aggregate, partials)
-
-    def _fully_pushable(
-        self, etop: EdgeTopology, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
-    ) -> bool:
-        if edge_labels is not None and etop.fixed_label is None and not etop.label.column:
-            return False
-        if edge_labels is not None and etop.fixed_label is not None:
-            if etop.fixed_label not in edge_labels:
-                return False
-        for key, p in pushdown.predicates:
-            if key in ("~src_v", "~dst_v"):
-                template = etop.src_template if key == "~src_v" else etop.dst_template
-                if p.op not in ("eq", "within"):
-                    return False
-                targets = list(p.value) if p.op == "within" else [p.value]
-                if not template.is_single_column and len(targets) > 1:
-                    return False
-                continue
-            if key == "~label":
-                if etop.fixed_label is None and not etop.label.column:
-                    return False
-                continue
-            if key == "~id":
-                return False
-            if not etop.has_property(key):
-                continue  # table can't match; COUNT(*) with impossible pred is fine
-            column = etop.relation.canonical(key)
-            if predicate_to_sql(column, p) is None:
-                return False
-        if pushdown.aggregate_key is not None and not etop.has_property(pushdown.aggregate_key):
-            return False
-        return True
-
-    def _table_aggregate(
-        self, table: str, pushdown: Pushdown, predicates: list[SqlPredicate]
-    ) -> Any:
-        kind = pushdown.aggregate
-        key = pushdown.aggregate_key
-        if kind == "count":
-            return self.dialect.aggregate_value(table, "count", None, predicates) or 0
-        if kind == "mean":
-            return self.dialect.sum_and_count(table, key or "", predicates)
-        return self.dialect.aggregate_value(table, kind or "count", key, predicates)
+        etop, d, matching, groups, aggregated = entry
+        if aggregated:
+            partials: list[Any] = []
+            for predicates in groups:
+                self._note_table_query(etop.table_name, "edge")
+                partials.append(self._table_aggregate(etop.table_name, pushdown, predicates))
+            return _combine_aggregates(pushdown.aggregate, partials)
+        # Fetch and aggregate in memory, weighting each edge by its
+        # endpoint's multiplicity (g.V(1, 1).outE().count()).
+        multiplicity = Counter(str(v.id) for v in matching)
+        weighted: list[OverlayEdge] = []
+        for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
+            endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
+            weighted.extend([edge] * multiplicity.get(endpoint, 1))
+        return _memory_aggregate(weighted, pushdown)
 
     def _resolve_adjacent_vertices(
         self,
@@ -890,7 +814,7 @@ class OverlayGraph(GraphProvider):
         resolved: dict[Any, Vertex] = {}
         unique_ids = list(dict.fromkeys(all_ids))
         if unique_ids:
-            for vertex in self._vertices(unique_ids, pushdown):
+            for vertex in self._elements("vertex", unique_ids, pushdown):
                 resolved[vertex.id] = vertex
         for vertex_id, entry in targets.items():
             result[vertex_id] = [
@@ -1089,10 +1013,10 @@ class OverlayGraph(GraphProvider):
             except Exception:
                 vtop = None
             if vtop is not None:
-                for vertex in self._query_vertex_table(vtop, ids, empty):
+                for vertex in self._query_table("vertex", vtop, ids, empty):
                     loaded[vertex.id] = vertex
         if not loaded:
-            for vertex in self._vertices(ids, empty):
+            for vertex in self._elements("vertex", ids, empty):
                 loaded.setdefault(vertex.id, vertex)
         for vertex in group:
             fetched = loaded.get(vertex.id)
@@ -1168,75 +1092,15 @@ class OverlayGraph(GraphProvider):
                     candidates = [pinned]
         empty = Pushdown()
         for vtop in candidates:
-            for vertex in self._query_vertex_table(vtop, [vertex_id], empty):
+            for vertex in self._query_table("vertex", vtop, [vertex_id], empty):
                 return vertex
         return None
 
     def load_edge(self, edge_id: Any) -> Edge | None:
         empty = Pushdown()
-        for edge in self._edges([edge_id], empty):
+        for edge in self._elements("edge", [edge_id], empty):
             return edge
         return None
-
-    # ------------------------------------------------------------------
-    # Aggregates over whole tables (for g.V().count() etc.)
-    # ------------------------------------------------------------------
-
-    def _aggregate_over_tables(
-        self, candidates: list, ids: Sequence[Any] | None, pushdown: Pushdown, kind: str
-    ) -> Any:
-        # (table, predicates) pairs, planned before any statement runs;
-        # ``None`` predicates mean "fetch and aggregate in memory".
-        plan: list[tuple[Any, list[SqlPredicate] | None]] = []
-        for top in candidates:
-            if not self._table_fully_pushable(top, pushdown):
-                plan.append((top, None))
-                continue
-            groups = (
-                self._vertex_predicate_groups(top, ids, pushdown)
-                if kind == "vertex"
-                else self._edge_id_groups(top, ids, pushdown)
-            )
-            plan.extend((top, group) for group in groups if group is not None)
-        partials: list[Any] = []
-        for top, predicates in plan:
-            if predicates is None:
-                fetch_pushdown = pushdown.copy()
-                fetch_pushdown.aggregate = None
-                query = self._query_vertex_table if kind == "vertex" else self._query_edge_table
-                elements = list(query(top, ids, fetch_pushdown))
-                partials.append(_memory_aggregate(elements, pushdown))
-            else:
-                self._note_table_query(top.table_name, kind)
-                partials.append(self._table_aggregate(top.table_name, pushdown, predicates))
-        return _combine_aggregates(pushdown.aggregate, partials)
-
-    def _table_fully_pushable(self, top: Any, pushdown: Pushdown) -> bool:
-        for key, p in pushdown.predicates:
-            if key == "~label":
-                if top.fixed_label is not None:
-                    if not p.test(top.fixed_label):
-                        # impossible: contributes zero, still pushable
-                        continue
-                    continue
-                if not top.label.column:
-                    return False
-                continue
-            if key in ("~id", "~src_v", "~dst_v"):
-                if key == "~id":
-                    continue  # id groups encode it exactly
-                return False
-            if not top.has_property(key):
-                continue
-            if predicate_to_sql(top.relation.canonical(key), p) is None:
-                return False
-        if pushdown.aggregate_key is not None and not top.has_property(pushdown.aggregate_key):
-            return False
-        # label predicates that exclude this fixed-label table entirely
-        labels = _label_values(pushdown)
-        if labels is not None and top.fixed_label is not None and top.fixed_label not in labels:
-            return False
-        return True
 
 
 def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
@@ -1255,6 +1119,26 @@ def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
             continue
         values = candidate if values is None else values & candidate
     return tuple(sorted(values)) if values is not None else None
+
+
+def _has_repeats(ids: Sequence[Any] | None) -> bool:
+    return ids is not None and len({str(i) for i in ids}) != len(ids)
+
+
+def _without_aggregate(pushdown: Pushdown) -> Pushdown:
+    fetch = pushdown.copy()
+    fetch.aggregate = None
+    return fetch
+
+
+def aggregate_spec(pushdown: Pushdown) -> tuple[str, str | None]:
+    """``SqlDialect.build_select``'s ``aggregate`` for a pushed-down
+    aggregate; a mean is computed as a sum and a count."""
+    if pushdown.aggregate == "count":
+        return "count", None
+    if pushdown.aggregate == "mean":
+        return "sum_count", pushdown.aggregate_key
+    return pushdown.aggregate or "count", pushdown.aggregate_key
 
 
 def _memory_aggregate_final(elements: list, pushdown: Pushdown) -> Any:

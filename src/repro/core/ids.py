@@ -50,6 +50,9 @@ class IdTemplate:
             raise CatalogError("id template must reference at least one column")
         self.constants = tuple(p.value for p in parts if isinstance(p, ConstPart))
         self.is_single_column = len(self.parts) == 1
+        # the one varying column, when there is exactly one: ids on it
+        # coalesce into IN-list probes
+        self.only_column = self.columns[0] if len(self.columns) == 1 else None
 
     @classmethod
     def parse(cls, spec: str) -> "IdTemplate":

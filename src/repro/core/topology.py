@@ -3,15 +3,11 @@
 Resolves an :class:`~repro.core.overlay.OverlayConfig` against the
 database catalog: checks that every mapped table/view and column
 exists, computes the effective property sets (including the "all
-remaining columns" default), and answers the questions the Graph
-Structure module asks at runtime:
-
-* which table(s) contain vertices/edges with a given label?
-* which table(s) have a given property name?
-* which vertex table does a prefixed id pin down?
-* do all edges of a table come from / go to one vertex table?
-
-These answers drive the data-dependent optimizations of §6.3.
+remaining columns" default), and records per table the facts the
+Graph Structure module's §6.3 eliminations read: fixed label, property
+names, id templates, declared src/dst vertex tables.  The eliminations
+themselves are applied in ``OverlayGraph``; the only lookups here are
+by table name, by id prefix, and vertex-from-edge subsumption.
 """
 
 from __future__ import annotations
@@ -151,6 +147,8 @@ class _TableTopology:
     rebuilt on refresh, so the memo below can never go stale."""
 
     relation: RelationInfo
+    label: Any
+    fixed_label: str | None
 
     def _resolve_columns(self, config: Any, key_columns: list[str]) -> None:
         """``key_columns`` are the id/endpoint/label columns every SELECT
@@ -196,6 +194,11 @@ class _TableTopology:
     def has_property(self, name: str) -> bool:
         return name.lower() in self.property_names
 
+    def row_label(self, row: Mapping[str, Any]) -> str:
+        if self.fixed_label is not None:
+            return self.fixed_label
+        return str(row[(self.label.column or "").lower()])
+
 
 class VertexTopology(_TableTopology):
     """One vertex table of the overlay, resolved against the catalog."""
@@ -221,12 +224,6 @@ class VertexTopology(_TableTopology):
 
     def row_id(self, row: Mapping[str, Any]) -> Any:
         return self.id_template.render(row)
-
-    def row_label(self, row: Mapping[str, Any]) -> str:
-        if self.fixed_label is not None:
-            return self.fixed_label
-        value = row[(self.label.column or "").lower()]
-        return str(value)
 
     def __repr__(self) -> str:
         return f"VertexTopology({self.table_name})"
@@ -277,11 +274,6 @@ class EdgeTopology(_TableTopology):
         assert self.id_template is not None
         return self.id_template.render(row)
 
-    def row_label(self, row: Mapping[str, Any]) -> str:
-        if self.fixed_label is not None:
-            return self.fixed_label
-        return str(row[(self.label.column or "").lower()])
-
     def row_src(self, row: Mapping[str, Any]) -> Any:
         return self.src_template.render(row)
 
@@ -328,50 +320,12 @@ class Topology:
             raise OverlayError(f"no vertex table {name!r} in topology")
         return vtop
 
-    def vertex_tables_with_label(self, labels: Sequence[str]) -> list[VertexTopology]:
-        """Tables that *may* contain the labels: fixed-label tables with a
-        non-matching label are eliminated; column-label tables are kept
-        (paper: 'the implementation still has to search all the tables
-        without fixed labels')."""
-        wanted = set(labels)
-        return [
-            v
-            for v in self.vertex_tables
-            if v.fixed_label is None or v.fixed_label in wanted
-        ]
-
-    def edge_tables_with_label(self, labels: Sequence[str]) -> list[EdgeTopology]:
-        wanted = set(labels)
-        return [
-            e for e in self.edge_tables if e.fixed_label is None or e.fixed_label in wanted
-        ]
-
-    def vertex_tables_with_property(self, names: Sequence[str]) -> list[VertexTopology]:
-        return [v for v in self.vertex_tables if all(v.has_property(n) for n in names)]
-
-    def edge_tables_with_property(self, names: Sequence[str]) -> list[EdgeTopology]:
-        return [e for e in self.edge_tables if all(e.has_property(n) for n in names)]
-
     def vertex_table_for_prefix(self, vertex_id: Any) -> VertexTopology | None:
         """Pin the exact vertex table from a prefixed id value (§6.3)."""
         if not isinstance(vertex_id, str) or SEPARATOR not in vertex_id:
             return None
         prefix = vertex_id.split(SEPARATOR, 1)[0]
         return self._vertex_by_prefix.get(prefix)
-
-    def edges_from_vertex_table(self, table_name: str) -> list[EdgeTopology]:
-        return [
-            e
-            for e in self.edge_tables
-            if e.src_v_table is not None and e.src_v_table.lower() == table_name.lower()
-        ]
-
-    def edges_to_vertex_table(self, table_name: str) -> list[EdgeTopology]:
-        return [
-            e
-            for e in self.edge_tables
-            if e.dst_v_table is not None and e.dst_v_table.lower() == table_name.lower()
-        ]
 
     def vertex_subsumed_by_edge(self, edge_top: EdgeTopology, endpoint: str) -> VertexTopology | None:
         """§6.3 'When A Vertex Table Is Also An Edge Table': if the

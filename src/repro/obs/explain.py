@@ -13,9 +13,11 @@ inspectable:
   statement(s) it would issue per surviving table — with table
   eliminations (§6.3) annotated inline.
 
-Nothing here executes SQL: previews are rendered through
-``SqlDialect.build_select`` against the live topology, so the text is
-exactly what the runtime would send, minus data-dependent batching.
+Nothing here executes SQL.  The previews render, through
+``SqlDialect.build_select``, the plan the Graph Structure module itself
+runs: the same eliminations, id decoding, ``batch_size`` chunking and
+aggregate pushdown.  Only ``out()``/``in()``-style steps, whose vertex
+batch exists only at run time, show a placeholder endpoint probe.
 """
 
 from __future__ import annotations
@@ -125,168 +127,55 @@ def build_explain(traversal: "Traversal") -> ExplainResult:
 
 
 def preview_step_sql(provider: Any, step: "Step") -> StepSql:
+    """Render the statements the runtime plans for ``step``, with its
+    table eliminations as notes.  Planning is pure, so nothing is
+    counted, traced or run."""
     from ..core.graph_structure import OverlayGraph
+    from ..graph.model import Pushdown, Vertex
     from ..graph.steps import GraphStep, VertexStep
 
     entry = StepSql(step.name())
     if not isinstance(provider, OverlayGraph):
         return entry
-    if isinstance(step, GraphStep):
-        if step.endpoint_filter is not None:
-            _preview_endpoint_graph_step(provider, step, entry)
-        elif step.return_type == "vertex":
-            _preview_vertex_graph_step(provider, step, entry)
+    if isinstance(step, GraphStep) and step.endpoint_filter is None:
+        pushdown = step.pushdown
+        eliminated, plan = provider._plan(step.return_type, step.ids, pushdown)
+    elif isinstance(step, (GraphStep, VertexStep)):
+        if isinstance(step, GraphStep):
+            # GraphStep::VertexStep mutation: edges by constant endpoint ids
+            direction, vertex_ids = step.endpoint_filter
+            vertices = [Vertex(v, provider=provider) for v in vertex_ids]
+            edge_labels, pushdown = step.pushdown.labels, step.pushdown
         else:
-            _preview_edge_graph_step(provider, step, entry)
-    elif isinstance(step, VertexStep):
-        _preview_vertex_step(provider, step, entry)
+            # out()/in()/outE()/...: the vertex batch is known only at run
+            # time, so the endpoint probe is a placeholder
+            vertices, direction, edge_labels = None, step.direction, step.edge_labels
+            pushdown = step.pushdown if step.return_type == "edge" else Pushdown(labels=None)
+        eliminated, adjacency = provider._adjacent_plan(
+            vertices, direction, edge_labels, pushdown
+        )
+        plan = [
+            (etop, predicates, aggregated)
+            for etop, _d, _matching, groups, aggregated in adjacency
+            for predicates in groups
+        ]
+    else:
+        return entry
+    entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
+    for top, predicates, aggregated in plan:
+        entry.statements.append(_render(provider, top, predicates, pushdown, aggregated))
     return entry
 
 
-def _render(dialect: Any, table: str, columns: Any, predicates: list, pushdown: Any) -> str:
-    aggregate = None
-    if pushdown.aggregate is not None:
-        kind = "sum_count" if pushdown.aggregate == "mean" else pushdown.aggregate
-        key = None if pushdown.aggregate == "count" else pushdown.aggregate_key
-        aggregate = (kind, key)
-        columns = None
-    sql, params = dialect.build_select(table, columns, predicates, aggregate)
+def _render(provider: Any, top: Any, predicates: list, pushdown: Any, aggregated: bool) -> str:
+    from ..core.graph_structure import aggregate_spec
+
+    if aggregated:
+        columns, aggregate = None, aggregate_spec(pushdown)
+    else:
+        columns = top.required_columns(provider._effective_projection(pushdown))
+        aggregate = None
+    sql, params = provider.dialect.build_select(top.table_name, columns, predicates, aggregate)
     if params:
         return f"{sql}  [params: {', '.join(repr(p) for p in params)}]"
     return sql
-
-
-def _preview_vertex_graph_step(provider: Any, step: Any, entry: StepSql) -> None:
-    from ..core.sql_dialect import SqlPredicate
-
-    pushdown = step.pushdown
-    candidates, eliminated = provider._candidate_vertex_tables(pushdown, record=False)
-    for table, rule in eliminated:
-        entry.notes.append(f"table {table} eliminated ({rule})")
-    for vtop in candidates:
-        base = provider._sql_predicates(vtop, pushdown)
-        columns = vtop.required_columns(provider._effective_projection(pushdown))
-        if step.ids is None:
-            entry.statements.append(
-                _render(provider.dialect, vtop.table_name, columns, base, pushdown)
-            )
-            continue
-        strict = provider.opts.use_prefixed_ids
-        decoded = [
-            values
-            for vertex_id in step.ids
-            if (values := vtop.id_template.decode(vertex_id, strict=strict)) is not None
-        ]
-        if not decoded:
-            entry.notes.append(
-                f"table {vtop.table_name} eliminated (prefixed_ids: no id decodes)"
-            )
-            continue
-        if len(vtop.id_template.columns) == 1:
-            column = vtop.relation.canonical(vtop.id_template.columns[0])
-            values = tuple(
-                dict.fromkeys(d[vtop.id_template.columns[0]] for d in decoded)
-            )
-            op = "=" if len(values) == 1 else "IN"
-            probe = SqlPredicate(column, op, (values[0],) if op == "=" else values)
-            entry.statements.append(
-                _render(provider.dialect, vtop.table_name, columns, [probe] + base, pushdown)
-            )
-        else:
-            for values_map in decoded:
-                group = [
-                    SqlPredicate(vtop.relation.canonical(col), "=", (value,))
-                    for col, value in values_map.items()
-                ]
-                entry.statements.append(
-                    _render(provider.dialect, vtop.table_name, columns, group + base, pushdown)
-                )
-
-
-def _preview_edge_graph_step(provider: Any, step: Any, entry: StepSql) -> None:
-    pushdown = step.pushdown
-    candidates, eliminated = provider._candidate_edge_tables(
-        pushdown, edge_labels=None, record=False
-    )
-    for table, rule in eliminated:
-        entry.notes.append(f"table {table} eliminated ({rule})")
-    for etop in candidates:
-        base = provider._sql_predicates(etop, pushdown)
-        base.extend(provider._endpoint_predicates(etop, pushdown))
-        columns = etop.required_columns(provider._effective_projection(pushdown))
-        if step.ids is not None:
-            entry.notes.append(
-                f"table {etop.table_name}: one conjunctive lookup per decodable edge id "
-                f"{step.ids!r}"
-            )
-        entry.statements.append(
-            _render(provider.dialect, etop.table_name, columns, base, pushdown)
-        )
-
-
-def _preview_endpoint_graph_step(provider: Any, step: Any, entry: StepSql) -> None:
-    """GraphStep::VertexStep-mutated step: edges fetched by endpoint."""
-    from ..core.sql_dialect import SqlPredicate
-    from ..graph.model import Direction, Vertex
-
-    direction, vertex_ids = step.endpoint_filter
-    pushdown = step.pushdown
-    candidates, eliminated = provider._candidate_edge_tables(
-        pushdown, pushdown.labels, record=False
-    )
-    for table, rule in eliminated:
-        entry.notes.append(f"table {table} eliminated ({rule})")
-    directions = (
-        (Direction.OUT, Direction.IN) if direction is Direction.BOTH else (direction,)
-    )
-    vertices = [Vertex(v, provider=provider) for v in vertex_ids]
-    for etop in candidates:
-        for d in directions:
-            matching = provider._vertices_matching_endpoint(etop, vertices, d)
-            if not matching:
-                entry.notes.append(
-                    f"table {etop.table_name} eliminated for {d.value} endpoints "
-                    f"(src_dst_tables/prefixed_ids)"
-                )
-                continue
-            base = provider._sql_predicates(etop, pushdown)
-            base.extend(provider._endpoint_predicates(etop, pushdown))
-            base.extend(provider._edge_label_sql(etop, pushdown.labels))
-            columns = etop.required_columns(provider._effective_projection(pushdown))
-            for id_group in provider._endpoint_id_predicates(etop, matching, d):
-                entry.statements.append(
-                    _render(provider.dialect, etop.table_name, columns, id_group + base, pushdown)
-                )
-
-
-def _preview_vertex_step(provider: Any, step: Any, entry: StepSql) -> None:
-    """out()/in()/outE()/... — SQL depends on the runtime vertex batch,
-    so the endpoint predicate is shown with a placeholder IN-list."""
-    from ..core.sql_dialect import SqlPredicate
-    from ..graph.model import Direction, Pushdown
-
-    edge_pushdown = step.pushdown if step.return_type == "edge" else Pushdown(labels=None)
-    candidates, eliminated = provider._candidate_edge_tables(
-        edge_pushdown, step.edge_labels, record=False
-    )
-    for table, rule in eliminated:
-        entry.notes.append(f"table {table} eliminated ({rule})")
-    directions = (
-        (Direction.OUT, Direction.IN)
-        if step.direction is Direction.BOTH
-        else (step.direction,)
-    )
-    for etop in candidates:
-        for d in directions:
-            template = etop.src_template if d is Direction.OUT else etop.dst_template
-            column = etop.relation.canonical(template.columns[0])
-            base = provider._sql_predicates(etop, edge_pushdown)
-            base.extend(provider._endpoint_predicates(etop, edge_pushdown))
-            base.extend(provider._edge_label_sql(etop, step.edge_labels))
-            columns = etop.required_columns(
-                provider._effective_projection(edge_pushdown)
-            )
-            probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
-            entry.statements.append(
-                _render(provider.dialect, etop.table_name, columns, [probe] + base, edge_pushdown)
-            )

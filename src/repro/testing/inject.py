@@ -6,10 +6,10 @@ mutation-testing check that the oracle + shrinker actually catch and
 minimize real translation bugs.  Used by the runner's ``--inject-bug``
 mode and the acceptance tests.
 
-* ``label-elimination`` — ``OverlayGraph._candidate_vertex_tables``
-  also eliminates column-label tables under a label filter (the paper
-  explicitly warns that tables *without* fixed labels must always be
-  searched).
+* ``label-elimination`` — ``OverlayGraph._candidate_tables`` also
+  eliminates column-label *vertex* tables under a label filter (the
+  paper explicitly warns that tables *without* fixed labels must always
+  be searched).
 * ``implicit-id-swap`` — ``ImplicitEdgeId.render`` emits
   ``dst::label::src``, so every implicit edge id the engine
   materializes is reversed.
@@ -28,18 +28,18 @@ from ..core import ids as _ids
 
 
 def _bug_label_elimination() -> tuple[Any, str, Callable]:
-    original = _gs.OverlayGraph._candidate_vertex_tables
+    original = _gs.OverlayGraph._candidate_tables
 
-    def _candidate_vertex_tables(self, pushdown, record=True):
-        candidates, eliminated = original(self, pushdown, record)
+    def _candidate_tables(self, kind, pushdown, edge_labels=None, record=True):
+        candidates, eliminated = original(self, kind, pushdown, edge_labels, record)
         labels = _gs._label_values(pushdown)
-        if self.opts.use_label_values and labels is not None:
+        if kind == "vertex" and self.opts.use_label_values and labels is not None:
             # BUG: column-label tables (fixed_label None) are dropped
             # too — the paper warns they must always be searched
             candidates = [v for v in candidates if v.fixed_label is not None]
         return candidates, eliminated
 
-    return _gs.OverlayGraph, "_candidate_vertex_tables", _candidate_vertex_tables
+    return _gs.OverlayGraph, "_candidate_tables", _candidate_tables
 
 
 def _bug_implicit_id_swap() -> tuple[Any, str, Callable]:

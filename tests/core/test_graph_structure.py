@@ -158,6 +158,15 @@ class TestPrefixedIdPinning:
         assert any("sourceID = ?" in s and "targetID = ?" in s for s in ontology_sql)
         graph.dialect.log = None
 
+    def test_ids_decoding_to_one_row_are_probed_once(self, graph):
+        # '011' coerces to the same BIGINT as '11': one lookup, so the
+        # count agrees with the one edge the same ids return
+        ids = ("ontology::11::10", "ontology::011::10")
+        assert len(graph.traversal().E(*ids).toList()) == 1
+        graph.reset_stats()
+        assert graph.traversal().E(*ids).count().next() == 1
+        assert graph.stats()["edge_table_queries"] == 1
+
 
 class TestImplicitEdgeIds:
     def test_label_in_id_narrows_edge_tables(self, graph):

@@ -6,12 +6,29 @@ import pytest
 from repro.core import Db2Graph
 from repro.core.overlay import OverlayConfig, OverlayError
 from repro.core.topology import RelationInfo, Topology
+from repro.graph import P
+from repro.graph.model import Direction, Pushdown, Vertex
 from tests.conftest import HEALTHCARE_TINY_OVERLAY
 
 
 @pytest.fixture
 def topology(paper_db):
     return Topology(paper_db, OverlayConfig.from_dict(HEALTHCARE_TINY_OVERLAY))
+
+
+@pytest.fixture
+def provider(paper_db):
+    return Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, cache=False).provider
+
+
+def surviving(provider, kind, pushdown, edge_labels=None):
+    """The §6.3 label/property eliminations as the runtime applies them."""
+    tables, _ = provider._candidate_tables(kind, pushdown, edge_labels, record=False)
+    return [t.table_name for t in tables]
+
+
+def having(*names):
+    return Pushdown(predicates=[(name, P.eq("x")) for name in names])
 
 
 class TestResolution:
@@ -88,24 +105,18 @@ class TestRowMapping:
 
 
 class TestLookups:
-    def test_vertex_tables_with_label(self, topology):
-        assert [v.table_name for v in topology.vertex_tables_with_label(["patient"])] == [
-            "Patient"
-        ]
-        assert topology.vertex_tables_with_label(["ghost"]) == []
+    def test_vertex_tables_with_label(self, provider):
+        assert surviving(provider, "vertex", Pushdown(labels=("patient",))) == ["Patient"]
+        assert surviving(provider, "vertex", Pushdown(labels=("ghost",))) == []
 
-    def test_column_label_tables_always_searched(self, topology):
+    def test_column_label_tables_always_searched(self, provider):
         # DiseaseOntology has no fixed label -> must always be searched
-        tables = topology.edge_tables_with_label(["whatever"])
-        assert [e.name for e in tables] == ["DiseaseOntology"]
+        tables = surviving(provider, "edge", Pushdown(), edge_labels=("whatever",))
+        assert tables == ["DiseaseOntology"]
 
-    def test_tables_with_property(self, topology):
-        assert [
-            v.table_name for v in topology.vertex_tables_with_property(["conceptCode"])
-        ] == ["Disease"]
-        assert [
-            e.name for e in topology.edge_tables_with_property(["description"])
-        ] == ["HasDisease"]
+    def test_tables_with_property(self, provider):
+        assert surviving(provider, "vertex", having("conceptCode")) == ["Disease"]
+        assert surviving(provider, "edge", having("description")) == ["HasDisease"]
 
     def test_prefix_pinning(self, topology):
         pinned = topology.vertex_table_for_prefix("patient::1")
@@ -113,11 +124,15 @@ class TestLookups:
         assert topology.vertex_table_for_prefix(10) is None
         assert topology.vertex_table_for_prefix("ghost::1") is None
 
-    def test_edges_from_to_vertex_table(self, topology):
-        assert [e.name for e in topology.edges_from_vertex_table("Patient")] == ["HasDisease"]
-        assert [e.name for e in topology.edges_to_vertex_table("Disease")] == [
-            "DiseaseOntology", "HasDisease",
-        ]
+    def test_edges_from_to_vertex_table(self, provider):
+        def adjacent_tables(vertex, direction):
+            _, plan = provider._adjacent_plan([vertex], direction, None, Pushdown())
+            return [etop.name for etop, *_rest in plan]
+
+        patient = Vertex("patient::1", source_table="Patient")
+        assert adjacent_tables(patient, Direction.OUT) == ["HasDisease"]
+        disease = Vertex(10, source_table="Disease")
+        assert adjacent_tables(disease, Direction.IN) == ["DiseaseOntology", "HasDisease"]
 
     def test_duplicate_prefix_rejected(self, paper_db):
         config = OverlayConfig.from_dict(HEALTHCARE_TINY_OVERLAY)
@@ -288,14 +303,14 @@ class TestLookupEdgeCases:
     def test_vertex_table_lookup_is_case_insensitive(self, topology):
         assert topology.vertex_table("PATIENT").table_name == "Patient"
 
-    def test_multi_property_lookup_requires_all(self, topology):
-        both = topology.vertex_tables_with_property(["conceptCode", "conceptName"])
-        assert [v.table_name for v in both] == ["Disease"]
-        assert topology.vertex_tables_with_property(["conceptCode", "name"]) == []
+    def test_multi_property_lookup_requires_all(self, provider):
+        both = surviving(provider, "vertex", having("conceptCode", "conceptName"))
+        assert both == ["Disease"]
+        assert surviving(provider, "vertex", having("conceptCode", "name")) == []
 
-    def test_label_lookup_with_multiple_labels(self, topology):
-        tables = topology.vertex_tables_with_label(["patient", "disease"])
-        assert [v.table_name for v in tables] == ["Patient", "Disease"]
+    def test_label_lookup_with_multiple_labels(self, provider):
+        tables = surviving(provider, "vertex", Pushdown(labels=("patient", "disease")))
+        assert tables == ["Patient", "Disease"]
 
     def test_prefix_pinning_ignores_unprefixed_config(self, paper_db):
         # Disease ids are plain ints; even an id shaped like a prefix
