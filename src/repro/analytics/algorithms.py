@@ -31,12 +31,7 @@ from ..graph.model import Direction, GraphProvider
 from ..obs.tracing import NULL_RECORDER
 from ..resilience.errors import BudgetError
 from .errors import AnalyticsError
-from .frontier import (
-    FrontierExecutor,
-    neighbor_id,
-    resolve_direction,
-    sort_key,
-)
+from .frontier import FrontierExecutor, resolve_direction, sort_key
 
 
 def coerce_weight(value: Any, default: float) -> float:
@@ -211,8 +206,7 @@ class GraphAnalytics:
                     sizes.append(len(ordered))
                     next_frontier: list[Any] = []
                     for u in ordered:
-                        for element in adjacency.get(u, ()):
-                            v = element.id
+                        for v in adjacency.get(u, ()):
                             if v not in depth:
                                 depth[v] = level + 1
                                 parent[v] = u
@@ -266,20 +260,14 @@ class GraphAnalytics:
                             source_id, distance, parent, False, steps, sizes
                         )
                     ordered, adjacency = executor.expand(
-                        frontier,
-                        direction,
-                        edge_labels,
-                        return_type="edge",
-                        algorithm="sssp",
+                        frontier, direction, edge_labels, weight=weight, algorithm="sssp"
                     )
                     sizes.append(len(ordered))
                     improved: set[Any] = set()
                     for u in ordered:
                         base = distance[u]
-                        for edge in adjacency.get(u, ()):
-                            v = neighbor_id(edge, u, direction)
-                            w = coerce_weight(edge.value(weight), default_weight)
-                            candidate = base + w
+                        for v, w in adjacency.get(u, ()):
+                            candidate = base + coerce_weight(w, default_weight)
                             if v not in distance or candidate < distance[v]:
                                 distance[v] = candidate
                                 parent[v] = u
@@ -328,8 +316,7 @@ class GraphAnalytics:
                     for u in ordered:
                         label = component[u]
                         label_key = sort_key(label)
-                        for element in adjacency.get(u, ()):
-                            v = element.id
+                        for v in adjacency.get(u, ()):
                             incumbent = component.get(v)
                             if incumbent is None:
                                 # an endpoint outside the initial scan
@@ -382,14 +369,10 @@ class GraphAnalytics:
                 vertices = executor.all_vertex_ids()
                 if not vertices:
                     return PageRankResult({}, True, 0, 0.0)
-                ordered, adjacency = executor.expand(
+                # successors per vertex (parallel edges count multiply)
+                _ordered, successors = executor.expand(
                     vertices, Direction.OUT, edge_labels, algorithm="pagerank"
                 )
-                # successors per vertex (parallel edges count multiply)
-                successors: dict[Any, list[Any]] = {
-                    u: [element.id for element in adjacency.get(u, ())]
-                    for u in ordered
-                }
                 n = len(vertices)
                 base = (1.0 - damping) / n
                 rank = {v: 1.0 / n for v in vertices}

@@ -2,10 +2,13 @@
 
 GRAPHITE-style bulk execution over the relational overlay: instead of
 expanding one traverser at a time, :class:`FrontierExecutor` hands a
-whole vertex frontier to ``provider.adjacent(...)`` in one call.  The
-overlay provider chunks the ids into batched ``WHERE id IN (...)``
-statements per edge table, so one analytics step costs O(edge tables)
-statements instead of O(frontier vertices).
+whole frontier of vertex ids to ``provider.adjacent_ids(...)`` in one
+call.  The overlay provider chunks the ids into batched
+``WHERE id IN (...)`` statements per edge table, so one analytics step
+costs O(edge tables) statements instead of O(frontier vertices).  Those
+statements select only the endpoint columns (plus the weight column for
+SSSP), and the neighbours come back as bare ids: no edge or vertex
+element is built.
 
 Every expansion emits the 1:1 counter/event pair ``analytics.step`` and
 one ``frontier.size`` histogram observation mirrored by a
@@ -19,9 +22,9 @@ as Gremlin traversals.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
-from ..graph.model import Direction, GraphProvider, Pushdown, Vertex
+from ..graph.model import Direction, GraphProvider, Pushdown
 from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.tracing import NULL_RECORDER
@@ -115,8 +118,8 @@ class FrontierExecutor:
         frontier: Iterable[Any],
         direction: Direction,
         edge_labels: tuple[str, ...] | None = None,
-        return_type: str = "vertex",
         *,
+        weight: str | None = None,
         algorithm: str = "frontier",
     ) -> tuple[list[Any], dict[Any, list[Any]]]:
         """Expand one frontier level set-at-a-time.
@@ -125,7 +128,8 @@ class FrontierExecutor:
         ``ordered_frontier`` is the frontier in canonical sort order
         (the iteration order every algorithm uses, so engine and oracle
         perform identical operation sequences) and ``adjacency`` maps
-        each frontier vertex id to its neighboring elements.
+        each frontier vertex id to its neighbour ids, or to
+        ``(neighbour id, weight value)`` pairs when ``weight`` is given.
         """
         ordered = sorted(set(frontier), key=sort_key)
         tracker = self.tracker
@@ -141,9 +145,8 @@ class FrontierExecutor:
             size=len(ordered),
         )
         self.steps_taken += 1
-        vertices = [self._as_vertex(v) for v in ordered]
-        adjacency = self.provider.adjacent(
-            vertices, direction, edge_labels or None, return_type, _EMPTY_PUSHDOWN
+        adjacency = self.provider.adjacent_ids(
+            ordered, direction, edge_labels or None, weight
         )
         return ordered, adjacency
 
@@ -163,20 +166,3 @@ class FrontierExecutor:
         note_converged(
             self.registry, self.trace, algorithm=algorithm, steps=self.steps_taken
         )
-
-    # -- helpers -------------------------------------------------------------
-
-    def _as_vertex(self, vertex_id: Any) -> Vertex:
-        if isinstance(vertex_id, Vertex):
-            return vertex_id
-        return Vertex(vertex_id, provider=self.provider)
-
-
-def neighbor_id(edge: Any, vertex_id: Any, direction: Direction) -> Any:
-    """The id of the endpoint reached from ``vertex_id`` over ``edge``
-    expanded in ``direction`` (handles BOTH and self-loops)."""
-    if direction is Direction.OUT:
-        return edge.in_v_id
-    if direction is Direction.IN:
-        return edge.out_v_id
-    return edge.in_v_id if edge.out_v_id == vertex_id else edge.out_v_id

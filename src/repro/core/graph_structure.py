@@ -27,9 +27,10 @@ thread.  Traverser batching coalesces up to ``batch_size`` ids into one
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
 from ..common.env import env_int
@@ -38,6 +39,7 @@ from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
+from .ids import IdTemplate
 from .sql_dialect import SqlDialect, SqlPredicate, predicate_to_sql
 from .topology import EdgeTopology, Topology, VertexTopology
 
@@ -298,13 +300,10 @@ class OverlayGraph(GraphProvider):
                     probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
                     plan.append((etop, d, None, [[probe] + base], pushable))
                     continue
-                matching = self._vertices_matching_endpoint(etop, vertices, d)
+                matching, decoded = self._vertices_matching_endpoint(etop, vertices, d)
                 if not matching:
                     eliminated.append((etop.table_name, "src_dst_tables"))
                     continue
-                decoded = [
-                    x for v in matching if (x := self._decode(etop, template, v.id)) is not None
-                ]
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
                 # the IN list dedups them: fetch and weight instead
@@ -314,24 +313,38 @@ class OverlayGraph(GraphProvider):
 
     def _vertices_matching_endpoint(
         self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
-    ) -> list[Vertex]:
+    ) -> tuple[list[Vertex], list[dict[str, Any]]]:
         """src/dst vertex-table narrowing (§6.3): which of the input
-        vertices can possibly have edges in this table+direction?"""
+        vertices can possibly have edges in this table+direction, and
+        the decoded endpoint values of those whose id also coerces to
+        the column types."""
         declared = etop.src_v_table if d is Direction.OUT else etop.dst_v_table
         template = etop.src_template if d is Direction.OUT else etop.dst_template
+        narrow = self.opts.use_src_dst_tables and declared is not None
+        decode, strict = template.decode, self.opts.use_prefixed_ids
+        # _decode's coercion, with each column's coercer looked up once
+        # per batch rather than once per vertex
+        coercers = [(c, etop.relation.coercer(c)) for c in template.columns]
         matching: list[Vertex] = []
+        decoded: list[dict[str, Any]] = []
         for vertex in vertices:
             if (
-                self.opts.use_src_dst_tables
-                and declared is not None
+                narrow
                 and vertex.source_table is not None
                 and vertex.source_table.lower() != declared.lower()
             ):
                 continue
-            if template.decode(vertex.id, strict=self.opts.use_prefixed_ids) is None:
+            values = decode(vertex.id, strict)
+            if values is None:
                 continue
             matching.append(vertex)
-        return matching
+            try:
+                for column, coerce in coercers:
+                    values[column] = coerce(values[column])
+            except Exception:
+                continue
+            decoded.append(values)
+        return matching, decoded
 
     # -- ids -----------------------------------------------------------------
 
@@ -533,8 +546,9 @@ class OverlayGraph(GraphProvider):
         self._note_table_query(top.table_name, kind)
         make = self._make_vertex if kind == "vertex" else self._make_edge
         out: list[Any] = []
-        for row in self.dialect.select(top.table_name, columns, predicates):
-            element = make(top, row, pushdown)
+        keys, rows = self.dialect.select(top.table_name, columns, predicates)
+        for values in rows:
+            element = make(top, dict(zip(keys, values)), pushdown)
             if element is not None:
                 out.append(element)
         return out
@@ -823,6 +837,58 @@ class OverlayGraph(GraphProvider):
         if pushdown.aggregate is not None:
             flattened = [v for vs in result.values() for v in vs]
             return {None: [_memory_aggregate_final(flattened, pushdown)]}
+        return result
+
+    def adjacent_ids(
+        self,
+        vertex_ids: Sequence[Any],
+        direction: Direction,
+        edge_labels: tuple[str, ...] | None,
+        weight: str | None = None,
+    ) -> dict[Any, list[Any]]:
+        """``adjacent()`` reduced to ids for bulk analytics.  Same plan:
+        eliminations, tables, statements and their order.  Each SELECT
+        fetches only the endpoint columns (§6.2 projection pushdown),
+        plus the label column when ``edge_labels`` is re-checked on a
+        column-label table and the ``weight`` property's column.  Rows
+        are read as tuples; no edge or vertex element is built."""
+        vertices = [Vertex(v, provider=self) for v in vertex_ids]
+        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, Pushdown())
+        self._note_eliminations(eliminated)
+        result: dict[Any, list[Any]] = {v: [] for v in vertex_ids}
+        for etop, d, _matching, groups, _aggregated in plan:
+            # a fixed label outside edge_labels survives only with label
+            # elimination off: its statements run, its rows are dropped
+            rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
+            label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
+            weight_column = weight if weight in etop.property_columns else None
+            wanted = [*etop.src_template.columns, *etop.dst_template.columns]
+            wanted += [c for c in (label_column, weight_column) if c]
+            columns = list(dict.fromkeys(etop.relation.canonical(c) for c in wanted))
+            near, far = (
+                (etop.src_template, etop.dst_template)
+                if d is Direction.OUT
+                else (etop.dst_template, etop.src_template)
+            )
+            for predicates in groups:
+                self._note_table_query(etop.table_name, "edge")
+                keys, rows = self.dialect.select(etop.table_name, columns, predicates)
+                if rejected:
+                    continue
+                ends = _endpoint_reader(keys, near, far)
+                label_at = keys.index(label_column.lower()) if label_column else None
+                weight_at = keys.index(weight_column.lower()) if weight_column else None
+                for row in rows:
+                    if label_at is not None and str(row[label_at]) not in edge_labels:
+                        continue
+                    key, other = ends(row)
+                    bucket = result.get(key)
+                    if bucket is None:
+                        continue
+                    if weight is None:
+                        bucket.append(other)
+                    else:
+                        bucket.append((other, None if weight_at is None else row[weight_at]))
         return result
 
     # ------------------------------------------------------------------
@@ -1119,6 +1185,23 @@ def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
             continue
         values = candidate if values is None else values & candidate
     return tuple(sorted(values)) if values is not None else None
+
+
+def _endpoint_reader(
+    keys: Sequence[str], near: IdTemplate, far: IdTemplate
+) -> Callable[[Sequence[Any]], tuple[Any, Any]]:
+    """``(near id, far id)`` of one row tuple: single-column ids by
+    tuple index, composite or prefixed ids rendered from one row dict."""
+    if near.is_single_column and far.is_single_column:
+        return operator.itemgetter(
+            keys.index(near.columns[0].lower()), keys.index(far.columns[0].lower())
+        )
+
+    def render(row: Sequence[Any]) -> tuple[Any, Any]:
+        named = dict(zip(keys, row))
+        return near.render(named), far.render(named)
+
+    return render
 
 
 def _has_repeats(ids: Sequence[Any] | None) -> bool:

@@ -266,8 +266,11 @@ class SqlDialect:
         columns: Sequence[str] | None,
         predicates: Sequence[SqlPredicate] = (),
         aggregate: tuple[str, str | None] | None = None,
-    ) -> list[dict[str, Any]]:
-        """Run a generated query; rows come back as lowercase-keyed dicts."""
+    ) -> tuple[Sequence[str], Sequence[tuple]]:
+        """Run a generated query: ``(keys, row_tuples)``, the lowercase
+        column names and one value tuple per row in that column order.
+        Callers build what they need from the tuples (dicts, elements,
+        bare endpoint ids)."""
         timing = self.registry.timing_enabled
         timed = timing or self.trace.enabled
         started = perf_counter() if timed else 0.0
@@ -286,9 +289,9 @@ class SqlDialect:
                     # deadline — materialized data is materialized data.
                     budget.note_rows(len(row_tuples))
                     budget.check_deadline()
-                # Fresh dicts per hit: cached tuples are never aliased
-                # into mutable traversal state.
-                return [dict(zip(keys, row)) for row in row_tuples]
+                # Cached rows are tuples: handing them out cannot alias
+                # mutable traversal state.
+                return keys, row_tuples
             if status == "miss":
                 ticket = payload
         statement_id = next(self._statement_ids)
@@ -338,7 +341,6 @@ class SqlDialect:
             )
         materialized = perf_counter() if timing else 0.0
         keys = [c.lower() for c in result.columns]
-        rows = [dict(zip(keys, row)) for row in result.rows]
         if ticket is not None:
             # Fill only after the statement (and any retries) succeeded:
             # injected faults and exhausted retries never poison an entry.
@@ -350,7 +352,7 @@ class SqlDialect:
             self.registry.histogram(M.PHASE_MATERIALIZE).observe(
                 perf_counter() - materialized
             )
-        return rows
+        return keys, result.rows
 
     def _run_statement(self, sql: str, params: Sequence[Any], count_hits: bool = True):
         """Execute one statement, retrying transient engine errors under
@@ -383,17 +385,15 @@ class SqlDialect:
         column: str | None,
         predicates: Sequence[SqlPredicate] = (),
     ) -> Any:
-        rows = self.select(table, None, predicates, aggregate=(kind, column))
-        if not rows:
-            return None
-        return next(iter(rows[0].values()))
+        _keys, rows = self.select(table, None, predicates, aggregate=(kind, column))
+        return rows[0][0] if rows else None
 
     def sum_and_count(
         self, table: str, column: str, predicates: Sequence[SqlPredicate] = ()
     ) -> tuple[float, int]:
-        rows = self.select(table, None, predicates, aggregate=("sum_count", column))
-        values = list(rows[0].values())
-        return (values[0] or 0, values[1] or 0)
+        _keys, rows = self.select(table, None, predicates, aggregate=("sum_count", column))
+        total, count = rows[0][:2]
+        return (total or 0, count or 0)
 
     def insert(self, table: str, columns: Sequence[str], values: Sequence[Any]) -> None:
         """Parameterized INSERT (used by graph mutation steps: addV/addE

@@ -13,7 +13,7 @@ by table name, by id prefix, and vertex-from-edge subsumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..relational.database import Database
 from ..relational.types import SqlType
@@ -48,10 +48,16 @@ class RelationInfo:
 
     def coerce(self, column: str, value: Any) -> Any:
         """Coerce a decoded id segment back to the column's SQL type."""
+        return self.coercer(column)(value)
+
+    def coercer(self, column: str) -> Callable[[Any], Any]:
+        """The function :meth:`coerce` applies to ``column``'s values."""
         sql_type = self.types.get(column.lower())
-        if sql_type is None or value is None:
-            return value
-        return sql_type.coerce(value)
+        return _unchanged if sql_type is None else sql_type.coerce
+
+
+def _unchanged(value: Any) -> Any:
+    return value
 
 
 def _relation_info(database: Database, name: str) -> RelationInfo:

@@ -259,6 +259,33 @@ class GraphProvider:
         vertices: vertex id -> adjacent elements."""
         raise NotImplementedError
 
+    def adjacent_ids(
+        self,
+        vertex_ids: Sequence[Any],
+        direction: Direction,
+        edge_labels: tuple[str, ...] | None,
+        weight: str | None = None,
+    ) -> dict[Any, list[Any]]:
+        """Bulk-analytics expansion: vertex id -> neighbour ids in
+        :meth:`adjacent`'s edge order, or ``(neighbour id, value)`` pairs
+        where ``value`` is ``edge.value(weight)``.  This default builds
+        the edges; a provider may read the ids straight from storage."""
+        vertices = [Vertex(v, provider=self) for v in vertex_ids]
+        adjacency = self.adjacent(vertices, direction, edge_labels, "edge", Pushdown())
+        result: dict[Any, list[Any]] = {}
+        for u, edges in adjacency.items():
+            ids: list[Any] = []
+            for edge in edges:
+                if direction is Direction.OUT or (
+                    direction is Direction.BOTH and edge.out_v_id == u
+                ):
+                    v = edge.in_v_id
+                else:
+                    v = edge.out_v_id
+                ids.append(v if weight is None else (v, edge.value(weight)))
+            result[u] = ids
+        return result
+
     def edge_vertex(self, edge: Edge, direction: Direction) -> Iterator[Vertex]:
         """``outV()/inV()/bothV()`` of one edge."""
         if direction is Direction.BOTH:

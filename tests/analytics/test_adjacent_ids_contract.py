@@ -1,0 +1,211 @@
+"""Contract of ``OverlayGraph.adjacent_ids``: the id-only expansion the
+analytics executor runs must return what the :class:`GraphProvider`
+default derives from full edge elements (``adjacent(..., "edge")``),
+per vertex as a multiset and, for OUT (PageRank's successor lists), in
+the same order.  A ``weight`` value must equal ``edge.value(weight)``,
+an exact-name property lookup.
+
+Generated scenarios cover the overlay-config space (prefixed and
+composite ids, column labels, dual tables, views); hand-built graphs
+pin the corners: composite and prefixed endpoints, column-label tables
+under ``edge_labels``, self-loops under BOTH, parallel edges, and
+weights that are missing, NULL, bool, non-numeric or differ only in
+case.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.core import Db2Graph
+from repro.core.graph_structure import RuntimeOptimizations
+from repro.graph.model import Direction, GraphProvider
+from repro.relational import Database
+from repro.testing import (
+    ScenarioInvalid,
+    build_database,
+    generate_scenario,
+    materialize_oracle,
+    resolve_overlay,
+)
+
+DIRECTIONS = (Direction.OUT, Direction.IN, Direction.BOTH)
+MISSING_IDS = (999999, "nope::1")
+
+
+def assert_contract(provider, vertex_ids, direction, edge_labels=None, weight=None):
+    got = provider.adjacent_ids(vertex_ids, direction, edge_labels, weight)
+    want = GraphProvider.adjacent_ids(provider, vertex_ids, direction, edge_labels, weight)
+    assert set(got) == set(want) == set(vertex_ids)
+    for vertex_id in vertex_ids:
+        assert Counter(got[vertex_id]) == Counter(want[vertex_id]), (
+            f"{vertex_id!r} {direction} labels={edge_labels} weight={weight!r}"
+        )
+        if direction is Direction.OUT:
+            assert got[vertex_id] == want[vertex_id]
+    return got
+
+
+# ---------------------------------------------------------------------------
+# generated overlays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_overlays_match_the_element_default(seed):
+    try:
+        scenario = generate_scenario(seed, workload_size=0)
+    except ScenarioInvalid:
+        pytest.skip("unrepresentable scenario")
+    db = build_database(scenario)
+    overlay = resolve_overlay(scenario, db)
+    oracle = materialize_oracle(db, overlay)
+    vertex_ids = sorted(oracle._vertices, key=lambda v: (str(v), repr(v)))
+    vertex_ids += [v for v in MISSING_IDS if v not in oracle._vertices]
+    labels = sorted({e.label for e in oracle._edges.values()})
+    keys = sorted({k for e in oracle._edges.values() for k in e.properties})
+    weights = [None] + [w for k in keys[:1] for w in (k, k.swapcase())]
+    graph = Db2Graph.open(db, overlay, cache=seed % 2 == 1)
+    try:
+        provider = graph.provider
+        for direction in DIRECTIONS:
+            for edge_labels in (None, tuple(labels[:1]) or None):
+                for weight in weights:
+                    assert_contract(provider, vertex_ids, direction, edge_labels, weight)
+    finally:
+        graph.close()
+
+
+# ---------------------------------------------------------------------------
+# hand-built corners
+# ---------------------------------------------------------------------------
+
+CORNER_OVERLAY = {
+    "v_tables": [
+        {"table_name": "node", "id": "id", "fix_label": True, "label": "'node'",
+         "properties": []},
+    ],
+    "e_tables": [
+        {"table_name": "link", "src_v_table": "node", "src_v": "src",
+         "dst_v_table": "node", "dst_v": "dst", "implicit_edge_id": True,
+         "fix_label": True, "label": "'link'",
+         "properties": ["w", "Wt", "flag", "note"]},
+        {"table_name": "rel", "src_v": "src", "dst_v": "dst", "id": "rid",
+         "label": "kind", "properties": ["w"]},
+    ],
+}
+
+
+def corner_db() -> Database:
+    """``link``: a self-loop on 1, two parallel 1 -> 2 edges, and weights
+    that are NULL, bool or text.  ``rel``: a column-label table whose
+    rows carry labels 'a' and 'b'."""
+    db = Database()
+    db.execute("CREATE TABLE node (id INT PRIMARY KEY)")
+    db.execute(
+        "CREATE TABLE link (src INT, dst INT, w DOUBLE, Wt DOUBLE, "
+        "flag BOOLEAN, note VARCHAR)"
+    )
+    db.execute("CREATE TABLE rel (rid INT PRIMARY KEY, src INT, dst INT, kind VARCHAR, w INT)")
+    db.execute("INSERT INTO node VALUES (1), (2), (3), (4)")
+    db.execute(
+        "INSERT INTO link VALUES (1, 1, 0.5, 5.0, TRUE, 'loop'), "
+        "(1, 2, 2.0, 20.0, FALSE, 'x'), (1, 2, NULL, NULL, TRUE, '7'), "
+        "(2, 3, 1.0, 10.0, NULL, NULL)"
+    )
+    db.execute(
+        "INSERT INTO rel VALUES (1, 3, 4, 'a', 3), (2, 4, 1, 'b', NULL), "
+        "(3, 2, 2, 'a', 9)"
+    )
+    return db
+
+
+@pytest.fixture(params=[False, True], ids=["nocache", "cache"])
+def corner_graph(request):
+    graph = Db2Graph.open(corner_db(), CORNER_OVERLAY, cache=request.param)
+    yield graph
+    graph.close()
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.value)
+@pytest.mark.parametrize(
+    "weight", [None, "w", "Wt", "WT", "W", "flag", "note", "absent"]
+)
+def test_weights_match_exact_name_property_lookup(corner_graph, direction, weight):
+    assert_contract(corner_graph.provider, [1, 2, 3, 4, 99], direction, None, weight)
+
+
+def test_weight_values_are_raw_property_values(corner_graph):
+    out = corner_graph.provider.adjacent_ids([1], Direction.OUT, None, "w")
+    assert Counter(out[1]) == Counter([(1, 0.5), (2, 2.0), (2, None)])
+    # 'W' differs from the declared 'w' only in case: no such property
+    out = corner_graph.provider.adjacent_ids([1], Direction.OUT, None, "W")
+    assert Counter(out[1]) == Counter([(1, None), (2, None), (2, None)])
+    out = corner_graph.provider.adjacent_ids([1], Direction.OUT, None, "flag")
+    assert Counter(out[1]) == Counter([(1, True), (2, False), (2, True)])
+
+
+def test_self_loop_under_both_counts_once_per_direction(corner_graph):
+    got = assert_contract(corner_graph.provider, [1], Direction.BOTH)
+    # out: 1 (loop), 2, 2 (parallel); in: 1 (loop), 2 (rel 4 -> 1 is 'b')
+    assert Counter(got[1]) == Counter([1, 1, 2, 2, 4])
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.value)
+@pytest.mark.parametrize("edge_labels", [("a",), ("b",), ("a", "link"), ("zzz",)])
+def test_column_label_table_under_edge_labels(direction, edge_labels):
+    for opts in (None, RuntimeOptimizations.all_off()):
+        graph = Db2Graph.open(corner_db(), CORNER_OVERLAY, runtime_opts=opts, cache=False)
+        try:
+            assert_contract(graph.provider, [1, 2, 3, 4], direction, edge_labels, "w")
+        finally:
+            graph.close()
+
+
+COMPOSITE_OVERLAY = {
+    "v_tables": [
+        {"table_name": "vc", "prefixed_id": True, "id": "'vc'::ka::kb",
+         "fix_label": True, "label": "'vc_lab'", "properties": ["score"]},
+        {"table_name": "vo", "prefixed_id": True, "id": "'vo'::pk",
+         "fix_label": True, "label": "'vo_lab'", "properties": []},
+    ],
+    "e_tables": [
+        {"table_name": "e", "src_v": "'vc'::s_ka::s_kb", "dst_v": "'vo'::d_pk",
+         "src_v_table": "vc", "dst_v_table": "vo", "implicit_edge_id": True,
+         "fix_label": True, "label": "'e_lab'", "properties": ["w"]},
+        {"table_name": "e2", "src_v": "'vo'::a", "dst_v": "'vo'::b",
+         "src_v_table": "vo", "dst_v_table": "vo", "implicit_edge_id": True,
+         "fix_label": True, "label": "'e2_lab'", "properties": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda d: d.value)
+@pytest.mark.parametrize("batch_size", [1, 64])
+def test_composite_and_prefixed_endpoints(direction, batch_size):
+    db = Database(enforce_foreign_keys=False)
+    db.execute("CREATE TABLE vc (ka INT, kb INT, score INT)")
+    db.execute("CREATE TABLE vo (pk INT PRIMARY KEY)")
+    db.execute("CREATE TABLE e (s_ka INT, s_kb INT, d_pk INT, w DOUBLE)")
+    db.execute("CREATE TABLE e2 (a INT, b INT)")
+    db.execute("INSERT INTO vc VALUES (1, 2, 5), (3, 4, 6)")
+    db.execute("INSERT INTO vo VALUES (10), (11), (12)")
+    db.execute(
+        "INSERT INTO e VALUES (1, 2, 10, 1.5), (1, 2, 11, NULL), "
+        "(1, 2, 11, 2.5), (3, 4, 12, 0.0)"
+    )
+    db.execute("INSERT INTO e2 VALUES (10, 10), (11, 12)")
+    graph = Db2Graph.open(db, COMPOSITE_OVERLAY, batch_size=batch_size, cache=False)
+    try:
+        ids = ["vc::1::2", "vc::3::4", "vo::10", "vo::11", "vo::12", "vc::9::9", 10]
+        for weight in (None, "w"):
+            got = assert_contract(graph.provider, ids, direction, None, weight)
+        if direction is Direction.OUT:
+            assert Counter(got["vc::1::2"]) == Counter(
+                [("vo::10", 1.5), ("vo::11", None), ("vo::11", 2.5)]
+            )
+            assert got[10] == []  # an unprefixed id fits no template
+    finally:
+        graph.close()

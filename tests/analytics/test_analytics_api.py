@@ -22,6 +22,7 @@ from repro.core import Db2Graph
 from repro.graph import __
 from repro.graph.steps import RepeatStep
 from repro.obs import metrics as M
+from repro.obs import tracing
 from repro.relational import Database
 from repro.resilience import BudgetExceededError, QueryBudget
 from repro.service import GraphService, ServiceConfig
@@ -182,6 +183,20 @@ class TestBudgets:
             an.bfs(1)
         assert isinstance(info.value.partial, BfsResult)
 
+    def test_statement_budget_trips_mid_step_at_a_pinned_statement(self):
+        # scan, step 0's OUT and IN probes, step 1's OUT probe: the fifth
+        # statement (step 1's IN probe) trips, the same statement as when
+        # the executor expanded through edge elements
+        g = Db2Graph.open(make_db(), OVERLAY, cache=False)
+        g.enable_tracing()
+        an = g.analytics(budget=QueryBudget(max_sql_statements=4))
+        with pytest.raises(BudgetExceededError) as info:
+            an.wcc()
+        assert g.trace.count(tracing.SQL_ISSUED) == 4
+        partial = info.value.partial
+        assert (partial.steps, partial.frontier_sizes) == (1, [6])
+        assert partial.component == {1: 1, 2: 1, 3: 1, 4: 1, 5: 5, 6: 5}
+
     def test_graph_level_budget_is_inherited(self):
         g = Db2Graph.open(
             make_db(), OVERLAY, cache=False,
@@ -189,6 +204,20 @@ class TestBudgets:
         )
         with pytest.raises(BudgetExceededError):
             g.analytics().wcc()
+
+
+class TestReadCache:
+    def test_repeat_wcc_is_served_from_cache_until_an_insert(self):
+        g = Db2Graph.open(make_db(), OVERLAY, cache=True)
+        first = g.analytics().wcc()
+        issued = g.stats()["sql_queries"]
+        assert g.analytics().wcc().component == first.component
+        assert g.stats()["sql_queries"] == issued  # every statement hit
+        g.connection.execute("INSERT INTO link VALUES (4, 5, 1.0)")
+        merged = g.analytics().wcc()
+        # the vertex scan still hits; each link probe is re-issued
+        assert g.stats()["sql_queries"] == issued + 4
+        assert merged.component == {v: 1 for v in range(1, 7)}
 
 
 class TestObservability:

@@ -1,6 +1,7 @@
 """Engine bugs flushed out by the generative conformance harness
-(``repro.testing``), pinned as hand-written minimal repros so they can
-never regress silently.
+(``repro.testing``), and one check of the harness that over-claimed,
+pinned as hand-written minimal repros so they can never regress
+silently.
 
 Each test names the sweep seed that first exposed the bug; the repro
 itself is reduced to a hand-built schema so it does not depend on the
@@ -12,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Db2Graph
+from repro.core.graph_structure import RuntimeOptimizations
 from repro.graph import __
+from repro.obs import tracing
 from repro.relational import Database
 from repro.testing import generate_scenario, run_scenario
 
@@ -102,9 +105,64 @@ def test_vertex_from_edge_with_projected_row():
         graph.close()
 
 
-@pytest.mark.parametrize("seed", [27, 155, 179])
+def fan_in_graph(optimized):
+    """One vertex table and three edge tables whose dst can hold any
+    integer id, opened as the conformance SQL-count pair's optimized or
+    stripped batch-1 cell."""
+    db = Database(enforce_foreign_keys=False)
+    db.execute("CREATE TABLE p (pk INT PRIMARY KEY)")
+    db.execute("INSERT INTO p VALUES (1), (2)")
+    tables = ("k0", "k1", "k2")
+    for table in tables:
+        db.execute(f"CREATE TABLE {table} (s INT, d INT)")
+        db.execute(f"INSERT INTO {table} VALUES (1, 2)")
+    overlay = {
+        "v_tables": [
+            {"table_name": "p", "id": "pk", "fix_label": True, "label": "'p'",
+             "properties": []},
+        ],
+        "e_tables": [
+            {"table_name": table, "src_v": "s", "dst_v": "d",
+             "src_v_table": "p", "dst_v_table": "p", "implicit_edge_id": True,
+             "fix_label": True, "label": f"'{table}'", "properties": []}
+            for table in tables
+        ],
+    }
+    return Db2Graph.open(
+        db, overlay, optimized=optimized, batch_size=1, cache=False,
+        runtime_opts=None if optimized else RuntimeOptimizations.all_off(),
+    )
+
+
+def test_vertex_step_fold_probes_missing_start_ids_by_design():
+    """Sweep seed 2953: the §6.2 GraphStep::VertexStep fold turns
+    V(ids).in() into dst probes on every edge table and skips the vertex
+    lookup the stripped engine runs first.  For an id naming no vertex
+    the stripped engine stops at the empty lookup, so the fold issues
+    more statements (6 vs 5 here) without any rule over-eliminating.
+    The conformance SQL-count check therefore covers only chains whose
+    V(ids) all resolve, where the fold stays at or under the stripped
+    count."""
+    counts = {}
+    for optimized in (True, False):
+        graph = fan_in_graph(optimized)
+        graph.enable_tracing()
+        try:
+            for ids in ((2,), (2, 999999)):
+                graph.trace.clear()
+                out = graph.traversal().V(*ids).in_().toList()
+                assert [v.id for v in out] == [1, 1, 1]
+                counts[optimized, ids] = graph.trace.count(tracing.SQL_ISSUED)
+        finally:
+            graph.close()
+    assert counts[True, (2,)] <= counts[False, (2,)]
+    assert counts[True, (2, 999999)] > counts[False, (2, 999999)]
+
+
+@pytest.mark.parametrize("seed", [27, 155, 179, 2953])
 def test_original_sweep_seeds_stay_conformant(seed):
     """The full generated scenarios that first exposed the bugs above
     (27: composite dedup, 155: projected-row subsumption, 179: NULL-key
-    DML WHERE clauses) replay divergence-free."""
+    DML WHERE clauses, 2953: the SQL-count check over-claiming for a
+    missing start id) replay divergence-free."""
     assert run_scenario(generate_scenario(seed)) is None

@@ -79,10 +79,13 @@ class TestStatementBuilding:
 
 
 class TestExecution:
-    def test_select_returns_lowercase_dicts(self, people_db):
+    def test_select_returns_lowercase_keys_and_row_tuples(self, people_db):
         dialect = SqlDialect(people_db.connect())
-        rows = dialect.select("person", ["id", "name"], [SqlPredicate("id", "=", (1,))])
-        assert rows == [{"id": 1, "name": "ada"}]
+        keys, rows = dialect.select(
+            "person", ["ID", "Name"], [SqlPredicate("id", "=", (1,))]
+        )
+        assert list(keys) == ["id", "name"]
+        assert [tuple(row) for row in rows] == [(1, "ada")]
 
     def test_prepared_statements_reused(self, people_db):
         dialect = SqlDialect(people_db.connect())
