@@ -5,8 +5,9 @@ resolves column references to tuple positions, picks indexes and
 compiles expressions once.  Table access is set-at-a-time: a
 :class:`TableScanNode` takes the visible rows of its index candidates
 (or of the whole table) in one storage pass, then runs each pushed-down
-conjunct as a compiled batch filter over that list.  Operators above
-the scan (joins, aggregation, sort) still consume rows one at a time.
+conjunct as a compiled batch filter over that list.  Hash joins and
+aggregation take whole inputs too: their keys compile once (column keys
+to ``itemgetter``), and each group's aggregates reduce in one call.
 UPDATE and DELETE find their rows through the same node.
 
 Optimizations implemented (the ones the paper's generated SQL relies
@@ -17,18 +18,21 @@ on — the graph layer counts on the relational engine doing its part):
 * index selection: equality conjuncts (including IN lists) probe hash
   or sorted indexes; range conjuncts use sorted indexes;
 * hash joins for equi-join conditions, nested loops otherwise;
-* aggregation without materializing input (streaming accumulators).
+* hash aggregation: input bucketed by group key, then one reducer call
+  per group and aggregate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import sql_ast as A
-from .aggregates import make_accumulator
+from .aggregates import numeric, reducer, step
 from .catalog import Table, View
 from .errors import CatalogError, ExecutionError, SqlSyntaxError
 from .expressions import (
@@ -43,6 +47,7 @@ from .expressions import (
     Param,
     Scope,
     UnaryOp,
+    conjoin,
     contains_aggregate,
     split_conjuncts,
 )
@@ -341,9 +346,7 @@ class FilterNode(PlanNode):
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         fn = self._fn
-        for row in self.child.rows(ctx):
-            if fn(row, ctx) is True:
-                yield row
+        return (row for row in self.child.rows(ctx) if fn(row, ctx) is True)
 
     def _describe(self) -> str:
         return f"Filter({self.predicate.sql()})"
@@ -352,35 +355,27 @@ class FilterNode(PlanNode):
         return [self.child]
 
 
-class NestedLoopJoinNode(PlanNode):
-    def __init__(self, left: PlanNode, right: PlanNode, kind: str, on: Expression | None):
-        self.left = left
-        self.right = right
-        self.kind = kind
-        self.columns = left.columns + right.columns
-        self._on_fn = on.compile(self.scope()) if on is not None else None
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        right_rows = list(self.right.rows(ctx))
-        pad = (None,) * len(self.right.columns)
-        for lrow in self.left.rows(ctx):
-            matched = False
-            for rrow in right_rows:
-                combined = lrow + rrow
-                if self._on_fn is None or self._on_fn(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield lrow + pad
-
-    def _describe(self) -> str:
-        return f"NestedLoopJoin({self.kind})"
-
-    def _children(self) -> list[PlanNode]:
-        return [self.left, self.right]
+def _compile_key(exprs: list[Expression], scope: Scope) -> Callable[[ExecContext], Callable]:
+    """Compile join keys to ``bind(ctx) -> key(row)``: one ``itemgetter``
+    for column keys, else closures.  One key is the bare value (it hashes
+    and compares as its 1-tuple would), several a tuple, none ``()``."""
+    if not exprs:
+        return lambda ctx: lambda row: ()
+    if all(isinstance(e, ColumnRef) for e in exprs):
+        getter = operator.itemgetter(*(scope.resolve(e.qualifier, e.name) for e in exprs))
+        return lambda ctx: getter
+    fns = [e.compile(scope) for e in exprs]
+    if len(fns) == 1:
+        fn = fns[0]
+        return lambda ctx: lambda row: fn(row, ctx)
+    return lambda ctx: lambda row: tuple([fn(row, ctx) for fn in fns])
 
 
 class HashJoinNode(PlanNode):
+    """Equi-join: the right input is hashed on its key, the left probes.
+    Build rows with a NULL key part are dropped (NULL never equi-joins),
+    so probe keys need no NULL check."""
+
     def __init__(
         self,
         left: PlanNode,
@@ -394,35 +389,51 @@ class HashJoinNode(PlanNode):
         self.right = right
         self.kind = kind
         self.columns = left.columns + right.columns
-        self._left_fns = [k.compile(left.scope()) for k in left_keys]
-        self._right_fns = [k.compile(right.scope()) for k in right_keys]
+        self._composite = len(left_keys) > 1
+        self._left_key = _compile_key(left_keys, left.scope())
+        self._right_key = _compile_key(right_keys, right.scope())
         self._residual_fn = residual.compile(self.scope()) if residual is not None else None
 
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
+    def rows(self, ctx: ExecContext) -> Iterable[tuple]:
+        right_key = self._right_key(ctx)
+        composite = self._composite
+        table: dict[Any, list[tuple]] = {}
         for rrow in self.right.rows(ctx):
-            key = tuple(fn(rrow, ctx) for fn in self._right_fns)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(rrow)
-        pad = (None,) * len(self.right.columns)
-        for lrow in self.left.rows(ctx):
-            key = tuple(fn(lrow, ctx) for fn in self._left_fns)
+            key = right_key(rrow)
+            if not (key is None or composite and None in key):
+                table.setdefault(key, []).append(rrow)
+        get = table.get
+        left_key = self._left_key(ctx)
+        left_rows = self.left.rows(ctx)
+        if self.kind == "INNER" and self._residual_fn is None:
+            return (lrow + rrow for lrow in left_rows for rrow in get(left_key(lrow), ()))
+        return self._probe(left_rows, left_key, get, ctx)
+
+    def _probe(self, left_rows: Iterable[tuple], left_key: Callable, get: Callable, ctx: ExecContext) -> Iterator[tuple]:
+        residual = self._residual_fn
+        pad = (None,) * len(self.right.columns) if self.kind == "LEFT" else None
+        for lrow in left_rows:
             matched = False
-            if not any(part is None for part in key):
-                for rrow in table.get(key, ()):
-                    combined = lrow + rrow
-                    if self._residual_fn is None or self._residual_fn(combined, ctx) is True:
-                        matched = True
-                        yield combined
-            if self.kind == "LEFT" and not matched:
+            for rrow in get(left_key(lrow), ()):
+                combined = lrow + rrow
+                if residual is None or residual(combined, ctx) is True:
+                    matched = True
+                    yield combined
+            if pad is not None and not matched:
                 yield lrow + pad
 
     def _describe(self) -> str:
-        return f"HashJoin({self.kind})"
+        return f"{type(self).__name__.removesuffix('Node')}({self.kind})"
 
     def _children(self) -> list[PlanNode]:
         return [self.left, self.right]
+
+
+class NestedLoopJoinNode(HashJoinNode):
+    """A join without equi-join keys: every right row shares one bucket."""
+
+    def __init__(self, left: PlanNode, right: PlanNode, kind: str, on: Expression | None):
+        super().__init__(left, right, [], [], kind, on)
 
 
 class ProjectNode(PlanNode):
@@ -444,12 +455,8 @@ class ProjectNode(PlanNode):
     def rows(self, ctx: ExecContext) -> Iterable[tuple]:
         if self._getter is not None:
             return map(self._getter, self.child.rows(ctx))
-        return self._rows(ctx)
-
-    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         fns = self._fns
-        for row in self.child.rows(ctx):
-            yield tuple(fn(row, ctx) for fn in fns)
+        return (tuple(fn(row, ctx) for fn in fns) for row in self.child.rows(ctx))
 
     def _describe(self) -> str:
         return f"Project({[n for _q, n in self.columns]})"
@@ -458,14 +465,14 @@ class ProjectNode(PlanNode):
         return [self.child]
 
 
-@dataclass
-class _AggSpec:
-    call: FunctionCall
-    arg_fn: Callable | None  # None for COUNT(*)
-
-
 class AggregateNode(PlanNode):
     """Hash aggregation producing the final select-item outputs.
+
+    The input is bucketed by group key, then each aggregate reduces each
+    bucket in one call.  Group keys and arguments are ``itemgetter``s;
+    expressions among them are evaluated once per row into extra columns.
+    If any of that fails, :meth:`_raise_first_error` replays the input in
+    row order to raise the error a running aggregation would meet first.
 
     Select items and HAVING are rewritten so group expressions and
     aggregate calls become references into the per-group result row.
@@ -481,24 +488,46 @@ class AggregateNode(PlanNode):
         self.child = child
         self.group_exprs = group_exprs
         child_scope = child.scope()
-        self._group_fns = [g.compile(child_scope) for g in group_exprs]
+        width = len(child.columns)
+        self._computed: list[Callable] = []
 
-        # Discover aggregate calls across select items and HAVING.
-        self._agg_specs: list[_AggSpec] = []
+        def position(expr: Expression, fn: Callable) -> int:
+            if isinstance(expr, ColumnRef):
+                return child_scope.resolve(expr.qualifier, expr.name)
+            self._computed.append(fn)
+            return width + len(self._computed) - 1
+
+        self._group_fns = [g.compile(child_scope) for g in group_exprs]
+        group_positions = [position(g, fn) for g, fn in zip(group_exprs, self._group_fns)]
+        self._group_key = operator.itemgetter(*group_positions) if group_positions else None
+        self._bare_key = len(group_positions) == 1
+
+        # Discover aggregate calls across select items and HAVING: each is
+        # (argument getter, or None for COUNT(*), and its reducer).  _args
+        # keeps each argument's compiled form for the replay.
+        self._aggs: list[tuple[Callable | None, Callable]] = []
+        self._args: list[tuple[str, Callable]] = []
+        self._numeric: list[Callable] = []
         agg_index: dict[str, int] = {}
 
         def register(call: FunctionCall) -> int:
             key = call.sql()
             if key not in agg_index:
-                arg_fn = None
-                if not call.star:
-                    if len(call.args) != 1:
+                getter = None
+                if not call.star or call.name.upper() != "COUNT":
+                    if not call.star and len(call.args) != 1:
                         raise SqlSyntaxError(
                             f"aggregate {call.name.upper()} expects one argument"
                         )
-                    arg_fn = call.args[0].compile(child_scope)
-                agg_index[key] = len(self._agg_specs)
-                self._agg_specs.append(_AggSpec(call, arg_fn))
+                    # SUM(*) and the like aggregate TRUE once per row
+                    arg = Literal(True) if call.star else call.args[0]
+                    fn = arg.compile(child_scope)
+                    getter = operator.itemgetter(position(arg, fn))
+                    self._args.append((call.name, fn))
+                    if call.name.upper() in ("SUM", "AVG"):
+                        self._numeric.append(getter)
+                agg_index[key] = len(self._aggs)
+                self._aggs.append((getter, reducer(call.name, getter is None)))
             return agg_index[key]
 
         group_sql = {g.sql(): i for i, g in enumerate(group_exprs)}
@@ -533,7 +562,7 @@ class AggregateNode(PlanNode):
         rewritten_having = rewrite(having) if having is not None else None
 
         internal_columns: ColumnList = [(None, f"__g{i}") for i in range(n_groups)]
-        internal_columns += [(None, f"__a{i}") for i in range(len(self._agg_specs))]
+        internal_columns += [(None, f"__a{i}") for i in range(len(self._aggs))]
         internal_scope = Scope(internal_columns)
         self._item_fns = [e.compile(internal_scope) for e, _n in rewritten_items]
         self._having_fn = (
@@ -542,25 +571,58 @@ class AggregateNode(PlanNode):
         self.columns = [(None, name) for _e, name in items]
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        for row in self.child.rows(ctx):
-            key = tuple(fn(row, ctx) for fn in self._group_fns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [make_accumulator(s.call.name, s.call.star) for s in self._agg_specs]
-                groups[key] = accumulators
-            for spec, acc in zip(self._agg_specs, accumulators):
-                acc.add(True if spec.arg_fn is None else spec.arg_fn(row, ctx))
-        if not groups and not self.group_exprs:
-            groups[()] = [make_accumulator(s.call.name, s.call.star) for s in self._agg_specs]
-        for key, accumulators in groups.items():
-            internal = key + tuple(acc.result() for acc in accumulators)
+        rows = self.child.rows(ctx)
+        if not isinstance(rows, list):
+            rows = list(rows)
+        try:
+            groups = self._reduce(rows, ctx)
+        except ExecutionError:
+            self._raise_first_error(rows, ctx)
+            raise
+        for internal in groups:
             if self._having_fn is not None and self._having_fn(internal, ctx) is not True:
                 continue
             yield tuple(fn(internal, ctx) for fn in self._item_fns)
 
+    def _reduce(self, rows: list[tuple], ctx: ExecContext) -> list[tuple]:
+        """One row of group keys and aggregate results per group."""
+        if self._computed:
+            fns = self._computed
+            rows = [row + tuple([fn(row, ctx) for fn in fns]) for row in rows]
+        if not all(numeric(rows, get) for get in self._numeric):
+            raise ExecutionError("SUM/AVG requires numeric input")
+        group_key = self._group_key
+        if group_key is None:
+            groups: dict[Any, list[tuple]] = {(): rows}
+        else:
+            groups = defaultdict(list)
+            for row in rows:
+                groups[group_key(row)].append(row)
+        return [
+            ((key,) if self._bare_key else key) + tuple([
+                reduce_group(bucket if get is None else map(get, bucket))
+                for get, reduce_group in self._aggs
+            ])
+            for key, bucket in groups.items()
+        ]
+
+    def _raise_first_error(self, rows: list[tuple], ctx: ExecContext) -> None:
+        """Replay ``rows`` one at a time and raise the first error met.
+
+        The batch stages (computed columns, type check, per-group
+        reducers) do not fail in input order.  Here each row evaluates
+        its group keys, then each aggregate's argument and its running
+        check, leftmost aggregate first."""
+        extremes: dict[tuple, Any] = {}
+        for row in rows:
+            key = tuple([fn(row, ctx) for fn in self._group_fns])
+            for index, (name, fn) in enumerate(self._args):
+                value = fn(row, ctx)
+                if value is not None:
+                    extremes[key, index] = step(name, extremes.get((key, index)), value)
+
     def _describe(self) -> str:
-        return f"Aggregate(groups={len(self.group_exprs)}, aggs={len(self._agg_specs)})"
+        return f"Aggregate(groups={len(self.group_exprs)}, aggs={len(self._aggs)})"
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
@@ -608,14 +670,19 @@ class DistinctNode(PlanNode):
         self.columns = child.columns
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child.rows(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
+        return _distinct(self.child.rows(ctx))
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
+
+
+def _distinct(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """``rows`` without repeats, in first-seen order."""
+    seen: set[tuple] = set()
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
 class LimitNode(PlanNode):
@@ -625,12 +692,7 @@ class LimitNode(PlanNode):
         self.columns = child.columns
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        count = 0
-        for row in self.child.rows(ctx):
-            if count >= self.limit:
-                return
-            count += 1
-            yield row
+        return itertools.islice(self.child.rows(ctx), self.limit)
 
     def _describe(self) -> str:
         return f"Limit({self.limit})"
@@ -670,16 +732,8 @@ class UnionNode(PlanNode):
         self.columns = [(None, name) for _q, name in branches[0].columns]
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        if not self.dedup:
-            for branch in self.branches:
-                yield from branch.rows(ctx)
-            return
-        seen: set[tuple] = set()
-        for branch in self.branches:
-            for row in branch.rows(ctx):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
+        rows = itertools.chain.from_iterable(branch.rows(ctx) for branch in self.branches)
+        return _distinct(rows) if self.dedup else rows
 
     def _describe(self) -> str:
         return f"Union({'DISTINCT' if self.dedup else 'ALL'}, {len(self.branches)})"
@@ -695,12 +749,8 @@ class Planner:
     def plan_select(self, stmt: "A.SelectStmt | A.UnionStmt") -> PlannedSelect:
         accessed: list[tuple[str, str]] = []
         scanned: list[str] = []
-        if isinstance(stmt, A.UnionStmt):
-            root = self._plan_union(stmt, accessed, scanned)
-        else:
-            root = self._plan_query(stmt, accessed, scanned)
-        names = [name for _q, name in root.columns]
-        return PlannedSelect(root, names, accessed, scanned)
+        root = self._plan_select_or_union(stmt, accessed, scanned)
+        return PlannedSelect(root, [name for _q, name in root.columns], accessed, scanned)
 
     def _plan_select_or_union(
         self, stmt: "A.SelectStmt | A.UnionStmt", accessed: list, scanned: list
@@ -830,8 +880,6 @@ class Planner:
         per_alias: dict[str, list[Expression]] = {a: [] for a in aliases}
         residual: list[Expression] = []
         for conjunct in where_conjuncts:
-            refs = {q for q, _n in conjunct.references()}
-            refs.discard(None)
             owners = self._owning_aliases(conjunct, aliases, stmt)
             if len(owners) == 1:
                 per_alias[next(iter(owners))].append(conjunct)
@@ -924,30 +972,24 @@ class Planner:
                 accessed.append((table.name, "SELECT"))
                 scanned.append(table.name)
                 return TableScanNode(table, item.alias, pushdown, item.as_of)
-            if catalog.has_view(item.name):
-                view = catalog.get_view(item.name)
-                accessed.append((view.name, "SELECT"))
-                inner = self._plan_select_or_union(view.select, accessed, scanned)
-                if view.columns is None:
-                    view.columns = [name for _q, name in inner.columns]
-                node: PlanNode = AliasNode(inner, item.alias)
-                for conjunct in pushdown:
-                    node = FilterNode(node, conjunct)
-                return node
-            raise CatalogError(f"unknown relation {item.name!r}")
-        if isinstance(item, A.FromTableFunction):
+            if not catalog.has_view(item.name):
+                raise CatalogError(f"unknown relation {item.name!r}")
+            view = catalog.get_view(item.name)
+            accessed.append((view.name, "SELECT"))
+            inner = self._plan_select_or_union(view.select, accessed, scanned)
+            if view.columns is None:
+                view.columns = [name for _q, name in inner.columns]
+            node: PlanNode = AliasNode(inner, item.alias)
+        elif isinstance(item, A.FromTableFunction):
             func = self.database.catalog.get_function(item.func_name)
             node = TableFunctionNode(func, item.args, item.alias, item.columns)
-            for conjunct in pushdown:
-                node = FilterNode(node, conjunct)
-            return node
-        if isinstance(item, A.FromSubquery):
-            inner = self._plan_select_or_union(item.select, accessed, scanned)
-            node = AliasNode(inner, item.alias)
-            for conjunct in pushdown:
-                node = FilterNode(node, conjunct)
-            return node
-        raise SqlSyntaxError(f"unsupported FROM item {item!r}")
+        elif isinstance(item, A.FromSubquery):
+            node = AliasNode(self._plan_select_or_union(item.select, accessed, scanned), item.alias)
+        else:
+            raise SqlSyntaxError(f"unsupported FROM item {item!r}")
+        for conjunct in pushdown:
+            node = FilterNode(node, conjunct)
+        return node
 
     def _make_join(
         self,
@@ -972,16 +1014,10 @@ class Planner:
             else:
                 residual.append(predicate)
 
-        from .expressions import conjoin
-
+        kind = "LEFT" if kind == "LEFT" else "INNER"
         if left_keys:
-            return HashJoinNode(
-                left, right, left_keys, right_keys, "LEFT" if kind == "LEFT" else "INNER",
-                conjoin(residual),
-            )
-        return NestedLoopJoinNode(
-            left, right, "LEFT" if kind == "LEFT" else "INNER", conjoin(residual)
-        )
+            return HashJoinNode(left, right, left_keys, right_keys, kind, conjoin(residual))
+        return NestedLoopJoinNode(left, right, kind, conjoin(residual))
 
     def _equi_pair(
         self,

@@ -1,78 +1,59 @@
-"""Unit tests for aggregate accumulators and table schemas."""
+"""Unit tests for aggregate reducers and table schemas."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import Column, ForeignKey, INTEGER, TableSchema, VARCHAR
-from repro.relational.aggregates import make_accumulator
+from repro.relational.aggregates import reducer, step
 from repro.relational.errors import CatalogError, ConstraintViolationError, ExecutionError
 
 
 class TestAccumulators:
+    """The reducers AggregateNode calls once per group and aggregate."""
+
     def test_count_star_counts_rows(self):
-        acc = make_accumulator("COUNT", star=True)
-        for value in (1, None, "x"):
-            acc.add(value)
-        assert acc.result() == 3
+        assert reducer("COUNT", star=True)([1, None, "x"]) == 3
 
     def test_count_column_skips_null(self):
-        acc = make_accumulator("count")
-        for value in (1, None, 2):
-            acc.add(value)
-        assert acc.result() == 2
+        assert reducer("count")([1, None, 2]) == 2
 
     def test_sum_avg(self):
-        total = make_accumulator("SUM")
-        avg = make_accumulator("AVG")
-        for value in (1, None, 2, 3):
-            total.add(value)
-            avg.add(value)
-        assert total.result() == 6
-        assert avg.result() == 2.0
+        values = [1, None, 2, 3]
+        assert reducer("SUM")(values) == 6
+        assert reducer("AVG")(values) == 2.0
 
     def test_min_max(self):
-        low = make_accumulator("MIN")
-        high = make_accumulator("MAX")
-        for value in (5, None, 1, 9):
-            low.add(value)
-            high.add(value)
-        assert low.result() == 1
-        assert high.result() == 9
+        values = [5, None, 1, 9]
+        assert reducer("MIN")(values) == 1
+        assert reducer("MAX")(values) == 9
 
     def test_empty_results(self):
-        assert make_accumulator("COUNT").result() == 0
+        assert reducer("COUNT")([]) == 0
         for name in ("SUM", "AVG", "MIN", "MAX"):
-            assert make_accumulator(name).result() is None
+            assert reducer(name)([]) is None
 
     def test_sum_rejects_strings(self):
-        acc = make_accumulator("SUM")
         with pytest.raises(ExecutionError):
-            acc.add("text")
+            step("SUM", None, "text")
 
     def test_min_max_on_strings(self):
-        low = make_accumulator("MIN")
-        for value in ("banana", "apple"):
-            low.add(value)
-        assert low.result() == "apple"
+        assert reducer("MIN")(["banana", "apple"]) == "apple"
 
     def test_unknown_aggregate(self):
         with pytest.raises(ExecutionError):
-            make_accumulator("MEDIAN")
+            reducer("MEDIAN")
 
     @given(st.lists(st.one_of(st.none(), st.integers(-100, 100)), max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_property_matches_python(self, values):
         non_null = [v for v in values if v is not None]
-        acc = {name: make_accumulator(name) for name in ("SUM", "AVG", "MIN", "MAX", "COUNT")}
-        for value in values:
-            for a in acc.values():
-                a.add(value)
-        assert acc["COUNT"].result() == len(non_null)
-        assert acc["SUM"].result() == (sum(non_null) if non_null else None)
-        assert acc["MIN"].result() == (min(non_null) if non_null else None)
-        assert acc["MAX"].result() == (max(non_null) if non_null else None)
+        result = {name: reducer(name)(values) for name in ("SUM", "AVG", "MIN", "MAX", "COUNT")}
+        assert result["COUNT"] == len(non_null)
+        assert result["SUM"] == (sum(non_null) if non_null else None)
+        assert result["MIN"] == (min(non_null) if non_null else None)
+        assert result["MAX"] == (max(non_null) if non_null else None)
         if non_null:
-            assert acc["AVG"].result() == pytest.approx(sum(non_null) / len(non_null))
+            assert result["AVG"] == pytest.approx(sum(non_null) / len(non_null))
 
 
 class TestTableSchema:
