@@ -6,12 +6,7 @@ See :mod:`repro.cache.graph_cache` for the design and
 
 from .config import (
     ENABLED_ENV,
-    ROWS_ENV,
-    STATEMENTS_ENV,
-    STRIPES_ENV,
     CacheConfig,
-    config_from_env,
-    env_enabled,
     resolve_cache_config,
 )
 from .epochs import EpochRegistry
@@ -24,10 +19,5 @@ __all__ = [
     "GraphCache",
     "NEGATIVE",
     "ENABLED_ENV",
-    "STATEMENTS_ENV",
-    "ROWS_ENV",
-    "STRIPES_ENV",
-    "config_from_env",
-    "env_enabled",
     "resolve_cache_config",
 ]

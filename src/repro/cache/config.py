@@ -1,13 +1,12 @@
-"""Cache configuration and ``REPRO_CACHE_*`` environment knobs.
+"""Cache configuration and the ``REPRO_CACHE_ENABLED`` soak knob.
 
-Mirrors the batching knob's convention (``REPRO_BATCH_SIZE``): an
-explicit argument wins, then the environment, then a built-in default.
 ``Db2Graph.open(cache=...)`` accepts:
 
-* ``None``  — consult ``REPRO_CACHE_ENABLED`` (off unless truthy),
-* ``False`` — force off regardless of environment,
-* ``True``  — force on with env-derived capacities,
-* a :class:`CacheConfig` — force on with exactly these settings.
+* ``None``  — on when ``REPRO_CACHE_ENABLED`` is truthy (how the CI
+  cache leg soaks the whole suite), else off,
+* ``False`` — off regardless of environment,
+* ``True``  — on with the default capacities,
+* a :class:`CacheConfig` — on with exactly these settings.
 """
 
 from __future__ import annotations
@@ -15,12 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..common.env import env_int
-
 ENABLED_ENV = "REPRO_CACHE_ENABLED"
-STATEMENTS_ENV = "REPRO_CACHE_STATEMENTS"
-ROWS_ENV = "REPRO_CACHE_ROWS"
-STRIPES_ENV = "REPRO_CACHE_STRIPES"
 
 DEFAULT_STATEMENT_CAPACITY = 512
 DEFAULT_ROW_CAPACITY = 2048
@@ -48,26 +42,14 @@ class CacheConfig:
             raise ValueError("stripes must be positive")
 
 
-def env_enabled() -> bool:
-    return os.environ.get(ENABLED_ENV, "").strip().lower() in _TRUTHY
-
-
-def config_from_env() -> CacheConfig:
-    return CacheConfig(
-        statement_capacity=max(1, env_int(STATEMENTS_ENV, DEFAULT_STATEMENT_CAPACITY)),
-        row_capacity=max(1, env_int(ROWS_ENV, DEFAULT_ROW_CAPACITY)),
-        stripes=max(1, env_int(STRIPES_ENV, DEFAULT_STRIPES)),
-    )
-
-
 def resolve_cache_config(cache: "CacheConfig | bool | None") -> CacheConfig | None:
     """``None`` means "cache off" to the caller; see module docstring."""
     if cache is None:
-        return config_from_env() if env_enabled() else None
+        cache = os.environ.get(ENABLED_ENV, "").strip().lower() in _TRUTHY
     if cache is False:
         return None
     if cache is True:
-        return config_from_env()
+        return CacheConfig()
     if isinstance(cache, CacheConfig):
         return cache
     raise TypeError(f"cache must be None, bool, or CacheConfig, got {cache!r}")

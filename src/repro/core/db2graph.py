@@ -77,16 +77,13 @@ class Db2Graph:
         database: Database | Connection,
         overlay: OverlayConfig | dict | str | Path,
         *,
-        user: str = "admin",
         optimized: bool = True,
         runtime_opts: RuntimeOptimizations | None = None,
-        track_patterns: bool = True,
         auto_refresh: bool = False,
         budget: Any = None,
         retry_policy: Any = None,
         batch_size: int | None = None,
         cache: CacheConfig | bool | GraphCache | None = None,
-        durability: Any = None,
         replication: Any = None,
         registry: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
@@ -95,8 +92,8 @@ class Db2Graph:
         """Open a property graph over relational data.
 
         ``batch_size`` caps how many traversers coalesce into one
-        ``WHERE id IN (...)`` statement per table (default 256; env
-        default ``REPRO_BATCH_SIZE``; 1 = one statement per traverser).
+        ``WHERE id IN (...)`` statement per table (``None`` consults
+        ``REPRO_BATCH_SIZE``, else 256; 1 = one statement per traverser).
         Results are demultiplexed back to their originating traversers,
         so every ``batch_size`` returns identical results.
 
@@ -109,7 +106,9 @@ class Db2Graph:
         per-statement boundary.
 
         ``overlay`` accepts an :class:`OverlayConfig`, a raw dict, or a
-        path to a JSON overlay configuration file.
+        path to a JSON overlay configuration file.  A
+        :class:`~repro.relational.database.Database` is opened as the
+        admin user; pass a ``Connection`` to open as someone else.
 
         ``optimized=False`` disables the compile-time traversal
         strategies (§6.2) while keeping the runtime data-dependent
@@ -144,41 +143,24 @@ class Db2Graph:
         bulking) instead of one traverser at a time.  Result multisets
         are identical; result order is not guaranteed.
 
-        ``durability`` (a directory path or
-        :class:`~repro.durability.DurabilityConfig`) attaches WAL
-        logging to the underlying database if it has none yet; a
-        database that is already durable — from ``Database.open(...)``
-        or the ``REPRO_WAL_DIR`` environment knob consulted at
-        ``Database()`` construction — is left untouched.
+        Durability belongs to the database: ``Database.open(dir)``,
+        ``Database(durability=...)`` or ``db.attach_durability(...)``.
 
         ``replication`` attaches WAL-shipping hot standbys
-        (:mod:`repro.replication`): ``None`` consults
-        ``REPRO_REPL_REPLICAS`` (off by default, and silently off when
-        the database is not durable — the stream *is* the WAL), an
-        ``int`` is a replica count, a
+        (:mod:`repro.replication`) to a durable database (the stream
+        *is* the WAL): ``None`` is off, an ``int`` is a replica count, a
         :class:`~repro.replication.ReplicationConfig` sets ack mode and
         the staleness contract, and a prebuilt
         :class:`~repro.replication.ReplicationCluster` is shared as-is
         (a database that already has a cluster attached reuses it).
         The cluster lives on ``graph.replication``.
         """
+        batch_size = resolve_batch_size(batch_size)
         if isinstance(database, Connection):
             connection = database
         else:
-            connection = database.connect(user)
-        if durability not in (None, False) and connection.database.durability is None:
-            from ..durability.config import resolve_durability_config
-
-            connection.database.attach_durability(
-                resolve_durability_config(durability, connection.database.name)
-            )
-        if isinstance(overlay, (str, Path)):
-            config = OverlayConfig.from_file(overlay)
-        elif isinstance(overlay, dict):
-            config = OverlayConfig.from_dict(overlay)
-        else:
-            config = overlay
-        topology = Topology(connection.database, config)
+            connection = database.connect()
+        topology = Topology(connection.database, OverlayConfig.load(overlay))
         registry = registry if registry is not None else MetricsRegistry()
         recorder = recorder if recorder is not None else TraceRecorder()
         if isinstance(cache, GraphCache):
@@ -197,7 +179,6 @@ class Db2Graph:
             )
         dialect = SqlDialect(
             connection,
-            track_patterns=track_patterns,
             registry=registry,
             recorder=recorder,
             retry_policy=retry_policy,
@@ -212,7 +193,7 @@ class Db2Graph:
             topology,
             dialect,
             runtime_opts,
-            batch_size=resolve_batch_size(batch_size),
+            batch_size=batch_size,
             cache=graph_cache,
         )
         graph = cls(
@@ -226,13 +207,8 @@ class Db2Graph:
 
     @staticmethod
     def _resolve_replication(database: Database, replication: Any):
-        """Attach (or reuse) a replication cluster for ``database``.
-
-        Env-driven activation (``replication=None`` +
-        ``REPRO_REPL_REPLICAS``) is silently skipped on a non-durable
-        database so suite-wide soak runs don't break in-memory tests;
-        an *explicit* request against a non-durable database raises.
-        """
+        """Attach (or reuse) a replication cluster for ``database``;
+        a request against a non-durable database raises."""
         from ..replication import ReplicationCluster
         from ..replication.config import resolve_replication_config
 
@@ -245,13 +221,11 @@ class Db2Graph:
         if config is None:
             return None
         if database.durability is None:
-            if replication is None:
-                return None  # env knob + in-memory database: silently off
             from ..replication.errors import ReplicationError
 
             raise ReplicationError(
-                "replication requires a durable database (pass durability=... "
-                "or open the database with a WAL directory)"
+                "replication requires a durable database (open it with a "
+                "WAL directory or attach_durability() first)"
             )
         return ReplicationCluster(database, config)
 
@@ -261,7 +235,6 @@ class Db2Graph:
         database: Database | Connection,
         table_names: list[str] | None = None,
         *,
-        user: str = "admin",
         optimized: bool = True,
         runtime_opts: RuntimeOptimizations | None = None,
         auto_refresh: bool = True,
@@ -272,7 +245,7 @@ class Db2Graph:
         tables automatically (full §5.1 catalog integration)."""
         from .auto_overlay import generate_overlay
 
-        connection = database if isinstance(database, Connection) else database.connect(user)
+        connection = database if isinstance(database, Connection) else database.connect()
         config = generate_overlay(connection.database, table_names)
         graph = cls.open(
             connection,

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
-from ..common.env import env_int
 from ..graph.model import Direction, Edge, GraphProvider, Pushdown, Vertex
 from ..obs import metrics as M
 from ..obs import tracing
@@ -52,9 +52,19 @@ BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
 
 
 def resolve_batch_size(batch_size: int | None) -> int:
-    """Explicit argument, else ``REPRO_BATCH_SIZE``, else 256."""
+    """Explicit argument, else ``REPRO_BATCH_SIZE`` (blank = unset), else
+    256.  A malformed environment value raises rather than silently
+    soaking the default."""
     if batch_size is None:
-        batch_size = env_int(BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE)
+        raw = os.environ.get(BATCH_SIZE_ENV, "").strip()
+        if not raw:
+            return DEFAULT_BATCH_SIZE
+        try:
+            batch_size = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{BATCH_SIZE_ENV} must be an integer, got {raw!r}"
+            ) from None
     return max(1, int(batch_size))
 
 
@@ -111,7 +121,7 @@ class OverlayGraph(GraphProvider):
         registry: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
         *,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         cache: Any = None,
     ):
         self.topology = topology
@@ -126,12 +136,9 @@ class OverlayGraph(GraphProvider):
         self.registry = registry if registry is not None else dialect.registry
         self.trace = recorder if recorder is not None else dialect.trace
         # The traverser-coalescing unit: at most this many ids ride one
-        # IN (...) probe per table.  ``None`` falls back to the
-        # REPRO_BATCH_SIZE env default, then 256.
-        self.batch_size = resolve_batch_size(batch_size)
-        # The step layer reads this to size its traverser batches so the
-        # two batching levels agree (see graph/steps.py).
-        self.traverser_batch_size = self.batch_size
+        # IN (...) probe per table.  The step layer reads it too, to size
+        # its traverser batches so the two levels agree (graph/steps.py).
+        self.batch_size = batch_size
 
     def describe(self) -> str:
         return "Db2Graph(OverlayGraph)"

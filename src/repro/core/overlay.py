@@ -232,6 +232,16 @@ class OverlayConfig:
     def from_file(cls, path: str | Path) -> "OverlayConfig":
         return cls.from_json(Path(path).read_text())
 
+    @classmethod
+    def load(cls, overlay: "OverlayConfig | dict | str | Path") -> "OverlayConfig":
+        """An :class:`OverlayConfig` as-is, a raw dict, or a path to a
+        JSON overlay file."""
+        if isinstance(overlay, (str, Path)):
+            return cls.from_file(overlay)
+        if isinstance(overlay, dict):
+            return cls.from_dict(overlay)
+        return overlay
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "v_tables": [v.to_dict() for v in self.v_tables],

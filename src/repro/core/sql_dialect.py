@@ -164,7 +164,6 @@ class SqlDialect:
     def __init__(
         self,
         connection: Connection,
-        track_patterns: bool = True,
         pattern_threshold: int = 16,
         use_prepared: bool = True,
         registry: MetricsRegistry | None = None,
@@ -190,7 +189,7 @@ class SqlDialect:
         # id assigned at build time (itertools.count is atomic under the
         # GIL).
         self._statement_ids = itertools.count(1)
-        self.tracker = FrequentPatternTracker(pattern_threshold) if track_patterns else None
+        self.tracker = FrequentPatternTracker(pattern_threshold)
         self.log: list[str] | None = None  # set to [] to capture generated SQL
         # use_prepared=False re-parses/re-plans every statement — the
         # ablation of the paper's pre-compiled SQL templates (§6.1)
@@ -297,7 +296,7 @@ class SqlDialect:
         statement_id = next(self._statement_ids)
         if self.log is not None:
             self.log.append(sql)
-        if self.tracker is not None and aggregate is None:
+        if aggregate is None:
             self.tracker.record(table, predicates)
         if timing:
             self.registry.histogram(M.PHASE_TRANSLATE).observe(perf_counter() - started)
@@ -427,8 +426,6 @@ class SqlDialect:
 
     def suggest_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
         """Frequent patterns whose equality columns have no index yet."""
-        if self.tracker is None:
-            return []
         suggestions: list[tuple[str, tuple[str, ...]]] = []
         catalog = self.connection.database.catalog
         for table, columns, _count in self.tracker.frequent_patterns():

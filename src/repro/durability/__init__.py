@@ -20,7 +20,6 @@ from .codec import (
     iter_records_with_offsets,
 )
 from .config import (
-    CHECKPOINT_EVERY_ENV,
     WAL_DIR_ENV,
     WAL_FSYNC_ENV,
     DurabilityConfig,
@@ -32,7 +31,6 @@ from .recovery import RecoveryReport, recover_into
 from .sim import SimulatedCrash
 
 __all__ = [
-    "CHECKPOINT_EVERY_ENV",
     "HEADER_SIZE",
     "WAL_DIR_ENV",
     "WAL_FSYNC_ENV",

@@ -1,7 +1,6 @@
-"""Durability configuration and the ``REPRO_WAL_*`` environment knobs.
+"""Durability configuration and its two soak knobs.
 
-Mirrors the cache/batching convention: an explicit argument wins, then
-the environment, then off.  ``Database(durability=...)`` accepts:
+``Database(durability=...)`` accepts:
 
 * ``None``  — consult ``REPRO_WAL_DIR``; when set, the database logs
   into a fresh unique subdirectory of it (the CI soak leg uses this to
@@ -18,8 +17,6 @@ Knobs:
                            (appends still reach the OS page cache; an
                            in-process crash loses nothing, a power cut
                            could)
-``REPRO_CHECKPOINT_EVERY`` auto-checkpoint after N commits (0 = only
-                           explicit ``Database.checkpoint()`` calls)
 =========================  ==============================================
 """
 
@@ -31,21 +28,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..common.env import env_int
-
 WAL_DIR_ENV = "REPRO_WAL_DIR"
 WAL_FSYNC_ENV = "REPRO_WAL_FSYNC"
-CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
 
 _FALSY = {"0", "false", "no", "off"}
 
 
 def _default_fsync() -> bool:
     return os.environ.get(WAL_FSYNC_ENV, "").strip().lower() not in _FALSY
-
-
-def _default_checkpoint_every() -> int:
-    return max(0, env_int(CHECKPOINT_EVERY_ENV, 0))
 
 
 @dataclass
@@ -62,7 +52,7 @@ class DurabilityConfig:
 
     dir: str | Path
     fsync: bool | Callable[[int], None] = field(default_factory=_default_fsync)
-    checkpoint_every: int = field(default_factory=_default_checkpoint_every)
+    checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         self.dir = Path(self.dir)

@@ -73,9 +73,7 @@ class TraversalContext:
         # How many traversers one GSA step coalesces per provider call
         # (and so, per table, per SQL IN-list) — overlay providers expose
         # their configured batch_size; others keep the historical 256.
-        self.batch_size = max(
-            1, int(getattr(provider, "traverser_batch_size", _BATCH_SIZE) or _BATCH_SIZE)
-        )
+        self.batch_size = getattr(provider, "batch_size", _BATCH_SIZE)
         self._step_state: dict[int, dict] = {}
         # Set by profile(): a TraversalProfiler that meters every step
         # boundary — including sub-traversal chains, which all flow

@@ -70,8 +70,8 @@ class Database:
         self.epochs = EpochRegistry()
         self.txn_manager.commit_hooks.append(self._note_committed_writes)
         # Durability (WAL + checkpoints).  ``durability=None`` consults
-        # the REPRO_WAL_* environment (each database gets a unique
-        # subdirectory), ``False`` forces pure in-memory operation, a
+        # REPRO_WAL_DIR (each database gets a unique subdirectory of
+        # it), ``False`` forces pure in-memory operation, a
         # path/DurabilityConfig enables logging there.  Use
         # Database.open() to crash-recover an existing directory.
         self.durability = None

@@ -11,7 +11,7 @@ deposed primary can be rejected, never merged.
 
 Layout::
 
-    config.py     ReplicationConfig + REPRO_REPL_* env knobs
+    config.py     ReplicationConfig and its resolution
     errors.py     FencedWriteError, ReplicationAckTimeout, …
     transport.py  SimulatedTransport + NetworkFaultInjector
     replica.py    Replica (continuous redo apply, staleness contract)

@@ -45,7 +45,7 @@ from ..durability.config import DurabilityConfig
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..relational.database import Database
-from .config import ReplicationConfig
+from .config import ACK_ROUNDS, ReplicationConfig
 from .errors import FencedWriteError, ReplicationAckTimeout, ReplicationError
 from .replica import Replica, bootstrap_database
 from .transport import NetworkFaultInjector, SimulatedTransport
@@ -284,7 +284,7 @@ class ReplicationCluster:
                 self.pump(1)
                 return
             target = len(self.log)
-            for _ in range(self.config.ack_rounds):
+            for _ in range(ACK_ROUNDS):
                 if self._all_acked(target):
                     return
                 self.pump(1)
@@ -296,7 +296,7 @@ class ReplicationCluster:
             )
             raise ReplicationAckTimeout(
                 f"commit csn={csn} uncertain: replicas acked {acked}/{target} "
-                f"frames after {self.config.ack_rounds} pump rounds",
+                f"frames after {ACK_ROUNDS} pump rounds",
                 csn=csn,
                 acked=acked,
                 needed=target,

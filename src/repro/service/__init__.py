@@ -12,11 +12,7 @@ from .config import (
     DEFAULT_MAX_SESSIONS,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_WORKERS,
-    QUEUE_ENV,
-    SESSIONS_ENV,
     ServiceConfig,
-    resolve_max_sessions,
-    resolve_queue_depth,
 )
 from .errors import (
     AdmissionRejectedError,
@@ -46,16 +42,12 @@ __all__ = [
     "HistoryCheckResult",
     "HistoryOp",
     "HistoryRecorder",
-    "QUEUE_ENV",
     "Request",
     "RequestShedError",
-    "SESSIONS_ENV",
     "ServiceConfig",
     "ServiceDrainingError",
     "ServiceError",
     "SessionClosedError",
     "SessionLimitError",
     "check_history",
-    "resolve_max_sessions",
-    "resolve_queue_depth",
 ]

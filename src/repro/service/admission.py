@@ -36,6 +36,10 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_RECORDER, TraceRecorder
 from .errors import AdmissionRejectedError, ServiceDrainingError
 
+#: Backpressure hint before any request has completed (no service-time
+#: average exists yet).
+DEFAULT_RETRY_AFTER = 0.05
+
 
 @dataclass
 class Request:
@@ -60,13 +64,11 @@ class AdmissionQueue:
         workers: int,
         registry: MetricsRegistry | None = None,
         trace: TraceRecorder = NULL_RECORDER,
-        default_retry_after: float = 0.05,
     ):
         self.capacity = max(1, int(capacity))
         self.workers = max(1, int(workers))
         self.registry = registry
         self.trace = trace
-        self.default_retry_after = default_retry_after
         self._cond = threading.Condition()
         self._queues: dict[int, deque[Request]] = {}
         # Round-robin order over sessions with queued work; rotated one
@@ -105,7 +107,7 @@ class AdmissionQueue:
         ahead divided across the workers, at the average service time."""
         ema = self._ema_service_seconds
         if ema is None:
-            return self.default_retry_after
+            return DEFAULT_RETRY_AFTER
         return max(1e-4, (depth / self.workers) * ema)
 
     # -- producer ------------------------------------------------------------

@@ -72,6 +72,7 @@ from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
 from ..relational.database import Database
+from ..replication.config import CATCHUP_ROUNDS
 from ..replication.errors import ReplicationError
 from .admission import AdmissionQueue, Request
 from .config import ServiceConfig
@@ -99,15 +100,11 @@ class GraphService:
         replication: Any = None,
     ):
         self.database = database
-        if isinstance(overlay, (str, Path)):
-            overlay = OverlayConfig.from_file(overlay)
-        elif isinstance(overlay, dict):
-            overlay = OverlayConfig.from_dict(overlay)
-        self.overlay = overlay
+        self.overlay = OverlayConfig.load(overlay)
         self.config = config or ServiceConfig()
         self.optimized = optimized
         self.clock = self.config.clock
-        self.max_sessions = self.config.resolved_max_sessions()
+        self.max_sessions = self.config.max_sessions
 
         self.registry = MetricsRegistry()
         self.trace = TraceRecorder()
@@ -119,11 +116,10 @@ class GraphService:
             max_workers=self.config.workers, thread_name_prefix="repro-service"
         )
         self.queue = AdmissionQueue(
-            self.config.resolved_queue_depth(),
+            self.config.queue_depth,
             self.config.workers,
             registry=self.registry,
             trace=self.trace,
-            default_retry_after=self.config.default_retry_after,
         )
         # Shared read cache: one GraphCache for all sessions, so a DML
         # commit in any session invalidates every session's cached
@@ -141,7 +137,7 @@ class GraphService:
         # Replication: attach (or reuse) a cluster on the shared
         # database.  Same resolution as Db2Graph.open(replication=...):
         # pass-through cluster > already-attached cluster > explicit
-        # config/count > REPRO_REPL_* env knobs > off.
+        # config/count > off.
         self.replication = Db2Graph._resolve_replication(database, replication)
         self._replica_rr = itertools.count()  # round-robin standby pick
 
@@ -427,7 +423,7 @@ class GraphService:
         The bound replica serves when it has applied the request's
         ``min_csn`` read-your-writes token and its lag against the
         primary's last logged CSN is within ``max_staleness_csn``; the
-        replica gets a short catch-up window (``catchup_rounds`` pump
+        replica gets a short catch-up window (``CATCHUP_ROUNDS`` pump
         rounds) to qualify first.  Anything else — no live replica, the
         replica was promoted away, the contract cannot be met — falls
         through to the primary-bound handle (counted 1:1 as
@@ -443,7 +439,7 @@ class GraphService:
         if replica is not None and replica.alive:
             config = cluster.config
             durability = cluster.database.durability
-            for attempt in range(config.catchup_rounds + 1):
+            for attempt in range(CATCHUP_ROUNDS + 1):
                 primary_csn = (
                     durability.last_logged_csn if durability is not None else 0
                 )
@@ -452,7 +448,7 @@ class GraphService:
                 ):
                     session.replica_reads += 1
                     return session.replica_graph
-                if attempt < config.catchup_rounds:
+                if attempt < CATCHUP_ROUNDS:
                     cluster.pump(1)
         session.fallthrough_reads += 1
         self.registry.counter(M.REPL_READ_FALLTHROUGH).increment()
@@ -579,15 +575,15 @@ class GraphService:
 
     def _heartbeat_loop(self) -> None:
         """Health monitor: each beat checks the primary's durability
-        state; on death (with ``auto_promote`` and a live standby) it
-        triggers :meth:`promote`."""
+        state; on death (with a live standby) it triggers
+        :meth:`promote`."""
         cluster = self.replication
         interval = cluster.config.heartbeat_interval
         while not self._stop_heartbeat.wait(interval):
             self.heartbeats += 1
             if not cluster.primary_dead:
                 continue
-            if not cluster.config.auto_promote or not cluster.live_replicas():
+            if not cluster.live_replicas():
                 continue
             try:
                 self.promote()

@@ -1,19 +1,10 @@
-"""Unit tests for cache configuration and the ``REPRO_CACHE_*`` knobs."""
+"""Unit tests for cache configuration and the ``REPRO_CACHE_ENABLED`` knob."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import (
-    CacheConfig,
-    ENABLED_ENV,
-    ROWS_ENV,
-    STATEMENTS_ENV,
-    STRIPES_ENV,
-    config_from_env,
-    env_enabled,
-    resolve_cache_config,
-)
+from repro.cache import CacheConfig, ENABLED_ENV, resolve_cache_config
 
 
 def test_defaults():
@@ -48,25 +39,19 @@ def test_resolve_none_follows_environment(monkeypatch):
     assert resolve_cache_config(None) is None
     for truthy in ("1", "true", "YES", " on "):
         monkeypatch.setenv(ENABLED_ENV, truthy)
-        assert env_enabled()
-        assert resolve_cache_config(None) == config_from_env()
+        assert resolve_cache_config(None) == CacheConfig()
     for falsy in ("", "0", "false", "off", "nope"):
         monkeypatch.setenv(ENABLED_ENV, falsy)
-        assert not env_enabled()
         assert resolve_cache_config(None) is None
 
 
-def test_resolve_true_uses_env_capacities(monkeypatch):
+def test_resolve_true_uses_default_capacities(monkeypatch):
     monkeypatch.delenv(ENABLED_ENV, raising=False)
-    monkeypatch.setenv(STATEMENTS_ENV, "7")
-    monkeypatch.setenv(ROWS_ENV, "9")
-    monkeypatch.setenv(STRIPES_ENV, "2")
-    config = resolve_cache_config(True)
-    assert config == CacheConfig(statement_capacity=7, row_capacity=9, stripes=2)
+    assert resolve_cache_config(True) == CacheConfig()
 
 
 def test_resolve_explicit_config_wins(monkeypatch):
-    monkeypatch.setenv(STATEMENTS_ENV, "7")
+    monkeypatch.setenv(ENABLED_ENV, "0")
     explicit = CacheConfig(statement_capacity=3, row_capacity=5, stripes=1)
     assert resolve_cache_config(explicit) is explicit
 
@@ -74,13 +59,3 @@ def test_resolve_explicit_config_wins(monkeypatch):
 def test_resolve_rejects_other_types():
     with pytest.raises(TypeError):
         resolve_cache_config(42)
-
-
-def test_malformed_env_values_fall_back(monkeypatch):
-    monkeypatch.setenv(STATEMENTS_ENV, "not-a-number")
-    monkeypatch.setenv(ROWS_ENV, "-5")
-    monkeypatch.setenv(STRIPES_ENV, "")
-    config = config_from_env()
-    assert config.statement_capacity == 512  # unparsable -> default
-    assert config.row_capacity == 1  # negative -> clamped to 1
-    assert config.stripes == 8

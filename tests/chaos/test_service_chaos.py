@@ -63,7 +63,11 @@ QUERY = "g.V().hasLabel('patient').out('hasDisease').values('conceptName')"
 
 def test_faulty_session_never_poisons_its_neighbors():
     db = paper_database()
-    service = GraphService(db, HEALTHCARE_TINY_OVERLAY, ServiceConfig(workers=2))
+    # cache=False: faults are injected at statement execution, and a
+    # read-cache hit (REPRO_CACHE_ENABLED=1 CI leg) never reaches it.
+    service = GraphService(
+        db, HEALTHCARE_TINY_OVERLAY, ServiceConfig(workers=2), cache=False
+    )
     try:
         clean = service.open_session()
         baseline = sorted(clean.execute(QUERY))
@@ -93,7 +97,10 @@ def test_faulty_session_never_poisons_its_neighbors():
 
 def test_per_session_retries_mask_faults_under_concurrency():
     db = paper_database()
-    service = GraphService(db, HEALTHCARE_TINY_OVERLAY, ServiceConfig(workers=4))
+    # cache=False for the same reason as above: faults must be reachable.
+    service = GraphService(
+        db, HEALTHCARE_TINY_OVERLAY, ServiceConfig(workers=4), cache=False
+    )
     try:
         baseline_session = service.open_session()
         baseline = sorted(baseline_session.execute(QUERY))

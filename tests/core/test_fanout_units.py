@@ -5,6 +5,8 @@ the id-chunking that turns a traverser batch into ``IN (...)`` probes.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.graph_structure import (
     BATCH_SIZE_ENV,
     DEFAULT_BATCH_SIZE,
@@ -16,9 +18,20 @@ from repro.core.graph_structure import (
 def test_resolve_batch_size(monkeypatch):
     monkeypatch.delenv(BATCH_SIZE_ENV, raising=False)
     assert resolve_batch_size(None) == DEFAULT_BATCH_SIZE
-    monkeypatch.setenv(BATCH_SIZE_ENV, "32")
-    assert resolve_batch_size(None) == 32
+    for blank in ("", "   "):  # blank means unset
+        monkeypatch.setenv(BATCH_SIZE_ENV, blank)
+        assert resolve_batch_size(None) == DEFAULT_BATCH_SIZE
+    for raw, value in (("32", 32), (" 12 ", 12), ("0", 1), ("-4", 1)):
+        monkeypatch.setenv(BATCH_SIZE_ENV, raw)
+        assert resolve_batch_size(None) == value
+    # an explicit argument wins over the environment
     assert resolve_batch_size(1) == 1
+    # a malformed value fails loudly, naming the variable and the value
+    for junk in ("8x", "1.5", "junk"):
+        monkeypatch.setenv(BATCH_SIZE_ENV, junk)
+        with pytest.raises(ValueError, match=f"{BATCH_SIZE_ENV}.*{junk!r}"):
+            resolve_batch_size(None)
+    assert resolve_batch_size(64) == 64
 
 
 def test_chunked():

@@ -16,7 +16,6 @@ import pytest
 
 from repro.common.clock import ManualClock
 from repro.durability import (
-    CHECKPOINT_EVERY_ENV,
     WAL_DIR_ENV,
     WAL_FSYNC_ENV,
     DurabilityConfig,
@@ -363,12 +362,6 @@ class TestEnvKnobs:
         monkeypatch.delenv(WAL_FSYNC_ENV)
         assert DurabilityConfig(dir="x").fsync is True
 
-    def test_checkpoint_every_env(self, monkeypatch):
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV, "7")
-        assert DurabilityConfig(dir="x").checkpoint_every == 7
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV, "junk")
-        assert DurabilityConfig(dir="x").checkpoint_every == 0
-
     def test_durability_true_is_rejected(self):
         with pytest.raises(TypeError):
             resolve_durability_config(True)
@@ -402,7 +395,8 @@ class TestGraphLayerIntegration:
         _people(db)
         db.execute("CREATE TABLE knows (src INT, dst INT)")
         db.execute("INSERT INTO knows VALUES (1, 2)")
-        graph = Db2Graph.open(db, self.OVERLAY, durability=str(tmp_path / "g"))
+        db.attach_durability(DurabilityConfig(dir=tmp_path / "g"))
+        graph = Db2Graph.open(db, self.OVERLAY)
         assert db.durability is not None
         graph.traversal().addV("person").property("id", 7).property(
             "name", "new"

@@ -1,8 +1,8 @@
 """Core WAL-shipping behavior: continuous redo apply, sync-ack loss
 guarantees, the async loss window, DDL/rollback replication, divergence
 detection (CRC chains + state digests), late-joining bootstrap, the
-staleness contract, and the ``Db2Graph.open(replication=...)`` /
-``REPRO_REPL_*`` entry points.
+staleness contract, and the ``Db2Graph.open(replication=...)`` entry
+point.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.durability.config import DurabilityConfig
 from repro.relational import ConstraintViolationError, Database
 from repro.replication import (
     ACK_ASYNC,
+    ACK_SYNC,
     DivergenceError,
     ReplicationCluster,
     ReplicationConfig,
@@ -23,7 +24,6 @@ from repro.replication import (
     resolve_replication_config,
     state_digest,
 )
-from repro.replication.config import ACK_ENV, MAX_STALENESS_ENV, REPLICAS_ENV
 
 from .index_check import assert_indexes_match_chains, live_index_contents
 
@@ -303,28 +303,25 @@ def test_db2graph_open_reuses_attached_cluster(tmp_path):
     assert graph2.replication is cluster
 
 
-def test_replication_env_knobs(tmp_path, monkeypatch):
-    monkeypatch.setenv(REPLICAS_ENV, "2")
-    monkeypatch.setenv(ACK_ENV, "async")
-    monkeypatch.setenv(MAX_STALENESS_ENV, "7")
-    config = resolve_replication_config(None)
-    assert config.replicas == 2
-    assert config.ack == ACK_ASYNC
-    assert config.max_staleness_csn == 7
+def test_replication_none_is_off(tmp_path):
+    assert resolve_replication_config(None) is None
+    assert resolve_replication_config(False) is None
+    assert resolve_replication_config(0) is None
+    config = resolve_replication_config(2)
+    assert (config.replicas, config.ack) == (2, ACK_SYNC)
+    with pytest.raises(TypeError):
+        resolve_replication_config(True)
 
     db = seeded(durable_db(tmp_path))
-    graph = Db2Graph.open(db, OVERLAY)
-    assert graph.replication is not None
-    assert len(graph.replication.replicas) == 2
+    assert Db2Graph.open(db, OVERLAY).replication is None
+    assert Db2Graph.open(db, OVERLAY, replication=None).replication is None
+    assert db.durability.replication is None
 
 
-def test_env_replication_is_silently_off_for_nondurable(monkeypatch):
-    monkeypatch.setenv(REPLICAS_ENV, "2")
+def test_explicit_replication_requires_durable_database():
     db = Database(durability=False)
     db.execute("CREATE TABLE person (id INT PRIMARY KEY, name VARCHAR)")
     db.execute("CREATE TABLE knows (src INT, dst INT)")
-    graph = Db2Graph.open(db, OVERLAY)  # suite-wide soak safety
-    assert graph.replication is None
-    # ...but an explicit request against a non-durable database raises.
+    assert Db2Graph.open(db, OVERLAY).replication is None
     with pytest.raises(ReplicationError):
         Db2Graph.open(db, OVERLAY, replication=1)

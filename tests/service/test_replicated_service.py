@@ -257,7 +257,7 @@ def test_service_stats_and_health_shapes_are_pinned(tmp_path):
 
 
 def test_unreplicated_service_shapes_use_none(tmp_path):
-    db = Database()
+    db = Database(durability=False)  # the shape under test is non-durable
     db.execute("CREATE TABLE item (id INT PRIMARY KEY, name VARCHAR)")
     db.execute("CREATE TABLE link (src INT, dst INT)")
     service = GraphService(db, OVERLAY, ServiceConfig(workers=2))

@@ -1,7 +1,7 @@
 """Tentpole tests for the multi-session graph service layer: admission
 control and backpressure, deadline shedding, fair dispatch, graceful
-drain/shutdown, session lifecycle (limits, close-time rollback), env
-knobs, observability reconciliation, and shared-cache / durability /
+drain/shutdown, session lifecycle (limits, close-time rollback),
+config validation, observability reconciliation, and shared-cache / durability /
 resilience compatibility under multiplexing.
 """
 
@@ -29,8 +29,6 @@ from repro.service import (
     ServiceError,
     SessionClosedError,
     SessionLimitError,
-    resolve_max_sessions,
-    resolve_queue_depth,
 )
 from tests.conftest import HEALTHCARE_TINY_OVERLAY
 
@@ -408,18 +406,14 @@ def test_session_limit_enforced_and_freed_on_close():
         svc.shutdown(timeout=10)
 
 
-# -- env knobs ----------------------------------------------------------------
+# -- config -------------------------------------------------------------------
 
 
-def test_env_knobs_resolve(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_SESSIONS", "5")
-    monkeypatch.setenv("REPRO_SERVICE_QUEUE", "11")
-    assert resolve_max_sessions(None) == 5
-    assert resolve_queue_depth(None) == 11
-    # explicit arguments win over the environment
-    assert resolve_max_sessions(3) == 3
-    assert resolve_queue_depth(7) == 7
-    svc = GraphService(make_db(), OVERLAY, ServiceConfig(workers=1))
+def test_config_defaults():
+    config = ServiceConfig()
+    assert (config.max_sessions, config.queue_depth, config.workers) == (64, 256, 4)
+    config = ServiceConfig(max_sessions=5, queue_depth=11, workers=1)
+    svc = GraphService(make_db(), OVERLAY, config)
     try:
         assert svc.max_sessions == 5
         assert svc.queue.capacity == 11
@@ -427,15 +421,11 @@ def test_env_knobs_resolve(monkeypatch):
         svc.shutdown(timeout=10)
 
 
-def test_env_knob_defaults_and_garbage(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVICE_SESSIONS", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    assert resolve_max_sessions(None) == 64
-    assert resolve_queue_depth(None) == 256
-    monkeypatch.setenv("REPRO_SERVICE_SESSIONS", "not-a-number")
-    assert resolve_max_sessions(None) == 64
-    monkeypatch.setenv("REPRO_SERVICE_QUEUE", "0")
-    assert resolve_queue_depth(None) == 1  # clamped to >= 1
+@pytest.mark.parametrize("field", ["max_sessions", "queue_depth", "workers"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_non_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: value})
 
 
 # -- observability ------------------------------------------------------------
@@ -560,7 +550,9 @@ def test_service_over_durable_database_recovers(tmp_path):
 
 
 def test_per_session_retry_policy_survives_multiplexing():
-    svc = GraphService(make_db(), OVERLAY, ServiceConfig(workers=2))
+    # cache=False: faults are injected at statement execution, and a
+    # read-cache hit (REPRO_CACHE_ENABLED=1 CI leg) never reaches it.
+    svc = GraphService(make_db(), OVERLAY, ServiceConfig(workers=2), cache=False)
     try:
         fragile = svc.open_session()  # no retry policy: fault surfaces
         sturdy_policy = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
