@@ -53,11 +53,12 @@ _T_DICT = b"M"
 def encode_value(value: Any) -> bytes:
     """Encode one value into the tagged binary form."""
     out: list[bytes] = []
-    _encode(value, out)
+    encode_into(value, out)
     return b"".join(out)
 
 
-def _encode(value: Any, out: list[bytes]) -> None:
+def encode_into(value: Any, out: list[bytes]) -> None:
+    """Encode one value, appending its byte pieces to ``out``."""
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -77,12 +78,12 @@ def _encode(value: Any, out: list[bytes]) -> None:
     elif isinstance(value, (list, tuple)):
         out.append((_T_LIST if isinstance(value, list) else _T_TUPLE) + _LEN.pack(len(value)))
         for item in value:
-            _encode(item, out)
+            encode_into(item, out)
     elif isinstance(value, dict):
         out.append(_T_DICT + _LEN.pack(len(value)))
         for key, item in value.items():
-            _encode(key, out)
-            _encode(item, out)
+            encode_into(key, out)
+            encode_into(item, out)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
@@ -157,6 +158,28 @@ def _read_length(data: bytes, pos: int) -> tuple[int, int]:
 def encode_record(record: dict[str, Any]) -> bytes:
     """One framed record: header + encoded dict payload."""
     payload = encode_value(record)
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_record_with_list(
+    head: dict[str, Any], key: str, count: int, items: list[bytes]
+) -> bytes:
+    """The frame :func:`encode_record` writes for ``{**head, key: list}``,
+    where the ``count`` items of the list arrive already encoded and
+    concatenated in ``items``.
+
+    A dict encodes as its entries in order and a list as its header
+    followed by its items' encodings, so the bytes are identical to
+    encoding the materialized record; ``key`` must not be in ``head``.
+    """
+    out = [_T_DICT + _LEN.pack(len(head) + 1)]
+    for name, value in head.items():
+        encode_into(name, out)
+        encode_into(value, out)
+    encode_into(key, out)
+    out.append(_T_LIST + _LEN.pack(count))
+    out.extend(items)
+    payload = b"".join(out)
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 

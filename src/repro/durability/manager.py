@@ -17,9 +17,17 @@ Ordering guarantees (the heart of the subsystem):
   flushes the group *before* stamping the row versions with their CSN,
   all under the durability lock.  A reader can therefore never observe
   a committed row that a crash could still lose.
+* **CSN order** — the transaction manager calls ``commit_transaction``
+  under its commit lock, which also covers CSN allocation, so groups
+  reach the log in CSN order and ``last_logged_csn`` only grows.
 * **Checkpoint consistency** — ``checkpoint()`` takes the same lock, so
   it always sees a state where every stamped version is also logged;
   the checkpoint CSN is simply the last logged CSN.
+* **Checkpoints cost what changed** — encoded version chains are cached
+  per page of 8 rowids (:func:`~repro.durability.checkpoint.capture_checkpoint`).
+  A commit drops the pages its WAL group wrote; DDL and ``start()``
+  drop every page.  The checkpoint file is byte-identical to a cold
+  encode of the same state.
 * **Rollbacks are lazy** — a rolled-back transaction's group (ops +
   ``rollback``) is appended to the buffer but not flushed; it rides
   along with the next flush purely for forensics.  Recovery ignores it.
@@ -43,7 +51,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from .checkpoint import capture_checkpoint
+from .checkpoint import PAGE_SHIFT, PageCache, capture_checkpoint
 from .codec import encode_record
 from .config import DurabilityConfig, checkpoint_filename, parse_segment, wal_filename
 from .errors import DurabilityError
@@ -70,6 +78,9 @@ class DurabilityManager:
         # Encoded frames appended but not yet written to the segment.
         self._pending: list[bytes] = []
         self.last_logged_csn = database.txn_manager.current_csn()
+        # Encoded checkpoint pages, reused by the next capture unless a
+        # commit or DDL drops them (guarded by self._lock).
+        self._pages: PageCache = {}
         self.commits_since_checkpoint = 0
         self.dead = False
         # Lifetime stats (tests and benchmarks read these directly).
@@ -100,6 +111,7 @@ class DurabilityManager:
         and prune every older generation."""
         with self._lock:
             self.segment = segment
+            self._pages.clear()
             self._write_checkpoint_locked(segment)
 
     def close(self) -> None:
@@ -150,7 +162,12 @@ class DurabilityManager:
                     ]
                 )
                 self._flush_locked()
+                assert csn > self.last_logged_csn, "commits must reach the WAL in CSN order"
                 self.last_logged_csn = csn
+                for op in ops:
+                    cached = self._pages.get(op["tb"])
+                    if cached is not None:
+                        cached[1].pop(op["r"] >> PAGE_SHIFT, None)
             stamp()
             if ops:
                 self.commits_since_checkpoint += 1
@@ -186,6 +203,7 @@ class DurabilityManager:
                 self.replication.ensure_primary()
             self._append_records([{"k": "ddl", **record}])
             self._flush_locked()
+            self._pages.clear()  # ADD COLUMN widens every version
         if self.replication is not None:
             # DDL has no commit record to piggyback the ack wait on;
             # sync-ack replication waits here instead (outside the
@@ -267,8 +285,14 @@ class DurabilityManager:
             self.commits_since_checkpoint = 0
             return target
 
+    def capture(self) -> list[bytes]:
+        """The frames of a checkpoint at the last logged CSN, reusing
+        every cached page no commit has written since."""
+        with self._lock:
+            return capture_checkpoint(self.database, self.last_logged_csn, self._pages)
+
     def _write_checkpoint_locked(self, target: int) -> None:
-        frames = capture_checkpoint(self.database, self.last_logged_csn)
+        frames = self.capture()
         data = b"".join(frames)
         final = self.dir / checkpoint_filename(target)
         tmp = self.dir / (checkpoint_filename(target) + ".tmp")

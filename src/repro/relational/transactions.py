@@ -435,7 +435,13 @@ class TransactionManager:
 
     def __init__(self, clock: Clock | None = None):
         self.clock = clock or SystemClock()
+        # Guards the counters and the AS OF history; readers take only
+        # this one.
         self._lock = threading.Lock()
+        # Serializes commits from CSN allocation to publishing ``_csn``,
+        # so versions are logged, stamped and become visible in CSN
+        # order.  The durability lock nests inside it.
+        self._commit_lock = threading.Lock()
         self._next_txn_id = 1
         self._csn = 0
         # Parallel arrays: commit wallclock times and the CSN committed
@@ -475,34 +481,39 @@ class TransactionManager:
             # Fencing: a deposed primary must reject the write before
             # any local effect (no CSN allocated, nothing logged).
             self.replication.ensure_primary()
-        now = self.clock.now()
-        with self._lock:
-            self._csn += 1
-            csn = self._csn
-            if txn.created or txn.ended:
-                # Only ops-bearing commits enter the AS OF history: a
-                # no-op commit (e.g. a DELETE matching zero rows) stamps
-                # no versions and writes no WAL group, so recording it
-                # would make the in-memory history strictly richer than
-                # anything recovery or a replica can rebuild — and it
-                # cannot change what any AS OF snapshot sees.
-                self._commit_times.append(now)
-                self._commit_csns.append(csn)
+        # Only ops-bearing commits enter the AS OF history: a no-op
+        # commit (e.g. a DELETE matching zero rows) stamps no versions
+        # and writes no WAL group, so recording it would make the
+        # in-memory history strictly richer than anything recovery or a
+        # replica can rebuild — and it cannot change what any AS OF
+        # snapshot sees.
+        writes = bool(txn.created or txn.ended)
+        with self._commit_lock:
+            # Under the commit lock: every lower CSN is stamped and
+            # published before this one is allocated, and commit times
+            # stay sorted for csn_as_of.
+            now = self.clock.now()
+            csn = self._csn + 1
 
-        def stamp() -> None:
-            for _storage, _rowid, version in txn.created:
-                version.commit_begin(csn, now)
-            for version in txn.ended:
-                version.commit_end(csn, now)
+            def stamp() -> None:
+                for _storage, _rowid, version in txn.created:
+                    version.commit_begin(csn, now)
+                for version in txn.ended:
+                    version.commit_end(csn, now)
+                with self._lock:
+                    if writes:
+                        self._commit_times.append(now)
+                        self._commit_csns.append(csn)
+                    self._csn = csn
 
-        if self.durability is None:
-            stamp()
-        else:
-            # Flush-before-commit: the WAL group reaches disk before any
-            # version is stamped visible (and before the epoch-bump
-            # hooks below).  A crash inside leaves the transaction
-            # either fully durable or fully absent.
-            self.durability.commit_transaction(txn, csn, now, stamp)
+            if self.durability is None:
+                stamp()
+            else:
+                # Flush-before-commit: the WAL group reaches disk before
+                # any version is stamped visible (and before the
+                # epoch-bump hooks below).  A crash inside leaves the
+                # transaction either fully durable or fully absent.
+                self.durability.commit_transaction(txn, csn, now, stamp)
         txn.status = Transaction.COMMITTED
         # Epoch bumps must land after the versions above are stamped
         # (committed data visible before its epoch moves — the cache's
@@ -556,8 +567,9 @@ class TransactionManager:
         commit (replica apply path — the commit keeps the *primary's*
         CSN and wallclock stamps, so temporal queries agree across
         nodes).  Also tracks the highest replayed transaction id so a
-        promoted replica allocates fresh ids."""
-        with self._lock:
+        promoted replica allocates fresh ids.  Takes the commit lock, so
+        a local commit on the standby cannot publish over it."""
+        with self._commit_lock, self._lock:
             if csn > self._csn:
                 self._csn = csn
                 self._commit_times.append(now)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Any
 
-from ..durability.checkpoint import CheckpointState, capture_checkpoint, load_checkpoint
+from ..durability.checkpoint import CheckpointState, load_checkpoint
 from ..durability.codec import decode_record
 from ..durability.errors import TornLogError
 from ..durability.recovery import _apply_ddl, _apply_group, _restore_checkpoint
@@ -56,10 +56,12 @@ def bootstrap_database(primary: Database, name: str) -> tuple[Database, Checkpoi
     durable state, via the checkpoint (de)serialization round trip.
 
     The caller must hold the primary's durability lock so the captured
-    state and the WAL position it corresponds to cannot move apart.
+    state and the WAL position it corresponds to cannot move apart.  The
+    capture goes through the primary's durability manager and so reuses
+    its checkpoint page cache.
     """
     assert primary.durability is not None, "replication requires a durable primary"
-    frames = capture_checkpoint(primary, primary.durability.last_logged_csn)
+    frames = primary.durability.capture()
     state = load_checkpoint(b"".join(frames))
     database = Database(
         name=name,
