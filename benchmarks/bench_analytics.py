@@ -1,21 +1,21 @@
-"""Bulk analytics vs per-traverser ``repeat()`` (DESIGN.md §14).
+"""Level-batched ``repeat()`` and the bulk analytics profile
+(DESIGN.md §14).
 
 A 10k-vertex graph: a dense 250-vertex community (out-degree 10,
 closed under ``out()``) beside a shallow 10-ary tree holding the other
-9750 vertices.  From a community seed,
-``repeat(out()).times(4)`` spawns ~10^4 per-traverser probes whose
-unique frontier never exceeds the community size — exactly the shape
-where GTM bulking pays: the bulk evaluator dedups the frontier before
-SQL, so each level costs O(edge tables) batched statements instead of
-O(traversers / batch_size).
+9750 vertices.  From a community seed, ``repeat(out()).times(5)``
+walks 10^5 paths whose distinct frontier never exceeds the community
+size.  ``out()`` batches by distinct vertex, so each level costs one
+batched statement per edge table, not one per ``batch_size``
+traversers.
 
-Recorded per mode: wall-clock and exact SQL statements issued (from
+Recorded: wall-clock and exact SQL statements issued (from
 ``stats()``, deterministic; cache off, so every probe reaches SQL).
-Acceptance bar: bulk issues >=5x fewer statements than per-traverser
-and returns the identical result multiset.  A second table profiles
-the four analytics algorithms on the same graph — statements, steps,
-frontier sizes, convergence (batch_size=1024: whole-graph frontiers
-earn bigger IN-lists).
+Acceptance bar: the chain issues at most ``HOPS + 1`` statements and
+its result multiset equals a pure-Python expansion of the generated
+edge list.  A second table profiles the four analytics algorithms on
+the same graph — statements, steps, frontier sizes, convergence
+(batch_size=1024: whole-graph frontiers earn bigger IN-lists).
 """
 
 from __future__ import annotations
@@ -52,8 +52,22 @@ OVERLAY = {
 _RESULTS: dict[str, dict[str, float]] = {}
 
 
-def build_database() -> Database:
+def generate_edges() -> list[tuple[int, int, float]]:
     rng = random.Random(42)
+    edges: list[tuple[int, int, float]] = []
+    for src in range(1, COMMUNITY + 1):
+        for dst in rng.sample(range(1, COMMUNITY + 1), OUT_DEGREE):
+            edges.append((src, dst, float(rng.randint(1, 9))))
+    # the bulk of the graph: a shallow 10-ary tree rooted just past the
+    # community (small diameter keeps whole-graph algorithms
+    # level-bounded; disjoint from the community so the repeat()
+    # benchmark's frontier stays community-sized)
+    for dst in range(COMMUNITY + 2, N_VERTICES + 1):
+        edges.append((max(COMMUNITY + 1, dst // 10), dst, 1.0))
+    return edges
+
+
+def build_database(edges: list[tuple[int, int, float]]) -> Database:
     db = Database(enforce_foreign_keys=False)
     db.execute("CREATE TABLE node (id INT PRIMARY KEY)")
     db.execute("CREATE TABLE link (src INT, dst INT, w DOUBLE)")
@@ -62,32 +76,37 @@ def build_database() -> Database:
             f"({i})" for i in range(start, min(start + 500, N_VERTICES + 1))
         )
         db.execute(f"INSERT INTO node VALUES {values}")
-    edges: list[str] = []
-    for src in range(1, COMMUNITY + 1):
-        for dst in rng.sample(range(1, COMMUNITY + 1), OUT_DEGREE):
-            edges.append(f"({src}, {dst}, {rng.randint(1, 9)}.0)")
-    # the bulk of the graph: a shallow 10-ary tree rooted just past the
-    # community (small diameter keeps whole-graph algorithms
-    # level-bounded; disjoint from the community so the repeat()
-    # benchmark's frontier stays community-sized)
-    for dst in range(COMMUNITY + 2, N_VERTICES + 1):
-        edges.append(f"({max(COMMUNITY + 1, dst // 10)}, {dst}, 1.0)")
-    for start in range(0, len(edges), 500):
-        db.execute(
-            "INSERT INTO link VALUES " + ", ".join(edges[start:start + 500])
-        )
+    rows = [f"({src}, {dst}, {w})" for src, dst, w in edges]
+    for start in range(0, len(rows), 500):
+        db.execute("INSERT INTO link VALUES " + ", ".join(rows[start:start + 500]))
     return db
+
+
+def reference_repeat(edges: list[tuple[int, int, float]]) -> Counter:
+    """``V(1).repeat(out()).times(HOPS)`` expanded in pure Python."""
+    out: dict[int, list[int]] = {}
+    for src, dst, _w in edges:
+        out.setdefault(src, []).append(dst)
+    level = Counter({1: 1})
+    for _ in range(HOPS):
+        following: Counter = Counter()
+        for vertex, count in level.items():
+            for dst in out.get(vertex, ()):
+                following[dst] += count
+        level = following
+    return level
 
 
 @pytest.fixture(scope="module")
 def analytics_setup():
-    db = build_database()
+    edges = generate_edges()
+    db = build_database(edges)
     graphs = {
-        "per-traverser": Db2Graph.open(db, OVERLAY, bulk=False, cache=False),
-        "bulk": Db2Graph.open(db, OVERLAY, bulk=True, cache=False),
+        # batch_size >= COMMUNITY: a whole level fits one batch
+        "repeat": Db2Graph.open(db, OVERLAY, cache=False, batch_size=256),
         "profile": Db2Graph.open(db, OVERLAY, cache=False, batch_size=1024),
     }
-    yield db, graphs
+    yield edges, graphs
     for graph in graphs.values():
         graph.close()
 
@@ -103,10 +122,9 @@ def _run_repeat(graph) -> tuple[float, int, Counter]:
     return elapsed, issued, Counter(result)
 
 
-@pytest.mark.parametrize("mode", ["per-traverser", "bulk"])
-def test_repeat_chain(benchmark, analytics_setup, mode):
-    _db, graphs = analytics_setup
-    graph = graphs[mode]
+def test_repeat_chain(benchmark, analytics_setup):
+    _edges, graphs = analytics_setup
+    graph = graphs["repeat"]
     _run_repeat(graph)  # warmup (prepared-statement caches)
 
     timings: list[float] = []
@@ -119,12 +137,12 @@ def test_repeat_chain(benchmark, analytics_setup, mode):
         return issued
 
     statements = benchmark.pedantic(run_once, rounds=2, iterations=1)
-    _RESULTS[mode] = {
+    _RESULTS["repeat"] = {
         "seconds": min(timings),
         "statements": float(statements),
         "traversers": float(sum(counters[-1].values())),
     }
-    _RESULTS.setdefault("multisets", {})[mode] = counters[-1]  # type: ignore[arg-type]
+    _RESULTS.setdefault("multisets", {})["repeat"] = counters[-1]  # type: ignore[arg-type]
 
 
 _PROFILE_ROWS: list[list] = []
@@ -136,7 +154,7 @@ _PROFILE_ROWS: list[list] = []
 def test_algorithm_profile(analytics_setup, name):
     """Statement/step/frontier profile, one algorithm per test so the
     CI per-test timeout applies to each whole-graph run separately."""
-    _db, graphs = analytics_setup
+    _edges, graphs = analytics_setup
     an = graphs["profile"].analytics()
     graph = graphs["profile"]
     runs = {
@@ -174,33 +192,28 @@ def test_analytics_report(analytics_setup, collector):
             ),
         ),
     )
-    assert set(_RESULTS) >= {"per-traverser", "bulk"}
-    rows = []
-    for mode in ("per-traverser", "bulk"):
-        result = _RESULTS[mode]
-        rows.append(
-            [
-                mode,
-                f"{result['seconds'] * 1e3:.1f}",
-                int(result["statements"]),
-                int(result["traversers"]),
-            ]
-        )
-    ratio = _RESULTS["per-traverser"]["statements"] / _RESULTS["bulk"]["statements"]
+    result = _RESULTS["repeat"]
     collector.add(
         "analytics",
         format_table(
-            ["mode", "best ms", "sql stmts", "result traversers"],
-            rows,
+            ["chain", "best ms", "sql stmts", "result traversers"],
+            [
+                [
+                    f"repeat(out()).times({HOPS})",
+                    f"{result['seconds'] * 1e3:.1f}",
+                    int(result["statements"]),
+                    int(result["traversers"]),
+                ]
+            ],
             title=(
-                f"repeat(out()).times({HOPS}) from a community seed — "
-                f"statement reduction {ratio:.1f}x"
+                f"repeat(out()).times({HOPS}) from a community seed "
+                f"(bound: {HOPS + 1} statements)"
             ),
         ),
     )
 
-    # The acceptance bar: bulking cuts SQL statements >=5x and the
-    # result multisets are identical.
-    assert ratio >= 5.0, f"bulk statement reduction only {ratio:.1f}x"
-    multisets = _RESULTS["multisets"]
-    assert multisets["bulk"] == multisets["per-traverser"]
+    # The acceptance bar: one statement per level plus the start
+    # vertex, and exactly the multiset of paths the edge list implies.
+    assert result["statements"] <= HOPS + 1, result["statements"]
+    edges, _graphs = analytics_setup
+    assert _RESULTS["multisets"]["repeat"] == reference_repeat(edges)

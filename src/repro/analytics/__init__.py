@@ -3,11 +3,9 @@
 Level-synchronous, set-at-a-time execution of whole-graph algorithms
 — BFS, single-source shortest paths, weakly-connected components,
 PageRank — on top of the existing batched SQL, read cache, and
-budget/retry plumbing.  Three front doors:
+budget/retry plumbing.  Two front doors:
 
 * ``Db2Graph.analytics().bfs(...)`` — the Python API,
-* ``Db2Graph.open(..., bulk=True)`` — bulk evaluation of eligible
-  ``repeat()`` Gremlin chains (:class:`BulkRepeatStrategy`),
 * ``graphQuery('analytics', 'bfs source=...')`` — table-function rows
   joining back into SQL (:mod:`repro.analytics.sqlbridge`).
 """
@@ -20,15 +18,12 @@ from .algorithms import (
     WccResult,
     coerce_weight,
 )
-from .bulk import BulkRepeatStep, BulkRepeatStrategy
 from .errors import AnalyticsError
 from .frontier import FrontierExecutor, sort_key
 
 __all__ = [
     "AnalyticsError",
     "BfsResult",
-    "BulkRepeatStep",
-    "BulkRepeatStrategy",
     "FrontierExecutor",
     "GraphAnalytics",
     "PageRankResult",

@@ -50,35 +50,6 @@ def resolve_direction(direction: "Direction | str") -> Direction:
         ) from None
 
 
-def note_step(
-    registry: Any,
-    trace: Any,
-    *,
-    algorithm: str,
-    step: int,
-    size: int,
-) -> None:
-    """Emit one analytics step: counter + event, histogram + event.
-
-    Shared by :class:`FrontierExecutor` and the bulk ``repeat()`` step
-    so both tiers feed the same ``analytics.*`` observability surface.
-    """
-    if registry is not None:
-        registry.counter(M.ANALYTICS_STEPS).increment()
-        registry.histogram(M.FRONTIER_SIZE).observe(size)
-    if trace is not None:
-        trace.emit(tracing.ANALYTICS_STEP, algorithm=algorithm, step=step, size=size)
-        trace.emit(tracing.FRONTIER_SIZE, algorithm=algorithm, step=step, size=size)
-
-
-def note_converged(registry: Any, trace: Any, *, algorithm: str, steps: int) -> None:
-    """Emit natural convergence (never emitted on depth/iteration cutoffs)."""
-    if registry is not None:
-        registry.counter(M.ANALYTICS_CONVERGED).increment()
-    if trace is not None:
-        trace.emit(tracing.ANALYTICS_CONVERGED, algorithm=algorithm, steps=steps)
-
-
 class FrontierExecutor:
     """Expands whole vertex frontiers through a :class:`GraphProvider`.
 
@@ -137,32 +108,28 @@ class FrontierExecutor:
             tracker.check_deadline()
             for _ in ordered:
                 tracker.note_traverser()
-        note_step(
-            self.registry,
-            self.trace,
-            algorithm=algorithm,
-            step=self.steps_taken,
-            size=len(ordered),
-        )
-        self.steps_taken += 1
+        self.note_iteration(algorithm, len(ordered))
         adjacency = self.provider.adjacent_ids(
             ordered, direction, edge_labels or None, weight
         )
         return ordered, adjacency
 
     def note_iteration(self, algorithm: str, size: int) -> None:
-        """Record an in-memory iteration (e.g. one PageRank power step)
-        as an analytics step without expanding a frontier through SQL."""
-        note_step(
-            self.registry,
-            self.trace,
-            algorithm=algorithm,
-            step=self.steps_taken,
-            size=size,
-        )
+        """Emit one analytics step: counter + event, histogram + event.
+        :meth:`expand` calls it per frontier; an in-memory iteration (one
+        PageRank power step) calls it without touching SQL."""
+        step = self.steps_taken
+        if self.registry is not None:
+            self.registry.counter(M.ANALYTICS_STEPS).increment()
+            self.registry.histogram(M.FRONTIER_SIZE).observe(size)
+        self.trace.emit(tracing.ANALYTICS_STEP, algorithm=algorithm, step=step, size=size)
+        self.trace.emit(tracing.FRONTIER_SIZE, algorithm=algorithm, step=step, size=size)
         self.steps_taken += 1
 
     def converged(self, algorithm: str) -> None:
-        note_converged(
-            self.registry, self.trace, algorithm=algorithm, steps=self.steps_taken
+        """Emit natural convergence (never emitted on depth/iteration cutoffs)."""
+        if self.registry is not None:
+            self.registry.counter(M.ANALYTICS_CONVERGED).increment()
+        self.trace.emit(
+            tracing.ANALYTICS_CONVERGED, algorithm=algorithm, steps=self.steps_taken
         )

@@ -65,8 +65,6 @@ class Db2Graph:
         # Transactional read cache (repro.cache); set by open(cache=...).
         # None = every read goes to the relational engine.
         self.cache: GraphCache | None = None
-        # Bulk repeat() evaluation (repro.analytics); set by open(bulk=...).
-        self.bulk = False
         # ReplicationCluster (repro.replication); set by open(replication=...).
         # None = single-node operation.
         self.replication = None
@@ -87,15 +85,16 @@ class Db2Graph:
         replication: Any = None,
         registry: MetricsRegistry | None = None,
         recorder: TraceRecorder | None = None,
-        bulk: bool = False,
     ) -> "Db2Graph":
         """Open a property graph over relational data.
 
-        ``batch_size`` caps how many traversers coalesce into one
-        ``WHERE id IN (...)`` statement per table (``None`` consults
-        ``REPRO_BATCH_SIZE``, else 256; 1 = one statement per traverser).
-        Results are demultiplexed back to their originating traversers,
-        so every ``batch_size`` returns identical results.
+        ``batch_size`` caps how many distinct ids one ``WHERE id IN
+        (...)`` statement per table carries (``None`` consults
+        ``REPRO_BATCH_SIZE``, else 256).  An ``out()``/``in()`` batch
+        ends at ``batch_size`` distinct vertex ids, however many
+        traversers share them; results are demultiplexed back to their
+        originating traversers, so every ``batch_size`` returns
+        identical results.
 
         ``budget`` (a :class:`~repro.resilience.budget.QueryBudget`)
         bounds every traversal spawned from :meth:`traversal` —
@@ -136,12 +135,6 @@ class Db2Graph:
         trace recorder instead of creating fresh ones — the service
         layer passes its own so one observability snapshot spans every
         session multiplexed over the database.
-
-        ``bulk=True`` adds the :class:`BulkRepeatStrategy` runtime
-        strategy: eligible ``repeat(out(...))`` chains evaluate
-        set-at-a-time (whole unique frontiers per level, GTM traverser
-        bulking) instead of one traverser at a time.  Result multisets
-        are identical; result order is not guaranteed.
 
         Durability belongs to the database: ``Database.open(dir)``,
         ``Database(durability=...)`` or ``db.attach_durability(...)``.
@@ -201,7 +194,6 @@ class Db2Graph:
         )
         graph.budget = budget
         graph.cache = graph_cache
-        graph.bulk = bulk
         graph.replication = cluster
         return graph
 
@@ -287,10 +279,6 @@ class Db2Graph:
     def traversal(self) -> GraphTraversalSource:
         self._maybe_refresh()
         strategies = list(optimized_strategies()) if self.optimized else []
-        if self.bulk:
-            from ..analytics.bulk import BulkRepeatStrategy
-
-            strategies.append(BulkRepeatStrategy())
         registry = StrategyRegistry(strategies)
         return GraphTraversalSource(
             self.provider, registry, recorder=self.trace, budget=self.budget

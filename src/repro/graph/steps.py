@@ -70,9 +70,10 @@ class TraversalContext:
         self.provider = provider
         self.side_effects: dict[str, list] = {}
         self.track_paths = track_paths
-        # How many traversers one GSA step coalesces per provider call
-        # (and so, per table, per SQL IN-list) — overlay providers expose
-        # their configured batch_size; others keep the historical 256.
+        # How many distinct ids one out()/in() batch coalesces per
+        # provider call (and so, per table, per SQL IN-list); the
+        # materializing steps cut at this many traversers.  Overlay
+        # providers expose their configured batch_size; others keep 256.
         self.batch_size = getattr(provider, "batch_size", _BATCH_SIZE)
         self._step_state: dict[int, dict] = {}
         # Set by profile(): a TraversalProfiler that meters every step
@@ -103,6 +104,18 @@ def run_steps(
     return stream
 
 
+def _materialize(batch: Sequence[Traverser], ctx: TraversalContext) -> None:
+    """Fill every lazy element in ``batch`` with one provider call (the
+    overlay chunks its distinct ids into ``IN`` lists)."""
+    pending = [
+        t.obj
+        for t in batch
+        if isinstance(t.obj, Element) and not t.obj.is_materialized
+    ]
+    if pending:
+        ctx.provider.bulk_materialize(pending)
+
+
 def _materializing_batches(
     incoming: Iterator[Traverser], ctx: TraversalContext
 ) -> Iterator[Traverser]:
@@ -112,13 +125,7 @@ def _materializing_batches(
         batch = list(itertools.islice(incoming, ctx.batch_size))
         if not batch:
             return
-        pending = [
-            t.obj
-            for t in batch
-            if isinstance(t.obj, Element) and not t.obj.is_materialized
-        ]
-        if pending:
-            ctx.provider.bulk_materialize(pending)
+        _materialize(batch, ctx)
         yield from batch
 
 
@@ -236,23 +243,38 @@ class VertexStep(Step):
         self.pushdown = pushdown or Pushdown()
 
     def process(self, incoming: Iterator[Traverser], ctx: TraversalContext) -> Iterator[Traverser]:
-        while True:
-            batch = list(itertools.islice(incoming, ctx.batch_size))
-            if not batch:
-                return
-            vertices: list[Vertex] = []
-            for traverser in batch:
-                if not isinstance(traverser.obj, Vertex):
-                    raise TraversalError(
-                        f"{self.name()} requires vertices, got {type(traverser.obj).__name__}"
-                    )
-                vertices.append(traverser.obj)
+        for batch, vertices in self._batches(incoming, ctx.batch_size):
             adjacency = ctx.provider.adjacent(
                 vertices, self.direction, self.edge_labels, self.return_type, self.pushdown
             )
             for traverser in batch:
                 for element in adjacency.get(traverser.obj.id, ()):
                     yield traverser.split(element, ctx.track_paths)
+
+    def _batches(
+        self, incoming: Iterator[Traverser], size: int
+    ) -> Iterator[tuple[list[Traverser], list[Vertex]]]:
+        """Consecutive runs of traversers, each with the distinct vertices
+        it stands at.  A run ends once it holds ``size`` distinct vertex
+        ids, or when the input runs out.  A vertex is distinct by (id,
+        table hint), so its hints' §6.3 narrowing stays a union."""
+        batch: list[Traverser] = []
+        vertices: dict[tuple[Any, Any], Vertex] = {}
+        ids: set[Any] = set()
+        for traverser in incoming:
+            vertex = traverser.obj
+            if not isinstance(vertex, Vertex):
+                raise TraversalError(
+                    f"{self.name()} requires vertices, got {type(vertex).__name__}"
+                )
+            batch.append(traverser)
+            vertices.setdefault((vertex.id, vertex.source_table), vertex)
+            ids.add(vertex.id)
+            if len(ids) == size:
+                yield batch, list(vertices.values())
+                batch, vertices, ids = [], {}, set()
+        if batch:
+            yield batch, list(vertices.values())
 
     def name(self) -> str:
         suffix = "E" if self.return_type == "edge" else ""
@@ -1041,9 +1063,15 @@ class RepeatStep(Step):
         current = list(incoming)
         if self.times is None and self.until is None:
             raise TraversalError("repeat() requires times() or until()")
+        # A condition that reads element state gets the whole level
+        # materialized in one call, not one lazy load per traverser.
+        until_reads = _reads_state(self.until)
+        checks_read = until_reads or _reads_state(self.emit)
         loop = 0
         while current:
             if self.until is not None and (loop > 0 or self.until_first):
+                if until_reads:
+                    _materialize(current, ctx)
                 continuing: list[Traverser] = []
                 for traverser in current:
                     if self._matches(self.until, traverser, ctx):
@@ -1067,6 +1095,8 @@ class RepeatStep(Step):
                 # is about to release anyway (no duplicates)
                 final_release = self.until is None and self.times is not None and loop >= self.times
                 if not final_release:
+                    if checks_read:
+                        _materialize(produced, ctx)
                     for traverser in produced:
                         if self.until is not None and self._matches(self.until, traverser, ctx):
                             continue  # the until check will release it
@@ -1090,3 +1120,13 @@ class RepeatStep(Step):
 
     def name(self) -> str:
         return f"Repeat(times={self.times}, until={self.until is not None}, emit={bool(self.emit)})"
+
+
+#: Steps whose first act on a traverser reads its element's label or
+#: properties (what materializing a lazy element fetches).
+_STATE_READERS = (HasStep, HasNotStep, LabelStep, PropertiesStep, ValueMapStep, ValueTupleStep)
+
+
+def _reads_state(condition: "bool | Traversal | None") -> bool:
+    steps = getattr(condition, "steps", None)
+    return bool(steps) and isinstance(steps[0], _STATE_READERS)

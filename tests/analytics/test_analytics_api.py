@@ -1,26 +1,22 @@
 """API tests for the bulk analytics engine: the ``g.analytics()``
-facade, the ``bulk=True`` repeat strategy, the ``graphQuery('analytics',
+facade, ``repeat()``'s per-level batching, the ``graphQuery('analytics',
 ...)`` table-function bridge, the session/service path, budget
 partial-progress semantics, and the analytics observability surface.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from repro.analytics import (
     AnalyticsError,
     BfsResult,
-    BulkRepeatStep,
     GraphAnalytics,
     WccResult,
     coerce_weight,
 )
 from repro.core import Db2Graph
 from repro.graph import __
-from repro.graph.steps import RepeatStep
 from repro.obs import metrics as M
 from repro.obs import tracing
 from repro.relational import Database
@@ -240,61 +236,55 @@ class TestObservability:
         assert stats["frontier_samples"] == stats["analytics_steps"]
 
 
-class TestBulkRepeatStrategy:
-    def _graphs(self):
-        db = make_db()
-        plain = Db2Graph.open(db, OVERLAY, bulk=False)
-        bulk = Db2Graph.open(db, OVERLAY, bulk=True)
-        return plain, bulk
+class TestRepeat:
+    """``repeat()`` has one path; these pin its results and batching."""
 
-    def test_eligible_plan_is_rewritten(self):
-        _, bulk = self._graphs()
-        t = bulk.traversal().V().repeat(__.out()).times(2)
-        t.compile()
-        kinds = [type(s) for s in t.steps]
-        assert BulkRepeatStep in kinds
-        assert RepeatStep not in [k for k in kinds if k is not BulkRepeatStep]
-
-    def test_multiset_equivalence(self):
-        plain, bulk = self._graphs()
-        chains = [
-            lambda g: g.V().repeat(__.out()).times(2).id_().toList(),
-            lambda g: g.V().repeat(__.both()).times(2).id_().toList(),
-            lambda g: g.V().repeat(__.out()).times(2).emit().id_().toList(),
-            lambda g: g.V(1).repeat(__.out()).until(__.has("id", 4)).id_().toList(),
+    def test_chain_results(self):
+        g = Db2Graph.open(make_db(), OVERLAY).traversal
+        assert g().V().repeat(__.out()).times(2).id_().toList() == [3, 4, 4]
+        assert g().V().repeat(__.both()).times(2).id_().toList() == [
+            3, 1, 4, 2, 1, 4, 2, 1, 2, 3, 3, 3, 1, 2, 3, 4, 2, 1, 5, 6,
         ]
-        for chain in chains:
-            assert Counter(chain(plain.traversal())) == Counter(
-                chain(bulk.traversal())
-            )
+        assert g().V().repeat(__.out()).times(2).emit().id_().toList() == [
+            2, 3, 3, 4, 6, 3, 4, 4,
+        ]
+        assert g().V(1).repeat(__.out()).until(__.has("id", 4)).id_().toList() == [4, 4]
 
-    def test_path_observation_disables_bulk(self):
-        _, bulk = self._graphs()
-        t = bulk.traversal().V().repeat(__.out()).times(2).path()
-        t.compile()
-        assert not any(isinstance(s, BulkRepeatStep) for s in t.steps)
+    def test_out_batches_by_distinct_vertex(self):
+        # A triangle beside three isolated items: level 0 holds six
+        # distinct ids, levels 1 and 2 hold three each but 6 and 12
+        # traversers.  A batch ends at batch_size distinct ids, so each
+        # level costs ceil(distinct / 4) batches, each one statement per
+        # direction of the one edge table.
+        edges = [(1, 2), (2, 3), (3, 1)]
+        db = Database()
+        db.execute("CREATE TABLE item (id INT PRIMARY KEY, name VARCHAR)")
+        db.execute("CREATE TABLE link (src INT, dst INT, w DOUBLE)")
+        db.execute(
+            "INSERT INTO item VALUES "
+            + ", ".join(f"({i}, 'i{i}')" for i in range(1, 7))
+        )
+        db.execute(
+            "INSERT INTO link VALUES "
+            + ", ".join(f"({s}, {d}, 1.0)" for s, d in edges)
+        )
+        graph = Db2Graph.open(db, OVERLAY, batch_size=4, cache=False)
 
-    def test_non_vertex_body_disables_bulk(self):
-        _, bulk = self._graphs()
-        t = bulk.traversal().V().repeat(__.outE().inV()).times(2)
-        t.compile()
-        assert not any(isinstance(s, BulkRepeatStep) for s in t.steps)
+        def both(v):
+            return [d for s, d in edges if s == v] + [s for s, d in edges if d == v]
 
-    def test_bulk_issues_fewer_statements(self):
-        # small batches so per-traverser duplication spills into extra
-        # IN-list statements; bulking dedups the whole frontier first
-        db = make_db()
-        plain = Db2Graph.open(db, OVERLAY, bulk=False, batch_size=4)
-        bulk = Db2Graph.open(db, OVERLAY, bulk=True, batch_size=4)
-        plain.traversal().V().repeat(__.both()).times(3).id_().toList()
-        baseline = plain.stats()["sql_queries"]
-        bulk.traversal().V().repeat(__.both()).times(3).id_().toList()
-        assert bulk.stats()["sql_queries"] < baseline
+        level, batches = list(range(1, 7)), 0
+        for _ in range(3):
+            batches += -(-len(set(level)) // 4)
+            level = [w for v in level for w in both(v)]
 
-    def test_repeat_emits_analytics_events(self):
-        _, bulk = self._graphs()
-        bulk.traversal().V(1).repeat(__.out()).times(3).id_().toList()
-        assert bulk.stats()["analytics_steps"] > 0
+        recorder = graph.enable_tracing()
+        result = graph.traversal().V().repeat(__.both()).times(3).id_().toList()
+        link_statements = [
+            e for e in recorder.named(tracing.SQL_ISSUED) if "FROM link" in e.get("sql")
+        ]
+        assert len(link_statements) == 2 * batches == 8
+        assert result == level
 
 
 class TestTableFunction:

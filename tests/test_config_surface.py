@@ -37,7 +37,6 @@ OPEN_KEYWORDS = {
     "replication",
     "registry",
     "recorder",
-    "bulk",
 }
 
 

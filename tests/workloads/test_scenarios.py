@@ -108,6 +108,16 @@ class TestFinance:
             assert chain[-1] in beneficiaries
             assert chain[0] in set(dataset.fraudster_ids())
 
+    def test_mule_chains_fetch_each_level_once(self, setup):
+        # out() fetches a level's distinct accounts together and the
+        # emit() check materializes the level in one call: statements
+        # scale with hops, not with the 16k paths walked.
+        dataset, db, _graph = setup
+        graph = Db2Graph.open(db, dataset.overlay_config(), batch_size=256, cache=False)
+        before = graph.stats()["sql_queries"]
+        find_mule_chains(graph, max_hops=6)
+        assert graph.stats()["sql_queries"] - before <= 200
+
     def test_live_insert_changes_detection(self, setup):
         dataset, db, graph = setup
         ring = dataset.rings[0]
