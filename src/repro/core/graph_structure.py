@@ -94,14 +94,6 @@ class RuntimeOptimizations:
         return cls(False, False, False, False, False, False)
 
 
-class OverlayVertex(Vertex):
-    __slots__ = ("row",)
-
-    def __init__(self, *args: Any, row: Mapping[str, Any] | None = None, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.row = row
-
-
 class OverlayEdge(Edge):
     __slots__ = ("row",)
 
@@ -592,7 +584,7 @@ class OverlayGraph(GraphProvider):
 
     def _make_vertex(
         self, vtop: VertexTopology, row: Mapping[str, Any], pushdown: Pushdown
-    ) -> OverlayVertex | None:
+    ) -> Vertex | None:
         label = vtop.row_label(row)
         if not pushdown.matches_labels(label):
             return None
@@ -600,14 +592,7 @@ class OverlayGraph(GraphProvider):
         vertex_id = vtop.row_id(row)
         if not pushdown.matches_predicates(properties, label, vertex_id):
             return None
-        return OverlayVertex(
-            vertex_id,
-            label,
-            properties,
-            provider=self,
-            source_table=vtop.table_name,
-            row=row,
-        )
+        return Vertex(vertex_id, label, properties, provider=self, source_table=vtop.table_name)
 
     def _make_edge(
         self, etop: EdgeTopology, row: Mapping[str, Any], pushdown: Pushdown
@@ -736,32 +721,23 @@ class OverlayGraph(GraphProvider):
         return_type: str,
         pushdown: Pushdown,
     ) -> dict[Any, list[Any]]:
-        edge_pushdown = pushdown if return_type == "edge" else Pushdown(labels=None)
-        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, edge_pushdown)
+        if return_type == "vertex":
+            targets = self._neighbours(vertices, direction, edge_labels, hinted=True)
+            return self._resolve_adjacent_vertices(targets, pushdown)
+        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, pushdown)
         self._note_eliminations(eliminated)
-
-        if pushdown.aggregate is not None and return_type == "edge":
+        if pushdown.aggregate is not None:
             aggregates = [
-                self._aggregate_edges_for(entry, edge_pushdown, edge_labels) for entry in plan
+                self._aggregate_edges_for(entry, pushdown, edge_labels) for entry in plan
             ]
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
-
-        per_vertex_edges: dict[Any, list[tuple[OverlayEdge, Direction]]] = {
-            v.id: [] for v in vertices
-        }
+        result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
         for etop, d, _matching, groups, _aggregated in plan:
-            for edge in self._fetch_edges_for(etop, groups, edge_pushdown, edge_labels):
-                key = edge.out_v_id if d is Direction.OUT else edge.in_v_id
-                if key in per_vertex_edges:
-                    per_vertex_edges[key].append((edge, d))
-
-        if return_type == "edge":
-            return {
-                vertex_id: [edge for edge, _d in pairs]
-                for vertex_id, pairs in per_vertex_edges.items()
-            }
-        # return_type == 'vertex': resolve the other endpoints
-        return self._resolve_adjacent_vertices(per_vertex_edges, pushdown)
+            for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
+                bucket = result.get(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
+                if bucket is not None:
+                    bucket.append(edge)
+        return result
 
     def _fetch_edges_for(
         self,
@@ -798,49 +774,36 @@ class OverlayGraph(GraphProvider):
         return _memory_aggregate(weighted, pushdown)
 
     def _resolve_adjacent_vertices(
-        self,
-        per_vertex_edges: dict[Any, list[tuple[OverlayEdge, Direction]]],
-        pushdown: Pushdown,
+        self, targets: dict[Any, list[tuple[Any, str | None]]], pushdown: Pushdown
     ) -> dict[Any, list[Any]]:
+        """Vertex id -> neighbour vertices from ``(neighbour id, table
+        hint)`` pairs: lazy vertices, or fetched ones when a ``has()`` or
+        aggregate was folded into the step."""
         needs_resolution = bool(
             pushdown.predicates or pushdown.labels or pushdown.projection or pushdown.aggregate
         )
-        targets: dict[Any, list[tuple[Any, str | None]]] = {}
-        all_ids: list[Any] = []
-        for vertex_id, pairs in per_vertex_edges.items():
-            entry: list[tuple[Any, str | None]] = []
-            for edge, d in pairs:
-                if d is Direction.OUT:
-                    other_id, hint = edge.in_v_id, edge.in_v_table
-                else:
-                    other_id, hint = edge.out_v_id, edge.out_v_table
-                entry.append((other_id, hint))
-                all_ids.append(other_id)
-            targets[vertex_id] = entry
-
-        result: dict[Any, list[Any]] = {}
         if not needs_resolution:
-            self.registry.counter(M.LAZY_VERTICES).increment(len(all_ids))
-            for vertex_id, entry in targets.items():
-                result[vertex_id] = [
-                    Vertex(other_id, provider=self, source_table=hint)
-                    for other_id, hint in entry
-                ]
+            self.registry.counter(M.LAZY_VERTICES).increment(sum(map(len, targets.values())))
             if self.trace.enabled:
                 for entry in targets.values():
                     for _other_id, hint in entry:
                         self.trace.emit(tracing.VERTEX_LAZY, table=hint)
-            return result
+            return {
+                vertex_id: [Vertex(v, provider=self, source_table=hint) for v, hint in entry]
+                for vertex_id, entry in targets.items()
+            }
 
         resolved: dict[Any, Vertex] = {}
-        unique_ids = list(dict.fromkeys(all_ids))
+        unique_ids = list(
+            dict.fromkeys(other_id for entry in targets.values() for other_id, _hint in entry)
+        )
         if unique_ids:
             for vertex in self._elements("vertex", unique_ids, pushdown):
                 resolved[vertex.id] = vertex
-        for vertex_id, entry in targets.items():
-            result[vertex_id] = [
-                resolved[other_id] for other_id, _hint in entry if other_id in resolved
-            ]
+        result = {
+            vertex_id: [resolved[other] for other, _hint in entry if other in resolved]
+            for vertex_id, entry in targets.items()
+        }
         if pushdown.aggregate is not None:
             flattened = [v for vs in result.values() for v in vs]
             return {None: [_memory_aggregate_final(flattened, pushdown)]}
@@ -853,30 +816,43 @@ class OverlayGraph(GraphProvider):
         edge_labels: tuple[str, ...] | None,
         weight: str | None = None,
     ) -> dict[Any, list[Any]]:
-        """``adjacent()`` reduced to ids for bulk analytics.  Same plan:
-        eliminations, tables, statements and their order.  Each SELECT
-        fetches only the endpoint columns (§6.2 projection pushdown),
-        plus the label column when ``edge_labels`` is re-checked on a
-        column-label table and the ``weight`` property's column.  Rows
-        are read as tuples; no edge or vertex element is built."""
+        """``adjacent()`` reduced to ids for bulk analytics: the same
+        neighbour row loop as ``out()``/``in()``/``both()``."""
         vertices = [Vertex(v, provider=self) for v in vertex_ids]
+        return self._neighbours(vertices, direction, edge_labels, weight)
+
+    def _neighbours(
+        self,
+        vertices: Sequence[Vertex],
+        direction: Direction,
+        edge_labels: tuple[str, ...] | None,
+        weight: str | None = None,
+        hinted: bool = False,
+    ) -> dict[Any, list[Any]]:
+        """Vertex id -> far endpoint ids, over ``adjacent()``'s plan:
+        the same eliminations, tables, statements and order.  Each SELECT
+        fetches only :func:`neighbour_columns` (§6.2 projection pushdown)
+        and rows are read as tuples; no element is built.  With
+        ``weight`` or ``hinted`` an entry is a ``(far id, value)`` pair:
+        the weight property's value, or the far endpoint's declared
+        vertex table as its §6.3 narrowing hint."""
         eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, Pushdown())
         self._note_eliminations(eliminated)
-        result: dict[Any, list[Any]] = {v: [] for v in vertex_ids}
+        paired = hinted or weight is not None
+        result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
         for etop, d, _matching, groups, _aggregated in plan:
             # a fixed label outside edge_labels survives only with label
             # elimination off: its statements run, its rows are dropped
             rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
-            label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
-            weight_column = weight if weight in etop.property_columns else None
-            wanted = [*etop.src_template.columns, *etop.dst_template.columns]
-            wanted += [c for c in (label_column, weight_column) if c]
-            columns = list(dict.fromkeys(etop.relation.canonical(c) for c in wanted))
+            columns, label_column, weight_column = neighbour_columns(etop, edge_labels, weight)
             near, far = (
                 (etop.src_template, etop.dst_template)
                 if d is Direction.OUT
                 else (etop.dst_template, etop.src_template)
             )
+            hint = None
+            if hinted and self.opts.use_src_dst_tables:
+                hint = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
             for predicates in groups:
                 self._note_table_query(etop.table_name, "edge")
                 keys, rows = self.dialect.select(etop.table_name, columns, predicates)
@@ -892,10 +868,10 @@ class OverlayGraph(GraphProvider):
                     bucket = result.get(key)
                     if bucket is None:
                         continue
-                    if weight is None:
+                    if not paired:
                         bucket.append(other)
                     else:
-                        bucket.append((other, None if weight_at is None else row[weight_at]))
+                        bucket.append((other, hint if weight_at is None else row[weight_at]))
         return result
 
     # ------------------------------------------------------------------
@@ -937,13 +913,12 @@ class OverlayGraph(GraphProvider):
                     self.trace.emit(
                         tracing.VERTEX_FROM_EDGE, table=vtop.table_name
                     )
-                    yield OverlayVertex(
+                    yield Vertex(
                         vtop.row_id(edge.row),
                         vtop.row_label(edge.row),
                         vtop.row_properties(edge.row),
                         provider=self,
                         source_table=vtop.table_name,
-                        row=edge.row,
                     )
                     return
         hint = edge.out_v_table if direction is Direction.OUT else edge.in_v_table
@@ -963,13 +938,12 @@ class OverlayGraph(GraphProvider):
         columns, values = self._row_from_properties(vtop, properties, label)
         self.dialect.insert(vtop.table_name, columns, values)
         row = {c.lower(): v for c, v in zip(columns, values)}
-        return OverlayVertex(
+        return Vertex(
             vtop.row_id(row),
             label,
             vtop.row_properties(row),
             provider=self,
             source_table=vtop.table_name,
-            row=row,
         )
 
     def insert_edge(
@@ -1079,7 +1053,7 @@ class OverlayGraph(GraphProvider):
             if status == "miss":
                 ticket = payload
         empty = Pushdown()
-        loaded: dict[Any, OverlayVertex] = {}
+        loaded: dict[Any, Vertex] = {}
         if hint is not None:
             try:
                 vtop = self.topology.vertex_table(hint)
@@ -1124,7 +1098,7 @@ class OverlayGraph(GraphProvider):
                 if payload == NEGATIVE:
                     return None
                 found_id, label, items, source_table = payload
-                return OverlayVertex(
+                return Vertex(
                     found_id,
                     label,
                     dict(items),
@@ -1192,6 +1166,21 @@ def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
             continue
         values = candidate if values is None else values & candidate
     return tuple(sorted(values)) if values is not None else None
+
+
+def neighbour_columns(
+    etop: EdgeTopology, edge_labels: tuple[str, ...] | None, weight: str | None = None
+) -> tuple[list[str], str | None, str | None]:
+    """``(columns, label column, weight column)`` of a neighbour-only
+    SELECT on ``etop``: both endpoints' columns, plus the label column
+    when ``edge_labels`` is re-checked on a column-label table and the
+    ``weight`` property's column.  ``explain()`` previews the same list."""
+    label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
+    weight_column = weight if weight in etop.property_columns else None
+    wanted = [*etop.src_template.columns, *etop.dst_template.columns]
+    wanted += [c for c in (label_column, weight_column) if c]
+    columns = list(dict.fromkeys(etop.relation.canonical(c) for c in wanted))
+    return columns, label_column, weight_column
 
 
 def _endpoint_reader(

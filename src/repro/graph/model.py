@@ -141,9 +141,9 @@ class Element:
         if source_table is not None:
             self.source_table = source_table
 
-    # Identity is (kind, id), not (concrete class, id): an OverlayVertex
-    # fetched by a table scan and a lazy Vertex minted from an edge
-    # endpoint are the same logical vertex and must dedup() together.
+    # Identity is (kind, id), not (concrete class, id): a vertex fetched
+    # by a table scan and a lazy Vertex minted from an edge endpoint are
+    # the same logical vertex and must dedup() together.
     _kind = "element"
 
     def __eq__(self, other: object) -> bool:
@@ -269,7 +269,7 @@ class GraphProvider:
         """Bulk-analytics expansion: vertex id -> neighbour ids in
         :meth:`adjacent`'s edge order, or ``(neighbour id, value)`` pairs
         where ``value`` is ``edge.value(weight)``.  This default builds
-        the edges; a provider may read the ids straight from storage."""
+        the edges; the overlay reads endpoint-only rows, as ``out()`` does."""
         vertices = [Vertex(v, provider=self) for v in vertex_ids]
         adjacency = self.adjacent(vertices, direction, edge_labels, "edge", Pushdown())
         result: dict[Any, list[Any]] = {}

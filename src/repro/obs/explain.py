@@ -130,13 +130,14 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
     """Render the statements the runtime plans for ``step``, with its
     table eliminations as notes.  Planning is pure, so nothing is
     counted, traced or run."""
-    from ..core.graph_structure import OverlayGraph
+    from ..core.graph_structure import OverlayGraph, neighbour_columns
     from ..graph.model import Pushdown, Vertex
     from ..graph.steps import GraphStep, VertexStep
 
     entry = StepSql(step.name())
     if not isinstance(provider, OverlayGraph):
         return entry
+    neighbours = isinstance(step, VertexStep) and step.return_type == "vertex"
     if isinstance(step, GraphStep) and step.endpoint_filter is None:
         pushdown = step.pushdown
         eliminated, plan = provider._plan(step.return_type, step.ids, pushdown)
@@ -163,18 +164,20 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
         return entry
     entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
     for top, predicates, aggregated in plan:
-        entry.statements.append(_render(provider, top, predicates, pushdown, aggregated))
+        # out()/in()/both() fetch only the columns naming a neighbour
+        columns = neighbour_columns(top, edge_labels)[0] if neighbours else None
+        entry.statements.append(_render(provider, top, predicates, pushdown, aggregated, columns))
     return entry
 
 
-def _render(provider: Any, top: Any, predicates: list, pushdown: Any, aggregated: bool) -> str:
+def _render(
+    provider: Any, top: Any, predicates: list, pushdown: Any, aggregated: bool, columns: list | None
+) -> str:
     from ..core.graph_structure import aggregate_spec
 
-    if aggregated:
-        columns, aggregate = None, aggregate_spec(pushdown)
-    else:
+    aggregate = aggregate_spec(pushdown) if aggregated else None
+    if columns is None and not aggregated:
         columns = top.required_columns(provider._effective_projection(pushdown))
-        aggregate = None
     sql, params = provider.dialect.build_select(top.table_name, columns, predicates, aggregate)
     if params:
         return f"{sql}  [params: {', '.join(repr(p) for p in params)}]"

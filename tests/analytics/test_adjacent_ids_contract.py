@@ -5,6 +5,11 @@ per vertex as a multiset and, for OUT (PageRank's successor lists), in
 the same order.  A ``weight`` value must equal ``edge.value(weight)``,
 an exact-name property lookup.
 
+``out()``/``in()``/``both()`` (``adjacent(..., "vertex")``) run the
+same row loop: they must return the far endpoints of those edges in the
+same order, as lazy vertices hinted with the vertex table the edge's
+table declares for that endpoint (§6.3 narrowing), and build no edge.
+
 Generated scenarios cover the overlay-config space (prefixed and
 composite ids, column labels, dual tables, views); hand-built graphs
 pin the corners: composite and prefixed endpoints, column-label tables
@@ -20,8 +25,8 @@ from collections import Counter
 import pytest
 
 from repro.core import Db2Graph
-from repro.core.graph_structure import RuntimeOptimizations
-from repro.graph.model import Direction, GraphProvider
+from repro.core.graph_structure import OverlayEdge, RuntimeOptimizations
+from repro.graph.model import Direction, GraphProvider, Pushdown, Vertex
 from repro.relational import Database
 from repro.testing import (
     ScenarioInvalid,
@@ -48,6 +53,33 @@ def assert_contract(provider, vertex_ids, direction, edge_labels=None, weight=No
     return got
 
 
+def assert_vertex_contract(provider, vertices, direction, edge_labels=None):
+    """``adjacent(..., "vertex")`` against the edges ``adjacent(...,
+    "edge")`` returns: the same far endpoint ids in the same order, each
+    a lazy vertex whose hint is its edge's ``in_v_table`` (reached over
+    OUT) or ``out_v_table`` (over IN).  A self-loop under BOTH is reached
+    both ways, so either hint is right for it."""
+    got = provider.adjacent(vertices, direction, edge_labels, "vertex", Pushdown())
+    edges = provider.adjacent(vertices, direction, edge_labels, "edge", Pushdown())
+    assert set(got) == set(edges) == {v.id for v in vertices}
+    for vertex_id, edge_list in edges.items():
+        want = []
+        for edge in edge_list:
+            if direction is Direction.BOTH and edge.out_v_id == edge.in_v_id:
+                want.append((edge.in_v_id, {edge.in_v_table, edge.out_v_table}))
+            elif direction is Direction.OUT or (
+                direction is Direction.BOTH and edge.out_v_id == vertex_id
+            ):
+                want.append((edge.in_v_id, {edge.in_v_table}))
+            else:
+                want.append((edge.out_v_id, {edge.out_v_table}))
+        context = f"{vertex_id!r} {direction} labels={edge_labels}"
+        assert [v.id for v in got[vertex_id]] == [far for far, _hints in want], context
+        for vertex, (_far, hints) in zip(got[vertex_id], want):
+            assert not vertex.is_materialized, context
+            assert vertex.source_table in hints, context
+
+
 # ---------------------------------------------------------------------------
 # generated overlays
 # ---------------------------------------------------------------------------
@@ -67,15 +99,23 @@ def test_generated_overlays_match_the_element_default(seed):
     labels = sorted({e.label for e in oracle._edges.values()})
     keys = sorted({k for e in oracle._edges.values() for k in e.properties})
     weights = [None] + [w for k in keys[:1] for w in (k, k.swapcase())]
-    graph = Db2Graph.open(db, overlay, cache=seed % 2 == 1)
-    try:
-        provider = graph.provider
-        for direction in DIRECTIONS:
-            for edge_labels in (None, tuple(labels[:1]) or None):
-                for weight in weights:
-                    assert_contract(provider, vertex_ids, direction, edge_labels, weight)
-    finally:
-        graph.close()
+    for opts in (None, RuntimeOptimizations.all_off()):
+        graph = Db2Graph.open(db, overlay, runtime_opts=opts, cache=seed % 2 == 1)
+        try:
+            provider = graph.provider
+            # out()/in()/both() from scanned vertices, which carry their
+            # table as the narrowing hint, beside unhinted copies and
+            # missing ids in the same batch
+            vertices = graph.traversal().V().toList()
+            vertices += [Vertex(v.id, provider=provider) for v in vertices[::3]]
+            vertices += [Vertex(v, provider=provider) for v in MISSING_IDS]
+            for direction in DIRECTIONS:
+                for edge_labels in (None, tuple(labels[:1]) or None):
+                    for weight in weights:
+                        assert_contract(provider, vertex_ids, direction, edge_labels, weight)
+                    assert_vertex_contract(provider, vertices, direction, edge_labels)
+        finally:
+            graph.close()
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +200,8 @@ def test_column_label_table_under_edge_labels(direction, edge_labels):
         graph = Db2Graph.open(corner_db(), CORNER_OVERLAY, runtime_opts=opts, cache=False)
         try:
             assert_contract(graph.provider, [1, 2, 3, 4], direction, edge_labels, "w")
+            vertices = graph.traversal().V().toList()
+            assert_vertex_contract(graph.provider, vertices, direction, edge_labels)
         finally:
             graph.close()
 
@@ -202,6 +244,8 @@ def test_composite_and_prefixed_endpoints(direction, batch_size):
         ids = ["vc::1::2", "vc::3::4", "vo::10", "vo::11", "vo::12", "vc::9::9", 10]
         for weight in (None, "w"):
             got = assert_contract(graph.provider, ids, direction, None, weight)
+        vertices = [Vertex(i, provider=graph.provider) for i in ids]
+        assert_vertex_contract(graph.provider, vertices + graph.traversal().V().toList(), direction)
         if direction is Direction.OUT:
             assert Counter(got["vc::1::2"]) == Counter(
                 [("vo::10", 1.5), ("vo::11", None), ("vo::11", 2.5)]
@@ -209,3 +253,20 @@ def test_composite_and_prefixed_endpoints(direction, batch_size):
             assert got[10] == []  # an unprefixed id fits no template
     finally:
         graph.close()
+
+
+def test_out_builds_no_edge_elements(corner_graph, monkeypatch):
+    built = []
+    init = OverlayEdge.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OverlayEdge, "__init__", counting)
+    g = corner_graph.traversal()
+    assert sorted(v.id for v in g.V().out().toList()) == [1, 1, 2, 2, 2, 3, 4]
+    assert sorted(v.id for v in g.V(1).both().toList()) == [1, 1, 2, 2, 4]
+    assert built == []
+    assert len(g.V().outE().toList()) == 7
+    assert len(built) == 7

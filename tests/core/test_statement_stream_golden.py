@@ -15,6 +15,9 @@ Regenerate the fixture (only when a change to the statement stream is
 intended) with::
 
     PYTHONPATH=src python -m tests.core.test_statement_stream_golden
+
+It prints, per config, every case whose stream differs from the fixture
+it replaces, with the case's statement count before -> after.
 """
 
 from __future__ import annotations
@@ -139,8 +142,42 @@ def test_golden_fixture_is_not_trivial(golden):
     assert any(e[0] == "S" and " IN (" in e[1] for e in events)
 
 
-def _write_fixture() -> None:
-    fixture = encode(record_streams())
+def _statements(events: list[list]) -> int:
+    return sum(1 for e in events if e[0] == "S")
+
+
+def report_changes(before: dict, after: dict) -> list[str]:
+    """One line per config, then one per case whose stream changed from
+    ``before`` to ``after`` (both decoded), with its statement counts."""
+    lines: list[str] = []
+    for config in dict.fromkeys([*after, *before]):
+        old, new = before.get(config, {}), after.get(config, {})
+        changed = [c for c in dict.fromkeys([*new, *old]) if old.get(c) != new.get(c)]
+        lines.append(
+            f"{config}: {len(changed)} of {len(new)} streams changed, statements "
+            f"{sum(map(_statements, old.values()))} -> {sum(map(_statements, new.values()))}"
+        )
+        lines += [
+            f"  {case}: {_statements(old.get(case, []))} -> {_statements(new.get(case, []))}"
+            for case in changed
+        ]
+    return lines
+
+
+def test_report_lists_changed_streams_with_statement_counts():
+    select = ["S", "SELECT a, b FROM t", []]
+    narrow = ["S", "SELECT a FROM t", []]
+    before = {"cfg": {"same": [select], "moved": [["Q", "t", "edge"], select, select]}}
+    after = {"cfg": {"same": [select], "moved": [["Q", "t", "edge"], narrow], "new": [narrow]}}
+    assert report_changes(before, after) == [
+        "cfg: 2 of 3 streams changed, statements 3 -> 3",
+        "  moved: 2 -> 1",
+        "  new: 0 -> 1",
+    ]
+
+
+def _write_fixture(streams: dict) -> None:
+    fixture = encode(streams)
     lines = ['{"sql": [']
     lines += [f"  {json.dumps(text)}," for text in fixture["sql"]]
     lines[-1] = lines[-1].rstrip(",")
@@ -160,4 +197,7 @@ def _write_fixture() -> None:
 
 
 if __name__ == "__main__":
-    _write_fixture()
+    previous = decode(json.loads(FIXTURE.read_text())) if FIXTURE.exists() else {}
+    streams = record_streams()
+    _write_fixture(streams)
+    print("\n".join(report_changes(previous, streams)))

@@ -9,6 +9,8 @@ children's, and the SQL total equals what stats() counted.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.graph import P, __
@@ -105,6 +107,48 @@ def test_explain_is_side_effect_free(paper_graph):
     assert not recorder.count("table.eliminated")
     assert not recorder.count("sql.issued")
     paper_graph.disable_tracing()
+
+
+_SELECT = re.compile(r"^SELECT (.*?) FROM (\w+)")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda g: g.V().out(), lambda g: g.V().in_("hasDisease"), lambda g: g.V().both()],
+    ids=["out", "in_hasDisease", "both"],
+)
+def test_vertex_step_preview_selects_the_runtime_columns(paper_db, build):
+    """An out()/in()/both() preview lists exactly the columns the
+    runtime fetches per edge table: the endpoints, plus the label column
+    a step label is re-checked on, and no edge property."""
+    from repro.core import Db2Graph
+    from repro.obs import tracing
+
+    from ..conftest import HEALTHCARE_TINY_OVERLAY
+
+    graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, cache=False)
+    previewed = {
+        _SELECT.match(sql).groups()[::-1]
+        for entry in build(graph.traversal()).explain().step_sql
+        if entry.step.startswith("VertexStep")
+        for sql in entry.statements
+    }
+    recorder = graph.enable_tracing()
+    try:
+        build(graph.traversal()).toList()
+    finally:
+        graph.disable_tracing()
+    edge_tables = {etop.table_name for etop in graph.provider.topology.edge_tables}
+    issued = {
+        (table, columns)
+        for columns, table in (
+            _SELECT.match(e.get("sql")).groups() for e in recorder.named(tracing.SQL_ISSUED)
+        )
+        if table in edge_tables
+    }
+    assert previewed == issued
+    assert {table for table, _columns in issued} == edge_tables
+    assert not any("description" in columns for _table, columns in issued)
 
 
 def test_explain_contains_keeps_string_protocol(paper_graph):
