@@ -112,6 +112,11 @@ def test_explain_is_side_effect_free(paper_graph):
 _SELECT = re.compile(r"^SELECT (.*?) FROM (\w+)")
 
 
+def _select_lists(sqls) -> set[tuple[str, str]]:
+    """``(table, column list)`` of each SELECT."""
+    return {(m.group(2), m.group(1)) for m in map(_SELECT.match, sqls)}
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda g: g.V().out(), lambda g: g.V().in_("hasDisease"), lambda g: g.V().both()],
@@ -127,25 +132,20 @@ def test_vertex_step_preview_selects_the_runtime_columns(paper_db, build):
     from ..conftest import HEALTHCARE_TINY_OVERLAY
 
     graph = Db2Graph.open(paper_db, HEALTHCARE_TINY_OVERLAY, cache=False)
-    previewed = {
-        _SELECT.match(sql).groups()[::-1]
+    previewed = _select_lists(
+        sql
         for entry in build(graph.traversal()).explain().step_sql
         if entry.step.startswith("VertexStep")
         for sql in entry.statements
-    }
+    )
     recorder = graph.enable_tracing()
     try:
         build(graph.traversal()).toList()
     finally:
         graph.disable_tracing()
     edge_tables = {etop.table_name for etop in graph.provider.topology.edge_tables}
-    issued = {
-        (table, columns)
-        for columns, table in (
-            _SELECT.match(e.get("sql")).groups() for e in recorder.named(tracing.SQL_ISSUED)
-        )
-        if table in edge_tables
-    }
+    issued = _select_lists(e.get("sql") for e in recorder.named(tracing.SQL_ISSUED))
+    issued = {(table, columns) for table, columns in issued if table in edge_tables}
     assert previewed == issued
     assert {table for table, _columns in issued} == edge_tables
     assert not any("description" in columns for _table, columns in issued)
