@@ -304,6 +304,8 @@ class GraphAnalytics:
             try:
                 vertices = executor.all_vertex_ids()
                 component.update({v: v for v in vertices})
+                # every label is a vertex id: one sort key each per run
+                key_of = {v: sort_key(v) for v in vertices}
                 frontier: set[Any] = set(vertices)
                 while frontier:
                     if max_iterations is not None and steps >= max_iterations:
@@ -315,7 +317,7 @@ class GraphAnalytics:
                     changed: set[Any] = set()
                     for u in ordered:
                         label = component[u]
-                        label_key = sort_key(label)
+                        label_key = key_of[label]
                         for v in adjacency.get(u, ()):
                             incumbent = component.get(v)
                             if incumbent is None:
@@ -324,7 +326,7 @@ class GraphAnalytics:
                                 # propagating component
                                 component[v] = label
                                 changed.add(v)
-                            elif label_key < sort_key(incumbent):
+                            elif label_key < key_of[incumbent]:
                                 component[v] = label
                                 changed.add(v)
                     frontier = changed

@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from ..graph.model import Direction, GraphProvider, Pushdown
+from ..graph.model import Direction, GraphProvider
 from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.tracing import NULL_RECORDER
-
-_EMPTY_PUSHDOWN = Pushdown()
-
 
 def sort_key(vertex_id: Any) -> tuple[str, str]:
     """Total order over heterogeneous vertex ids (ints and strings mix
@@ -75,10 +72,7 @@ class FrontierExecutor:
 
     def all_vertex_ids(self) -> list[Any]:
         """Every vertex id in the graph, in canonical sort order."""
-        ids = [
-            v.id
-            for v in self.provider.graph_step("vertex", None, _EMPTY_PUSHDOWN)
-        ]
+        ids = self.provider.vertex_ids()
         ids.sort(key=sort_key)
         return ids
 

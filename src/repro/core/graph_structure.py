@@ -274,8 +274,12 @@ class OverlayGraph(GraphProvider):
         pushdown: Pushdown,
     ) -> tuple[list[tuple[str, str]], list[tuple[Any, Direction, Any, list, bool]]]:
         """``adjacent()`` for one vertex batch: eliminations plus
-        ``(edge table, direction, matching vertices, predicate groups,
-        aggregated)`` per surviving (table, direction), in run order.
+        ``(edge table, direction, sides, predicate groups, aggregated)``
+        per statement-sharing (table, direction), in run order.  A side
+        is ``(direction, matching vertices, keep)``: a probe has one side
+        and ``keep=None``; a scan (:meth:`_scan_filter`) keeps only rows
+        whose near endpoint value is in ``keep``, and under BOTH one scan
+        serves both sides, walked OUT then IN.
 
         ``vertices=None`` plans for a batch known only at run time
         (``explain()`` of ``out()``): nothing is narrowed and the
@@ -292,23 +296,52 @@ class OverlayGraph(GraphProvider):
             pushable = pushdown.aggregate is not None and self._fully_pushable(
                 etop, pushdown, edge_labels
             )
+            scan: list | None = None
             for d in directions:
                 template = etop.src_template if d is Direction.OUT else etop.dst_template
                 if vertices is None:
                     column = etop.relation.canonical(template.columns[0])
                     probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
-                    plan.append((etop, d, None, [[probe] + base], pushable))
+                    plan.append((etop, d, ((d, None, None),), [[probe] + base], pushable))
                     continue
                 matching, decoded = self._vertices_matching_endpoint(etop, vertices, d)
                 if not matching:
                     eliminated.append((etop.table_name, "src_dst_tables"))
                     continue
+                keep = self._scan_filter(etop, template.only_column, decoded)
+                if keep is not None:
+                    if scan is None:
+                        scan = [(d, matching, keep)]
+                        plan.append((etop, d, scan, [base], False))
+                    else:  # BOTH: IN reads the rows OUT's scan fetched
+                        scan.append((d, matching, keep))
+                        plan[-1] = (etop, Direction.BOTH, scan, [base], False)
+                    continue
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
                 # the IN list dedups them: fetch and weight instead
                 aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
-                plan.append((etop, d, matching, [g + base for g in groups], aggregated))
+                sides = ((d, matching, None),)
+                plan.append((etop, d, sides, [g + base for g in groups], aggregated))
         return eliminated, plan
+
+    def _scan_filter(
+        self, etop: EdgeTopology, column: str | None, decoded: list[dict[str, Any]]
+    ) -> set[Any] | None:
+        """Scan or probe (DESIGN.md §9): the endpoint values a scan of
+        ``etop`` keeps, or ``None`` to probe.  One scan replaces the
+        ``IN (...)`` probes on ``column`` when probing takes two or more
+        statements and each would scan the table anyway: a single-column
+        endpoint of a base table with no index on it in the live catalog."""
+        if column is None or len(decoded) <= self.batch_size:
+            return None
+        catalog = self.dialect.connection.database.catalog
+        if not catalog.has_table(etop.table_name):
+            return None  # a view: probes may reach its base tables' indexes
+        if catalog.get_table(etop.table_name).storage.index_on([column]) is not None:
+            return None
+        keep = {values[column] for values in decoded}
+        return keep if len(keep) > self.batch_size else None
 
     def _vertices_matching_endpoint(
         self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
@@ -653,6 +686,24 @@ class OverlayGraph(GraphProvider):
     ) -> Iterator[Any]:
         yield from self._elements(return_type, ids, pushdown)
 
+    def vertex_ids(self) -> list[Any]:
+        """``g.V()``'s scan reduced to ids: the same eliminations, tables,
+        statements and events, selecting only each table's id columns and
+        rendering ids from row tuples.  No vertex is built."""
+        eliminated, plan = self._plan("vertex", None, Pushdown())
+        self._note_eliminations(eliminated)
+        ids: list[Any] = []
+        for vtop, predicates, _aggregated in plan:
+            template = vtop.id_template
+            columns = list(dict.fromkeys(vtop.relation.canonical(c) for c in template.columns))
+            self._note_table_query(vtop.table_name, "vertex")
+            keys, rows = self.dialect.select(vtop.table_name, columns, predicates)
+            if template.is_single_column:
+                ids.extend(row[0] for row in rows)
+            else:
+                ids.extend(template.render(dict(zip(keys, row))) for row in rows)
+        return ids
+
     def _elements(
         self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
     ) -> Iterator[Any]:
@@ -732,11 +783,13 @@ class OverlayGraph(GraphProvider):
             ]
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, d, _matching, groups, _aggregated in plan:
-            for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
-                bucket = result.get(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
-                if bucket is not None:
-                    bucket.append(edge)
+        for etop, _d, sides, groups, _aggregated in plan:
+            edges = list(self._fetch_edges_for(etop, groups, pushdown, edge_labels))
+            for side in sides:
+                for near, edge in _side_edges(etop, side, edges):
+                    bucket = result.get(near)
+                    if bucket is not None:
+                        bucket.append(edge)
         return result
 
     def _fetch_edges_for(
@@ -757,7 +810,7 @@ class OverlayGraph(GraphProvider):
     def _aggregate_edges_for(
         self, entry: tuple, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
     ) -> Any:
-        etop, d, matching, groups, aggregated = entry
+        etop, _d, sides, groups, aggregated = entry
         if aggregated:
             partials: list[Any] = []
             for predicates in groups:
@@ -766,11 +819,12 @@ class OverlayGraph(GraphProvider):
             return _combine_aggregates(pushdown.aggregate, partials)
         # Fetch and aggregate in memory, weighting each edge by its
         # endpoint's multiplicity (g.V(1, 1).outE().count()).
-        multiplicity = Counter(str(v.id) for v in matching)
+        edges = list(self._fetch_edges_for(etop, groups, pushdown, edge_labels))
         weighted: list[OverlayEdge] = []
-        for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
-            endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
-            weighted.extend([edge] * multiplicity.get(endpoint, 1))
+        for side in sides:
+            multiplicity = Counter(str(v.id) for v in side[1])
+            for near, edge in _side_edges(etop, side, edges):
+                weighted.extend([edge] * multiplicity.get(str(near), 1))
         return _memory_aggregate(weighted, pushdown)
 
     def _resolve_adjacent_vertices(
@@ -840,38 +894,43 @@ class OverlayGraph(GraphProvider):
         self._note_eliminations(eliminated)
         paired = hinted or weight is not None
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, d, _matching, groups, _aggregated in plan:
+        for etop, _d, sides, groups, _aggregated in plan:
             # a fixed label outside edge_labels survives only with label
             # elimination off: its statements run, its rows are dropped
             rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
             columns, label_column, weight_column = neighbour_columns(etop, edge_labels, weight)
-            near, far = (
-                (etop.src_template, etop.dst_template)
-                if d is Direction.OUT
-                else (etop.dst_template, etop.src_template)
-            )
-            hint = None
-            if hinted and self.opts.use_src_dst_tables:
-                hint = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
             for predicates in groups:
                 self._note_table_query(etop.table_name, "edge")
                 keys, rows = self.dialect.select(etop.table_name, columns, predicates)
                 if rejected:
                     continue
-                ends = _endpoint_reader(keys, near, far)
                 label_at = keys.index(label_column.lower()) if label_column else None
                 weight_at = keys.index(weight_column.lower()) if weight_column else None
-                for row in rows:
-                    if label_at is not None and str(row[label_at]) not in edge_labels:
-                        continue
-                    key, other = ends(row)
-                    bucket = result.get(key)
-                    if bucket is None:
-                        continue
-                    if not paired:
-                        bucket.append(other)
-                    else:
-                        bucket.append((other, hint if weight_at is None else row[weight_at]))
+                for d, _matching, keep in sides:
+                    near, far = (
+                        (etop.src_template, etop.dst_template)
+                        if d is Direction.OUT
+                        else (etop.dst_template, etop.src_template)
+                    )
+                    hint = None
+                    if hinted and self.opts.use_src_dst_tables:
+                        hint = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
+                    ends = _endpoint_reader(keys, near, far)
+                    side_rows = rows
+                    if keep is not None:
+                        near_at = keys.index(near.only_column.lower())
+                        side_rows = [row for row in rows if row[near_at] in keep]
+                    for row in side_rows:
+                        if label_at is not None and str(row[label_at]) not in edge_labels:
+                            continue
+                        key, other = ends(row)
+                        bucket = result.get(key)
+                        if bucket is None:
+                            continue
+                        if not paired:
+                            bucket.append(other)
+                        else:
+                            bucket.append((other, hint if weight_at is None else row[weight_at]))
         return result
 
     # ------------------------------------------------------------------
@@ -1198,6 +1257,19 @@ def _endpoint_reader(
         return near.render(named), far.render(named)
 
     return render
+
+
+def _side_edges(
+    etop: EdgeTopology, side: tuple[Direction, Any, Any], edges: list[OverlayEdge]
+) -> Iterator[tuple[Any, OverlayEdge]]:
+    """``(near endpoint id, edge)`` for one side of an ``adjacent()``
+    plan entry; a scan side keeps only edges whose near endpoint value
+    it holds."""
+    d, _matching, keep = side
+    column = (etop.src_template if d is Direction.OUT else etop.dst_template).columns[0]
+    for edge in edges:
+        if keep is None or edge.row[column.lower()] in keep:
+            yield (edge.out_v_id if d is Direction.OUT else edge.in_v_id), edge
 
 
 def _has_repeats(ids: Sequence[Any] | None) -> bool:
