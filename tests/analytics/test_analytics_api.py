@@ -287,6 +287,79 @@ class TestRepeat:
         assert result == level
 
 
+def stride_db() -> Database:
+    """40 items and 37 links ``i -> i + 3``: three components whose WCC
+    levels hold 40, 35 and 12 ids, each more than ``batch_size=8``."""
+    db = Database()
+    db.execute("CREATE TABLE item (id INT PRIMARY KEY, name VARCHAR)")
+    db.execute("CREATE TABLE link (src INT, dst INT, w DOUBLE)")
+    db.execute(
+        "INSERT INTO item VALUES " + ", ".join(f"({i}, 'i{i}')" for i in range(1, 41))
+    )
+    db.execute(
+        "INSERT INTO link VALUES " + ", ".join(f"({i}, {i + 3}, 1.0)" for i in range(1, 38))
+    )
+    return db
+
+
+class TestScanOrProbe:
+    """A WCC level on an unindexed ``link`` costs one scan for both
+    directions; an index or a view-backed edge table keeps per-batch
+    probes (DESIGN.md §9).  The choice reads the live catalog."""
+
+    SIZES = [40, 35, 12]
+    PROBES = sum(2 * -(-size // 8) for size in SIZES)  # per batch, per direction
+
+    @staticmethod
+    def traced_wcc(graph):
+        recorder = graph.enable_tracing()
+        recorder.clear()
+        result = graph.analytics().wcc()
+        return result, [e.get("sql") for e in recorder.named(tracing.SQL_ISSUED)]
+
+    def test_one_edge_statement_per_level_until_an_index_exists(self):
+        db = stride_db()
+        graph = Db2Graph.open(db, OVERLAY, batch_size=8, cache=False)
+        scanned, statements = self.traced_wcc(graph)
+        assert (scanned.converged, scanned.frontier_sizes) == (True, self.SIZES)
+        assert scanned.component_count() == 3
+        assert statements == ["SELECT id FROM item"] + ["SELECT src, dst FROM link"] * 3
+        db.execute("CREATE INDEX link_src ON link (src)")
+        db.execute("CREATE INDEX link_dst ON link (dst)")
+        probed, statements = self.traced_wcc(graph)
+        assert probed == scanned
+        assert len(statements) == 1 + self.PROBES == 25
+        assert all(" IN (" in sql for sql in statements[1:])
+        graph.close()
+
+    def test_view_backed_edge_table_keeps_probing(self):
+        db = stride_db()
+        db.execute("CREATE VIEW link_v AS SELECT src, dst, w FROM link")
+        overlay = {
+            "v_tables": OVERLAY["v_tables"],
+            "e_tables": [{**OVERLAY["e_tables"][0], "table_name": "link_v"}],
+        }
+        graph = Db2Graph.open(db, overlay, batch_size=8, cache=False)
+        result, statements = self.traced_wcc(graph)
+        assert result.frontier_sizes == self.SIZES
+        assert len(statements) == 1 + self.PROBES
+        graph.close()
+
+    def test_budget_tripping_on_a_scan_level_carries_partial_progress(self):
+        # the vertex read and level 0's scan run; level 1's scan trips
+        graph = Db2Graph.open(stride_db(), OVERLAY, batch_size=8, cache=False)
+        graph.enable_tracing()
+        an = graph.analytics(budget=QueryBudget(max_sql_statements=2))
+        with pytest.raises(BudgetExceededError) as info:
+            an.wcc()
+        assert graph.trace.count(tracing.SQL_ISSUED) == 2
+        partial = info.value.partial
+        assert isinstance(partial, WccResult) and not partial.converged
+        assert (partial.steps, partial.frontier_sizes) == (1, [40])
+        assert len(partial.component) == 40
+        graph.close()
+
+
 class TestTableFunction:
     def test_wcc_rows(self, graph):
         graph.register_table_function()
