@@ -15,7 +15,8 @@ Acceptance bar: the chain issues at most ``HOPS + 1`` statements and
 its result multiset equals a pure-Python expansion of the generated
 edge list.  A second table profiles the four analytics algorithms on
 the same graph — statements, steps, frontier sizes, convergence
-(batch_size=1024: whole-graph frontiers earn bigger IN-lists).
+(batch_size=1024: a level of more distinct ids than that is one scan
+of the unindexed ``link`` table, DESIGN.md §9).
 """
 
 from __future__ import annotations

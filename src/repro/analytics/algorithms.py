@@ -1,8 +1,8 @@
 """The four bulk graph algorithms (BFS, SSSP, WCC, PageRank).
 
 All four run level-synchronously on the :class:`FrontierExecutor`, so
-one step costs O(edge tables) batched SQL statements regardless of
-frontier size.  Determinism contract (the differential battery relies
+one step costs at most one SQL statement per unindexed edge table (a
+scan) and ⌈frontier / batch_size⌉ probes per indexed one and direction.  Determinism contract (the differential battery relies
 on it): every per-level loop iterates vertices in canonical
 :func:`~repro.analytics.frontier.sort_key` order, and ties resolve to
 the sorted-first candidate — so BFS/SSSP/WCC results are bit-identical

@@ -4,8 +4,10 @@ GRAPHITE-style bulk execution over the relational overlay: instead of
 expanding one traverser at a time, :class:`FrontierExecutor` hands a
 whole frontier of vertex ids to ``provider.adjacent_ids(...)`` in one
 call.  The overlay provider chunks the ids into batched
-``WHERE id IN (...)`` statements per edge table, so one analytics step
-costs O(edge tables) statements instead of O(frontier vertices).  Those
+``WHERE id IN (...)`` probes per edge table, or, on an unindexed
+single-column endpoint of a base table, reads the table in one scan
+(DESIGN.md §9), so one analytics step costs at most one statement per
+unindexed edge table instead of O(frontier vertices).  Those
 statements select only the endpoint columns (plus the weight column for
 SSSP), and the neighbours come back as bare ids: no edge or vertex
 element is built.
@@ -28,6 +30,7 @@ from ..graph.model import Direction, GraphProvider
 from ..obs import metrics as M
 from ..obs import tracing
 from ..obs.tracing import NULL_RECORDER
+
 
 def sort_key(vertex_id: Any) -> tuple[str, str]:
     """Total order over heterogeneous vertex ids (ints and strings mix
@@ -72,9 +75,7 @@ class FrontierExecutor:
 
     def all_vertex_ids(self) -> list[Any]:
         """Every vertex id in the graph, in canonical sort order."""
-        ids = self.provider.vertex_ids()
-        ids.sort(key=sort_key)
-        return ids
+        return sorted(self.provider.vertex_ids(), key=sort_key)
 
     # -- frontier expansion --------------------------------------------------
 

@@ -272,14 +272,13 @@ class OverlayGraph(GraphProvider):
         direction: Direction,
         edge_labels: tuple[str, ...] | None,
         pushdown: Pushdown,
-    ) -> tuple[list[tuple[str, str]], list[tuple[Any, Direction, Any, list, bool]]]:
-        """``adjacent()`` for one vertex batch: eliminations plus
-        ``(edge table, direction, sides, predicate groups, aggregated)``
-        per statement-sharing (table, direction), in run order.  A side
-        is ``(direction, matching vertices, keep)``: a probe has one side
-        and ``keep=None``; a scan (:meth:`_scan_filter`) keeps only rows
-        whose near endpoint value is in ``keep``, and under BOTH one scan
-        serves both sides, walked OUT then IN.
+    ) -> tuple[list[tuple[str, str]], list[tuple[Any, list, list, bool]]]:
+        """``adjacent()`` for one vertex batch: eliminations plus ``(edge
+        table, sides, predicate groups, aggregated)`` in run order.  A
+        side is ``(direction, matching vertices, keep)``.  A probe entry
+        has one side with ``keep=None``; a scan entry (:meth:`_scan_filter`)
+        keeps rows whose near endpoint value is in ``keep``, and under
+        BOTH serves both sides from one statement, walked OUT then IN.
 
         ``vertices=None`` plans for a batch known only at run time
         (``explain()`` of ``out()``): nothing is narrowed and the
@@ -290,7 +289,7 @@ class OverlayGraph(GraphProvider):
         candidates, eliminated = self._candidate_tables(
             "edge", pushdown, edge_labels, record=False
         )
-        plan: list[tuple[Any, Direction, Any, list, bool]] = []
+        plan: list[tuple[Any, list, list, bool]] = []
         for etop in candidates:
             base = self._base_predicates("edge", etop, pushdown, edge_labels)
             pushable = pushdown.aggregate is not None and self._fully_pushable(
@@ -302,7 +301,7 @@ class OverlayGraph(GraphProvider):
                 if vertices is None:
                     column = etop.relation.canonical(template.columns[0])
                     probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
-                    plan.append((etop, d, ((d, None, None),), [[probe] + base], pushable))
+                    plan.append((etop, [(d, None, None)], [[probe] + base], pushable))
                     continue
                 matching, decoded = self._vertices_matching_endpoint(etop, vertices, d)
                 if not matching:
@@ -310,29 +309,25 @@ class OverlayGraph(GraphProvider):
                     continue
                 keep = self._scan_filter(etop, template.only_column, decoded)
                 if keep is not None:
-                    if scan is None:
-                        scan = [(d, matching, keep)]
-                        plan.append((etop, d, scan, [base], False))
-                    else:  # BOTH: IN reads the rows OUT's scan fetched
-                        scan.append((d, matching, keep))
-                        plan[-1] = (etop, Direction.BOTH, scan, [base], False)
+                    if scan is None:  # under BOTH, IN joins OUT's scan
+                        scan = []
+                        plan.append((etop, scan, [base], False))
+                    scan.append((d, matching, keep))
                     continue
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
                 # the IN list dedups them: fetch and weight instead
                 aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
-                sides = ((d, matching, None),)
-                plan.append((etop, d, sides, [g + base for g in groups], aggregated))
+                plan.append((etop, [(d, matching, None)], [g + base for g in groups], aggregated))
         return eliminated, plan
 
     def _scan_filter(
         self, etop: EdgeTopology, column: str | None, decoded: list[dict[str, Any]]
     ) -> set[Any] | None:
-        """Scan or probe (DESIGN.md §9): the endpoint values a scan of
-        ``etop`` keeps, or ``None`` to probe.  One scan replaces the
-        ``IN (...)`` probes on ``column`` when probing takes two or more
-        statements and each would scan the table anyway: a single-column
-        endpoint of a base table with no index on it in the live catalog."""
+        """Scan or probe (DESIGN.md §9): the ``column`` values a scan of
+        ``etop`` keeps, or ``None`` to probe.  A scan replaces two or more
+        probes that would each scan the table anyway: a single-column
+        endpoint of a base table without an index in the live catalog."""
         if column is None or len(decoded) <= self.batch_size:
             return None
         catalog = self.dialect.connection.database.catalog
@@ -687,9 +682,8 @@ class OverlayGraph(GraphProvider):
         yield from self._elements(return_type, ids, pushdown)
 
     def vertex_ids(self) -> list[Any]:
-        """``g.V()``'s scan reduced to ids: the same eliminations, tables,
-        statements and events, selecting only each table's id columns and
-        rendering ids from row tuples.  No vertex is built."""
+        """``g.V()``'s plan, eliminations and events reduced to ids: each
+        SELECT fetches only the id columns, and no vertex is built."""
         eliminated, plan = self._plan("vertex", None, Pushdown())
         self._note_eliminations(eliminated)
         ids: list[Any] = []
@@ -783,13 +777,12 @@ class OverlayGraph(GraphProvider):
             ]
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, _d, sides, groups, _aggregated in plan:
+        for etop, sides, groups, _aggregated in plan:
             edges = list(self._fetch_edges_for(etop, groups, pushdown, edge_labels))
             for side in sides:
                 for near, edge in _side_edges(etop, side, edges):
-                    bucket = result.get(near)
-                    if bucket is not None:
-                        bucket.append(edge)
+                    if near in result:
+                        result[near].append(edge)
         return result
 
     def _fetch_edges_for(
@@ -810,7 +803,7 @@ class OverlayGraph(GraphProvider):
     def _aggregate_edges_for(
         self, entry: tuple, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
     ) -> Any:
-        etop, _d, sides, groups, aggregated = entry
+        etop, sides, groups, aggregated = entry
         if aggregated:
             partials: list[Any] = []
             for predicates in groups:
@@ -894,7 +887,7 @@ class OverlayGraph(GraphProvider):
         self._note_eliminations(eliminated)
         paired = hinted or weight is not None
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, _d, sides, groups, _aggregated in plan:
+        for etop, sides, groups, _aggregated in plan:
             # a fixed label outside edge_labels survives only with label
             # elimination off: its statements run, its rows are dropped
             rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
@@ -907,14 +900,11 @@ class OverlayGraph(GraphProvider):
                 label_at = keys.index(label_column.lower()) if label_column else None
                 weight_at = keys.index(weight_column.lower()) if weight_column else None
                 for d, _matching, keep in sides:
-                    near, far = (
-                        (etop.src_template, etop.dst_template)
-                        if d is Direction.OUT
-                        else (etop.dst_template, etop.src_template)
-                    )
-                    hint = None
-                    if hinted and self.opts.use_src_dst_tables:
-                        hint = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
+                    near, far = etop.src_template, etop.dst_template
+                    if d is Direction.IN:
+                        near, far = far, near
+                    declared = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
+                    hint = declared if hinted and self.opts.use_src_dst_tables else None
                     ends = _endpoint_reader(keys, near, far)
                     side_rows = rows
                     if keep is not None:
@@ -1259,12 +1249,9 @@ def _endpoint_reader(
     return render
 
 
-def _side_edges(
-    etop: EdgeTopology, side: tuple[Direction, Any, Any], edges: list[OverlayEdge]
-) -> Iterator[tuple[Any, OverlayEdge]]:
-    """``(near endpoint id, edge)`` for one side of an ``adjacent()``
-    plan entry; a scan side keeps only edges whose near endpoint value
-    it holds."""
+def _side_edges(etop: EdgeTopology, side: tuple, edges: list) -> Iterator[tuple[Any, Any]]:
+    """``(near endpoint id, edge)`` over one side of an ``adjacent()``
+    plan entry; a scan side keeps the edges whose near value it holds."""
     d, _matching, keep = side
     column = (etop.src_template if d is Direction.OUT else etop.dst_template).columns[0]
     for edge in edges:

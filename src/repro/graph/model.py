@@ -248,9 +248,7 @@ class GraphProvider:
         raise NotImplementedError
 
     def vertex_ids(self) -> list[Any]:
-        """Every vertex id, in ``g.V()`` order (bulk analytics' vertex
-        read).  This default reads them off the scanned elements; the
-        overlay selects only the id columns."""
+        """Every vertex id in ``g.V()`` order (the overlay reads id columns only)."""
         return [v.id for v in self.graph_step("vertex", None, Pushdown())]
 
     def adjacent(

@@ -157,7 +157,7 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
         )
         plan = [
             (etop, predicates, aggregated)
-            for etop, _d, _sides, groups, aggregated in adjacency
+            for etop, _sides, groups, aggregated in adjacency
             for predicates in groups
         ]
     else:

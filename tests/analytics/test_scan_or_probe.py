@@ -76,7 +76,7 @@ def scanned_tables(provider, vertices) -> set[str]:
     _eliminated, plan = provider._adjacent_plan(vertices, Direction.BOTH, None, Pushdown())
     return {
         etop.table_name
-        for etop, _d, sides, _groups, _aggregated in plan
+        for etop, sides, _groups, _aggregated in plan
         if any(keep is not None for _side, _matching, keep in sides)
     }
 
