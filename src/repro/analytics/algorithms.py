@@ -1,14 +1,14 @@
 """The four bulk graph algorithms (BFS, SSSP, WCC, PageRank).
 
 All four run level-synchronously on the :class:`FrontierExecutor`, so
-one step costs at most one SQL statement per unindexed edge table (a
-scan) and ⌈frontier / batch_size⌉ probes per indexed one and direction.  Determinism contract (the differential battery relies
-on it): every per-level loop iterates vertices in canonical
-:func:`~repro.analytics.frontier.sort_key` order, and ties resolve to
-the sorted-first candidate — so BFS/SSSP/WCC results are bit-identical
-to the pure-Python oracle, while PageRank (whose per-vertex
-accumulation order depends on SQL row order) is compared within an L1
-tolerance.
+one step costs one scan per unindexed edge table, or ⌈frontier /
+batch_size⌉ probes per indexed one and direction.  Determinism contract
+(the differential battery relies on it): every per-level loop iterates
+vertices in canonical :func:`~repro.analytics.frontier.sort_key`
+order, and ties resolve to the sorted-first candidate — so
+BFS/SSSP/WCC results are bit-identical to the pure-Python oracle,
+while PageRank (whose per-vertex accumulation order depends on SQL row
+order) is compared within an L1 tolerance.
 
 Budget semantics: algorithms run inside the dialect's thread-local
 budget scope, so every SQL statement and frontier vertex checkpoints
