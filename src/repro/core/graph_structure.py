@@ -272,13 +272,18 @@ class OverlayGraph(GraphProvider):
         direction: Direction,
         edge_labels: tuple[str, ...] | None,
         pushdown: Pushdown,
+        scans: bool = False,
     ) -> tuple[list[tuple[str, str]], list[tuple[Any, list, list, bool]]]:
         """``adjacent()`` for one vertex batch: eliminations plus ``(edge
         table, sides, predicate groups, aggregated)`` in run order.  A
-        side is ``(direction, matching vertices, keep)``.  A probe entry
-        has one side with ``keep=None``; a scan entry (:meth:`_scan_filter`)
-        keeps rows whose near endpoint value is in ``keep``, and under
-        BOTH serves both sides from one statement, walked OUT then IN.
+        side is ``(direction, matching vertices, keep)``; a probe entry
+        has one side with ``keep=None``.  With ``scans`` (the neighbour
+        path, :meth:`_neighbours`) an entry may scan instead
+        (:meth:`_scan_filter`): it keeps rows whose near endpoint value
+        is in ``keep``, and under BOTH serves both sides from one
+        statement, walked OUT then IN.  The edge and aggregate paths
+        keep probes: a scan would build an edge per table row, and an
+        aggregate would no longer push down.
 
         ``vertices=None`` plans for a batch known only at run time
         (``explain()`` of ``out()``): nothing is narrowed and the
@@ -295,7 +300,7 @@ class OverlayGraph(GraphProvider):
             pushable = pushdown.aggregate is not None and self._fully_pushable(
                 etop, pushdown, edge_labels
             )
-            scan: list | None = None
+            scan_sides: list | None = None
             for d in directions:
                 template = etop.src_template if d is Direction.OUT else etop.dst_template
                 if vertices is None:
@@ -307,12 +312,12 @@ class OverlayGraph(GraphProvider):
                 if not matching:
                     eliminated.append((etop.table_name, "src_dst_tables"))
                     continue
-                keep = self._scan_filter(etop, template.only_column, decoded)
+                keep = self._scan_filter(etop, template.only_column, decoded) if scans else None
                 if keep is not None:
-                    if scan is None:  # under BOTH, IN joins OUT's scan
-                        scan = []
-                        plan.append((etop, scan, [base], False))
-                    scan.append((d, matching, keep))
+                    if scan_sides is None:  # under BOTH, IN joins OUT's scan
+                        scan_sides = []
+                        plan.append((etop, scan_sides, [base], False))
+                    scan_sides.append((d, matching, keep))
                     continue
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
@@ -327,13 +332,15 @@ class OverlayGraph(GraphProvider):
         """Scan or probe (DESIGN.md §9): the ``column`` values a scan of
         ``etop`` keeps, or ``None`` to probe.  A scan replaces two or more
         probes that would each scan the table anyway: a single-column
-        endpoint of a base table without an index in the live catalog."""
+        endpoint of a base table that no index in the live catalog
+        covers, alone or beside other columns."""
         if column is None or len(decoded) <= self.batch_size:
             return None
         catalog = self.dialect.connection.database.catalog
         if not catalog.has_table(etop.table_name):
             return None  # a view: probes may reach its base tables' indexes
-        if catalog.get_table(etop.table_name).storage.index_on([column]) is not None:
+        indexes = catalog.get_table(etop.table_name).storage.indexes.values()
+        if any(column.lower() in map(str.lower, index.columns) for index in indexes):
             return None
         keep = {values[column] for values in decoded}
         return keep if len(keep) > self.batch_size else None
@@ -692,10 +699,7 @@ class OverlayGraph(GraphProvider):
             columns = list(dict.fromkeys(vtop.relation.canonical(c) for c in template.columns))
             self._note_table_query(vtop.table_name, "vertex")
             keys, rows = self.dialect.select(vtop.table_name, columns, predicates)
-            if template.is_single_column:
-                ids.extend(row[0] for row in rows)
-            else:
-                ids.extend(template.render(dict(zip(keys, row))) for row in rows)
+            ids.extend(template.render(dict(zip(keys, row))) for row in rows)
         return ids
 
     def _elements(
@@ -777,12 +781,11 @@ class OverlayGraph(GraphProvider):
             ]
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, sides, groups, _aggregated in plan:
-            edges = list(self._fetch_edges_for(etop, groups, pushdown, edge_labels))
-            for side in sides:
-                for near, edge in _side_edges(etop, side, edges):
-                    if near in result:
-                        result[near].append(edge)
+        for etop, [(d, _matching, _keep)], groups, _aggregated in plan:
+            for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
+                bucket = result.get(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
+                if bucket is not None:
+                    bucket.append(edge)
         return result
 
     def _fetch_edges_for(
@@ -803,7 +806,7 @@ class OverlayGraph(GraphProvider):
     def _aggregate_edges_for(
         self, entry: tuple, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
     ) -> Any:
-        etop, sides, groups, aggregated = entry
+        etop, [(d, matching, _keep)], groups, aggregated = entry
         if aggregated:
             partials: list[Any] = []
             for predicates in groups:
@@ -812,12 +815,11 @@ class OverlayGraph(GraphProvider):
             return _combine_aggregates(pushdown.aggregate, partials)
         # Fetch and aggregate in memory, weighting each edge by its
         # endpoint's multiplicity (g.V(1, 1).outE().count()).
-        edges = list(self._fetch_edges_for(etop, groups, pushdown, edge_labels))
+        multiplicity = Counter(str(v.id) for v in matching)
         weighted: list[OverlayEdge] = []
-        for side in sides:
-            multiplicity = Counter(str(v.id) for v in side[1])
-            for near, edge in _side_edges(etop, side, edges):
-                weighted.extend([edge] * multiplicity.get(str(near), 1))
+        for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
+            endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
+            weighted.extend([edge] * multiplicity.get(endpoint, 1))
         return _memory_aggregate(weighted, pushdown)
 
     def _resolve_adjacent_vertices(
@@ -883,7 +885,9 @@ class OverlayGraph(GraphProvider):
         ``weight`` or ``hinted`` an entry is a ``(far id, value)`` pair:
         the weight property's value, or the far endpoint's declared
         vertex table as its §6.3 narrowing hint."""
-        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, Pushdown())
+        eliminated, plan = self._adjacent_plan(
+            vertices, direction, edge_labels, Pushdown(), scans=True
+        )
         self._note_eliminations(eliminated)
         paired = hinted or weight is not None
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
@@ -1247,16 +1251,6 @@ def _endpoint_reader(
         return near.render(named), far.render(named)
 
     return render
-
-
-def _side_edges(etop: EdgeTopology, side: tuple, edges: list) -> Iterator[tuple[Any, Any]]:
-    """``(near endpoint id, edge)`` over one side of an ``adjacent()``
-    plan entry; a scan side keeps the edges whose near value it holds."""
-    d, _matching, keep = side
-    column = (etop.src_template if d is Direction.OUT else etop.dst_template).columns[0]
-    for edge in edges:
-        if keep is None or edge.row[column.lower()] in keep:
-            yield (edge.out_v_id if d is Direction.OUT else edge.in_v_id), edge
 
 
 def _has_repeats(ids: Sequence[Any] | None) -> bool:

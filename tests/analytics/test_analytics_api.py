@@ -332,6 +332,43 @@ class TestScanOrProbe:
         assert all(" IN (" in sql for sql in statements[1:])
         graph.close()
 
+    def test_composite_index_on_an_endpoint_keeps_probing(self):
+        # an index holding the endpoint beside another column may serve
+        # the probes (batch_size=1 equality lookups), so no scan
+        db = stride_db()
+        graph = Db2Graph.open(db, OVERLAY, batch_size=8, cache=False)
+        scanned, _statements = self.traced_wcc(graph)
+        db.execute("CREATE INDEX link_src_w ON link (src, w)")
+        db.execute("CREATE INDEX link_dst_w ON link (dst, w)")
+        probed, statements = self.traced_wcc(graph)
+        assert probed == scanned
+        assert len(statements) == 1 + self.PROBES
+        graph.close()
+
+    def test_edge_and_aggregate_paths_keep_probing(self):
+        # only the neighbour path scans: outE() would build an edge per
+        # table row, and a scan's count() would no longer run in SQL
+        graph = Db2Graph.open(stride_db(), OVERLAY, batch_size=8, cache=False)
+        recorder = graph.enable_tracing()
+        g = graph.traversal()
+        ids = range(1, 41)
+        probe = " FROM link WHERE {} IN (?, ?, ?, ?, ?, ?, ?, ?)"
+        for traversal, count, statements in (
+            (g.V(*ids).outE().count(), 37, ["SELECT COUNT(*)" + probe.format("src")] * 5),
+            (g.V(*ids).bothE().count(), 74, [
+                "SELECT COUNT(*)" + probe.format(column) for column in ("src", "dst")
+                for _batch in range(5)
+            ]),
+        ):
+            recorder.clear()
+            assert traversal.next() == count
+            assert [e.get("sql") for e in recorder.named(tracing.SQL_ISSUED)] == statements
+        recorder.clear()
+        assert len(g.V(*ids).outE().toList()) == 37
+        issued = [e.get("sql") for e in recorder.named(tracing.SQL_ISSUED)]
+        assert issued == ["SELECT src, dst, w" + probe.format("src")] * 5
+        graph.close()
+
     def test_view_backed_edge_table_keeps_probing(self):
         db = stride_db()
         db.execute("CREATE VIEW link_v AS SELECT src, dst, w FROM link")

@@ -1,5 +1,6 @@
-"""Scan or probe: ``OverlayGraph._adjacent_plan`` replaces the
-``IN (...)`` probes on an unindexed single-column endpoint of a base
+"""Scan or probe: on the neighbour path (``adjacent_ids`` and
+``adjacent(..., "vertex")``), ``OverlayGraph._adjacent_plan`` replaces
+the ``IN (...)`` probes on an unindexed single-column endpoint of a base
 table with one scan of the table when a batch holds more distinct ids
 than ``batch_size`` (DESIGN.md §9).  Both physical forms must return the
 same thing.
@@ -7,11 +8,12 @@ same thing.
 Each generated overlay (seeds 0-39) is opened twice over one database:
 with ``batch_size`` above the number of input ids every (table,
 direction) probes, and with ``batch_size=1`` every eligible one scans.
-``adjacent_ids``, ``adjacent(..., "vertex")`` and ``adjacent(...,
-"edge")`` must return the same lists in the same order, with the same
-table hints and edge ids, and a folded ``outE().count()`` the same
-count: over all three directions, runtime optimizations on and off, and
-inputs mixing hinted vertices, unhinted copies and missing ids.
+``adjacent_ids`` and ``adjacent(..., "vertex")`` must return the same
+lists in the same order, with the same table hints, over all three
+directions, runtime optimizations on and off, and inputs mixing hinted
+vertices, unhinted copies and missing ids.  ``adjacent(..., "edge")``
+and a folded ``outE().count()`` never scan; they must agree at both
+batch sizes too.
 
 ``test_adjacent_ids_contract.py`` compares two consumers of one plan,
 so it cannot see a scan that keeps the wrong rows; this test compares
@@ -60,7 +62,7 @@ def per_table(scanned):
 
 
 def scannable_tables(provider) -> set[str]:
-    """Edge tables with a single-column endpoint that has no index."""
+    """Edge tables with a single-column endpoint that no index covers."""
     catalog = provider.dialect.connection.database.catalog
     return {
         etop.table_name
@@ -68,12 +70,17 @@ def scannable_tables(provider) -> set[str]:
         for template in (etop.src_template, etop.dst_template)
         if template.only_column is not None
         and catalog.has_table(etop.table_name)
-        and catalog.get_table(etop.table_name).storage.index_on([template.only_column]) is None
+        and not any(
+            template.only_column.lower() in [c.lower() for c in index.columns]
+            for index in catalog.get_table(etop.table_name).storage.indexes.values()
+        )
     }
 
 
 def scanned_tables(provider, vertices) -> set[str]:
-    _eliminated, plan = provider._adjacent_plan(vertices, Direction.BOTH, None, Pushdown())
+    _eliminated, plan = provider._adjacent_plan(
+        vertices, Direction.BOTH, None, Pushdown(), scans=True
+    )
     return {
         etop.table_name
         for etop, sides, _groups, _aggregated in plan
@@ -135,8 +142,8 @@ def test_scan_returns_what_probes_return(seed):
                     assert edges(s, s_vertices, direction, edge_labels) == (
                         edges(p, p_vertices, direction, edge_labels)
                     ), context
-                    # with duplicate ids both fetch and weight; without,
-                    # the probe counts in SQL and the scan in memory
+                    # probes at both batch sizes: duplicate ids fetch and
+                    # weight, distinct ones count in SQL where it pushes down
                     batches = zip(
                         [s_vertices, s_scanned, *per_table(s_scanned)],
                         [p_vertices, p_scanned, *per_table(p_scanned)],

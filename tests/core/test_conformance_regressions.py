@@ -105,11 +105,10 @@ def test_vertex_from_edge_with_projected_row():
         graph.close()
 
 
-def fan_in_graph(optimized, indexed=False):
+def fan_in_graph(optimized):
     """One vertex table and three edge tables whose dst can hold any
     integer id, opened as the conformance SQL-count pair's optimized or
-    stripped batch-1 cell; ``indexed`` adds an index on each endpoint
-    column."""
+    stripped batch-1 cell."""
     db = Database(enforce_foreign_keys=False)
     db.execute("CREATE TABLE p (pk INT PRIMARY KEY)")
     db.execute("INSERT INTO p VALUES (1), (2)")
@@ -117,9 +116,6 @@ def fan_in_graph(optimized, indexed=False):
     for table in tables:
         db.execute(f"CREATE TABLE {table} (s INT, d INT)")
         db.execute(f"INSERT INTO {table} VALUES (1, 2)")
-        if indexed:
-            db.execute(f"CREATE INDEX {table}_s ON {table} (s)")
-            db.execute(f"CREATE INDEX {table}_d ON {table} (d)")
     overlay = {
         "v_tables": [
             {"table_name": "p", "id": "pk", "fix_label": True, "label": "'p'",
@@ -138,11 +134,18 @@ def fan_in_graph(optimized, indexed=False):
     )
 
 
-def fan_in_statement_counts(indexed):
-    """``{(optimized, ids): statements}`` for ``V(*ids).in()``."""
+def test_vertex_step_fold_probes_missing_start_ids_by_design():
+    """Sweep seed 2953: the §6.2 GraphStep::VertexStep fold turns
+    V(ids).in() into dst probes on every edge table and skips the vertex
+    lookup the stripped engine runs first.  For an id naming no vertex
+    the stripped engine stops at the empty lookup, so the fold issues
+    more statements (6 vs 5 here) without any rule over-eliminating.
+    The conformance SQL-count check therefore covers only chains whose
+    V(ids) all resolve, where the fold stays at or under the stripped
+    count."""
     counts = {}
     for optimized in (True, False):
-        graph = fan_in_graph(optimized, indexed)
+        graph = fan_in_graph(optimized)
         graph.enable_tracing()
         try:
             for ids in ((2,), (2, 999999)):
@@ -152,28 +155,8 @@ def fan_in_statement_counts(indexed):
                 counts[optimized, ids] = graph.trace.count(tracing.SQL_ISSUED)
         finally:
             graph.close()
-    return counts
-
-
-def test_vertex_step_fold_probes_missing_start_ids_by_design():
-    """Sweep seed 2953: the §6.2 GraphStep::VertexStep fold turns
-    V(ids).in() into dst probes on every edge table and skips the vertex
-    lookup the stripped engine runs first.  For an id naming no vertex
-    the stripped engine stops at the empty lookup, so on indexed dst
-    columns the fold issues more statements (6 vs 5 here) without any
-    rule over-eliminating.  The conformance SQL-count check therefore
-    covers only chains whose V(ids) all resolve, where the fold stays at
-    or under the stripped count.
-
-    On unindexed dst columns the fold's two ids exceed ``batch_size=1``,
-    so each edge table is one scan instead of two probes (DESIGN.md §9):
-    3 statements against the stripped engine's 5."""
-    indexed = fan_in_statement_counts(indexed=True)
-    assert indexed[True, (2,)] <= indexed[False, (2,)]
-    assert indexed[True, (2, 999999)] > indexed[False, (2, 999999)]
-    unindexed = fan_in_statement_counts(indexed=False)
-    assert unindexed[True, (2,)] <= unindexed[False, (2,)]
-    assert (unindexed[True, (2, 999999)], unindexed[False, (2, 999999)]) == (3, 5)
+    assert counts[True, (2,)] <= counts[False, (2,)]
+    assert counts[True, (2, 999999)] > counts[False, (2, 999999)]
 
 
 @pytest.mark.parametrize("seed", [27, 155, 179, 2953])
