@@ -11,7 +11,6 @@ Scales default to a laptop-friendly shrink of LinkBench-10M/100M; set
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -20,24 +19,6 @@ from repro.bench.harness import build_engines, clear_engine_cache
 from repro.workloads.linkbench import LinkBenchConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--chaos",
-        action="store_true",
-        default=False,
-        help="run the fault-injection (chaos) benchmarks",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--chaos"):
-        return
-    skip_chaos = pytest.mark.skip(reason="chaos benchmarks need --chaos")
-    for item in items:
-        if "chaos" in item.keywords:
-            item.add_marker(skip_chaos)
 
 
 class ResultCollector:

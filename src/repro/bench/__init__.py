@@ -1,7 +1,10 @@
-"""``repro.bench`` — measurement harness for the paper's evaluation:
-latency timing, concurrent-client throughput (measured + modelled),
-engine setup fixtures shared by the benchmark modules, and paper-style
-table/series reporting."""
+"""``repro.bench`` — measurement harness for the paper-figure scripts
+(``benchmarks/bench_*.py``: Fig. 4/5/6, Table 2/3 and the two
+ablations): latency timing, concurrent-client throughput (measured +
+modelled), engine setup fixtures, paper-style table/series reporting,
+and the closed/open-loop load generator that
+``tests/service/test_service_soak.py`` drives.  The seeded,
+oracle-checked benchmark is ``benchmarks/perf/``."""
 
 from .harness import EngineUnderTest, LatencyResult, measure_latency, build_engines
 from .concurrency import ThroughputResult, measure_throughput, modelled_throughput

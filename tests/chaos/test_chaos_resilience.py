@@ -8,12 +8,15 @@ timing-sensitive assertions:
 * budgets abort runaway traversals promptly, with accurate
   partial-progress counts in the raised error;
 * a failed statement always leaves the transaction rollback-able and
-  the lock table clean.
+  the lock table clean;
+* LinkBench reads from 8 client threads under 5 % and 15 % transient
+  fault rates complete every query through retries.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.resilience import (
     QueryTimeoutError,
     RetryPolicy,
 )
+from repro.workloads.linkbench import LinkBenchConfig, LinkBenchDataset, LinkBenchWorkload
 from tests.conftest import HEALTHCARE_TINY_OVERLAY
 
 pytestmark = pytest.mark.chaos
@@ -334,3 +338,89 @@ class TestChaosUnderParallelism:
         assert paper_db.lock_manager.is_clean()
         # Healed: the same query now runs clean on the same graph.
         assert graph.traversal().V().both().count().next() > 0
+
+
+@pytest.fixture(scope="module")
+def linkbench_db():
+    dataset = LinkBenchDataset(LinkBenchConfig.small())
+    database = Database(enforce_foreign_keys=False)
+    dataset.install_relational(database)
+    return dataset, database, LinkBenchWorkload(dataset)
+
+
+class TestFaultRatesUnderConcurrentClients:
+    """LinkBench ``getNode`` / ``getLinkList`` from 8 client threads, 25
+    queries each, while a seeded injector fails each SQL statement with
+    a transient error (lock timeout, deadlock or generic, a third of the
+    rate each) at the given rate.  A 4-attempt no-sleep retry policy
+    must mask every fault: the fault and retry counts are
+    deterministic, the thread interleaving is not."""
+
+    CLIENTS = 8
+    QUERIES_PER_CLIENT = 25
+    TRANSIENT_KINDS = ("lock_timeout", "deadlock", "error")
+
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.05, 0.15])
+    @pytest.mark.parametrize("kind", ["getNode", "getLinkList"])
+    def test_retries_mask_every_fault(self, linkbench_db, kind, fault_rate):
+        dataset, database, workload = linkbench_db
+        # cache=False: every query reaches SQL, where the faults fire.
+        graph = Db2Graph.open(
+            database,
+            dataset.overlay_config(),
+            retry_policy=RetryPolicy(
+                max_attempts=4, sleep=lambda _s: None, rng=random.Random(17)
+            ),
+            cache=False,
+        )
+        injector = None
+        if fault_rate:
+            injector = FaultInjector(seed=17)
+            for fault_kind in self.TRANSIENT_KINDS:
+                injector.add(
+                    fault_kind,
+                    probability=fault_rate / len(self.TRANSIENT_KINDS),
+                    times=None,
+                )
+        call_lists = [
+            [workload.sample(kind) for _ in range(self.QUERIES_PER_CLIENT)]
+            for _ in range(self.CLIENTS)
+        ]
+        completed = [0] * self.CLIENTS
+        failed = [0] * self.CLIENTS
+
+        def client(index, calls):
+            for call in calls:
+                try:
+                    call.run(graph.traversal())
+                except Exception:  # retry budget exhausted, or a bug
+                    failed[index] += 1
+                else:
+                    completed[index] += 1
+
+        threads = [
+            threading.Thread(target=client, args=(i, calls), daemon=True)
+            for i, calls in enumerate(call_lists)
+        ]
+        database.fault_injector = injector
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            database.fault_injector = None
+
+        stats = graph.stats()
+        graph.close()
+        assert sum(completed) > 0
+        if not fault_rate:
+            assert stats["faults_injected"] == 0
+            assert sum(failed) == 0
+        else:
+            assert stats["faults_injected"] > 0
+            # every injected fault triggered a retry or exhausted the budget
+            assert stats["retry_attempts"] + stats["retry_exhausted"] > 0
+            # a 4-attempt budget masks these moderate fault rates
+            assert sum(failed) == 0  # success ratio 1.0

@@ -237,6 +237,31 @@ class TestCheckpoints:
         assert db.durability.checkpoints_written > before
         db.close()
 
+    def test_replay_grows_with_the_log_and_checkpoints_cut_it(self, tmp_path):
+        """Recovery replays the committed suffix: more commits, more
+        replay, until auto checkpoints truncate the suffix to under a
+        quarter of the longest log's."""
+
+        def replayed(writes, checkpoint_every):
+            sim = SimulatedCrash(
+                dir=str(tmp_path / f"w{writes}-c{checkpoint_every}"),
+                checkpoint_every=checkpoint_every,
+            )
+            db = sim.open()
+            _people(db)
+            for i in range(writes):
+                db.execute(f"INSERT INTO person VALUES ({i + 3}, 'p{i}', {i % 90})")
+            recovered = sim.reopen()
+            count = recovered.execute("SELECT COUNT(*) FROM person").scalar()
+            assert count == writes + 2
+            replayed_txns = recovered.recovery_report.replayed_txns
+            recovered.close()
+            return replayed_txns
+
+        no_checkpoint = [replayed(writes, 0) for writes in (25, 100, 400)]
+        assert no_checkpoint == sorted(no_checkpoint)
+        assert replayed(400, 20) * 4 <= no_checkpoint[-1]
+
 
 class TestRetrofitAndLifecycle:
     def test_attach_to_populated_database_then_recover(self, tmp_path):

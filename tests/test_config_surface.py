@@ -1,9 +1,11 @@
 """Pins the configuration surface: the ``REPRO_*`` environment knobs the
 engine reads, the keywords ``Db2Graph.open`` takes, the README knob
-table, and the knobs the CI workflow sets.
+table, and the knobs and test paths the CI workflow names.
 
 A new knob or ``open()`` keyword must be added here on purpose; a knob
-the workflow sets but nothing reads fails instead of soaking nothing.
+the workflow sets but nothing reads fails instead of soaking nothing,
+and a CI step that names a missing test or a deleted benchmark script
+fails instead of checking nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,31 @@ from pathlib import Path
 from repro.core import Db2Graph
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 KNOB = re.compile(r"REPRO_[A-Z_]+")
+REPO_PATH = re.compile(r"\b(?:tests|benchmarks)/[\w./-]*\w")
+
+# Benchmark scripts deleted once their checks moved into tests/, and the
+# tests CI runs in place of the four that were CI gates.
+DELETED_SCRIPTS = {
+    f"benchmarks/bench_{name}.py"
+    for name in (
+        "synergy_workload",
+        "service_throughput",
+        "replication",
+        "analytics",
+        "chaos_resilience",
+        "cache_hit",
+        "parallel_fanout",
+        "recovery",
+    )
+}
+MOVED_GATES = {
+    "tests/workloads/test_synergy_agreement.py",
+    "tests/service/test_service_soak.py",
+    "tests/replication/test_replication_bounds.py",
+    "tests/analytics/test_repeat_statement_bound.py",
+}
 
 KNOBS = {
     "REPRO_BATCH_SIZE",
@@ -70,5 +96,29 @@ def test_ci_sets_no_stale_knobs():
         if path != Path(__file__).resolve()
     ]
     read = _knobs_in(sources)
-    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    workflow = WORKFLOW.read_text()
     assert set(KNOB.findall(workflow)) - read == set()
+
+
+def _ci_run_commands() -> list[str]:
+    """The text of every ``run:`` step, continuation lines included."""
+    commands: list[list[str]] = []
+    indent = None
+    for line in WORKFLOW.read_text().splitlines():
+        body = line.lstrip()
+        depth = len(line) - len(body)
+        if indent is not None and (depth > indent or not body):
+            commands[-1].append(body)
+            continue
+        indent = None
+        if body.startswith("run:"):
+            indent = depth
+            commands.append([body[len("run:"):]])
+    return [" ".join(command) for command in commands]
+
+
+def test_ci_steps_name_existing_tests_and_no_deleted_script():
+    named = {path for run in _ci_run_commands() for path in REPO_PATH.findall(run)}
+    assert MOVED_GATES <= named
+    assert {path for path in named if not (ROOT / path).exists()} == set()
+    assert named & DELETED_SCRIPTS == set()

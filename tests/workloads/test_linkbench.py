@@ -162,6 +162,52 @@ class TestWorkloadSampling:
             LinkBenchWorkload(dataset).sample("nope")
 
 
+class TestStatementSavings:
+    """Traverser batching and a warm read cache, counted in statements on
+    a replayed LinkBench mix: 12 rounds of getNode, getLinkList and
+    countLinks (unprefixed ids fan out over every node table) plus
+    two-hop ``out().out().count()`` from 6 sources.  Each engine replays
+    the mix once to warm up; the second replay is counted."""
+
+    @staticmethod
+    def replayed_statements(graph, dataset, seed):
+        workload = LinkBenchWorkload(dataset, seed=seed)
+        calls = [
+            workload.sample(kind)
+            for _ in range(12)
+            for kind in ("getNode", "getLinkList", "countLinks")
+        ]
+
+        def replay():
+            for call in calls:
+                call.run(graph.traversal())
+            for id1 in workload._sources[:6]:
+                graph.traversal().V(id1).out().out().count().next()
+
+        replay()
+        before = graph.stats()["sql_queries"]
+        replay()
+        return graph.stats()["sql_queries"] - before
+
+    @pytest.mark.parametrize(
+        "baseline, improved, factor, seed",
+        [
+            ({"batch_size": 1, "cache": False}, {"batch_size": 64, "cache": False}, 4, 29),
+            ({"cache": False}, {"cache": True}, 2, 31),
+        ],
+        ids=["batch-64-vs-1", "warm-cache-vs-off"],
+    )
+    def test_fewer_statements(self, installed, dataset, baseline, improved, factor, seed):
+        db, _graph = installed
+        counts = []
+        for options in (baseline, improved):
+            graph = Db2Graph.open(db, dataset.overlay_config(), **options)
+            counts.append(self.replayed_statements(graph, dataset, seed))
+            graph.close()
+        assert counts[0] > 0
+        assert counts[1] * factor <= counts[0], counts
+
+
 class TestCrossEngineAgreement:
     def test_all_engines_agree_on_workload(self, installed, dataset):
         _db, graph = installed
