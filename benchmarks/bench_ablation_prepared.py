@@ -13,123 +13,67 @@ index advisor.  We quantify both:
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import EngineUnderTest, measure_latency
-from repro.bench.reporting import format_table
+from paper import EngineUnderTest, format_table, measure_latency, write_result
 from repro.core.db2graph import Db2Graph
-from repro.workloads.linkbench import LinkBenchConfig, LinkBenchDataset, LinkBenchWorkload
 from repro.relational.database import Database
+from repro.workloads.linkbench import LinkBenchConfig, LinkBenchDataset, LinkBenchWorkload
 
-_RESULTS: dict[str, float] = {}
+
+def _mean_ms(engine: EngineUnderTest, workload, iterations: int, warmup: int) -> float:
+    return measure_latency(
+        engine, workload, "getLinkList", iterations=iterations, warmup=warmup
+    ).mean_ms
 
 
-@pytest.fixture(scope="module")
-def prepared_setup(small_db2_only):
+def test_ablation_prepared(small_db2_only):
+    # -- D1: the same workload with and without the statement cache
     setup = small_db2_only
     unprepared = Db2Graph.open(setup.database, setup.dataset.overlay_config())
     unprepared.dialect.use_prepared = False
-    return {
-        "prepared": EngineUnderTest("prepared", setup.db2graph.traversal, raw=setup.db2graph),
-        "unprepared": EngineUnderTest("unprepared", unprepared.traversal, raw=unprepared),
-        "setup": setup,
-    }
+    prepared_ms = _mean_ms(
+        EngineUnderTest("prepared", setup.db2graph.traversal), setup.workload, 120, 20
+    )
+    unprepared_ms = _mean_ms(
+        EngineUnderTest("unprepared", unprepared.traversal), setup.workload, 120, 20
+    )
 
-
-@pytest.mark.parametrize("mode", ["prepared", "unprepared"])
-def test_ablation_prepared_statements(benchmark, prepared_setup, mode):
-    setup = prepared_setup["setup"]
-    engine = prepared_setup[mode]
-    calls = [setup.workload.sample("getLinkList") for _ in range(48)]
-    state = {"i": 0}
-
-    def run_one():
-        call = calls[state["i"] % len(calls)]
-        state["i"] += 1
-        return call.run(engine.traversal())
-
-    benchmark.pedantic(run_one, rounds=30, iterations=1, warmup_rounds=5)
-    result = measure_latency(engine, setup.workload, "getLinkList", iterations=120, warmup=20)
-    _RESULTS[mode] = result.mean_seconds
-
-
-@pytest.fixture(scope="module")
-def unindexed_setup():
-    """A separate database without the link-table id1 indexes."""
-    config = LinkBenchConfig.small()
-    dataset = LinkBenchDataset(config)
+    # -- D4: a separate database without the link-table id1 indexes
+    dataset = LinkBenchDataset(LinkBenchConfig.small())
     db = Database(enforce_foreign_keys=False)
     dataset.install_relational(db)
     for t in range(10):
         db.execute(f"DROP INDEX idx_link{t}_id1")
     graph = Db2Graph.open(db, dataset.overlay_config())
-    return {
-        "engine": EngineUnderTest("unindexed", graph.traversal, raw=graph),
-        "workload": LinkBenchWorkload(dataset),
-        "graph": graph,
-    }
+    workload = LinkBenchWorkload(dataset)
+    unindexed = EngineUnderTest("unindexed", graph.traversal)
+    unindexed_ms = _mean_ms(unindexed, workload, 30, 5)
 
-
-def test_ablation_index_use(benchmark, unindexed_setup):
-    engine = unindexed_setup["engine"]
-    workload = unindexed_setup["workload"]
-    calls = [workload.sample("getLinkList") for _ in range(16)]
-    state = {"i": 0}
-
-    def run_one():
-        call = calls[state["i"] % len(calls)]
-        state["i"] += 1
-        return call.run(engine.traversal())
-
-    benchmark.pedantic(run_one, rounds=10, iterations=1, warmup_rounds=2)
-    result = measure_latency(engine, workload, "getLinkList", iterations=30, warmup=5)
-    _RESULTS["unindexed"] = result.mean_seconds
-
-
-def test_ablation_index_advisor_recovers(benchmark, unindexed_setup):
-    """The index advisor notices the frequent pattern and re-creates
-    the index; latency recovers."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    graph = unindexed_setup["graph"]
-    workload = unindexed_setup["workload"]
-    # drive enough traffic for the pattern tracker to cross its
-    # frequency threshold on each link table
+    # The index advisor notices the frequent pattern and re-creates the
+    # index; latency recovers.  Drive enough traffic for the pattern
+    # tracker to cross its frequency threshold on each link table.
     for call in workload.stream("getLinkList", 200):
         call.run(graph.traversal())
     suggestions = graph.suggest_indexes()
     assert any("link" in table for table, _cols in suggestions), (
         f"advisor should flag the frequent link-table probes, got {suggestions}"
     )
-    created = graph.create_suggested_indexes()
-    assert created, "advisor should create the missing indexes"
-    result = measure_latency(
-        unindexed_setup["engine"], workload, "getLinkList", iterations=50, warmup=10
-    )
-    _RESULTS["reindexed"] = result.mean_seconds
+    assert graph.create_suggested_indexes(), "advisor should create the missing indexes"
+    reindexed_ms = _mean_ms(unindexed, workload, 50, 10)
 
-
-def test_ablation_prepared_report(benchmark, collector):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    needed = {"prepared", "unprepared", "unindexed", "reindexed"}
-    if not needed <= set(_RESULTS):
-        pytest.skip("ablation benchmarks did not run")
-    rows = [
-        ["D1 statement cache ON", f"{_RESULTS['prepared'] * 1e3:.3f}"],
-        ["D1 statement cache OFF", f"{_RESULTS['unprepared'] * 1e3:.3f}"],
-        ["D4 link index dropped", f"{_RESULTS['unindexed'] * 1e3:.3f}"],
-        ["D4 after index advisor", f"{_RESULTS['reindexed'] * 1e3:.3f}"],
-    ]
-    collector.add(
+    write_result(
         "ablation_prepared",
         format_table(
             ["Configuration", "getLinkList mean latency (ms)"],
-            rows,
+            [
+                ["D1 statement cache ON", f"{prepared_ms:.3f}"],
+                ["D1 statement cache OFF", f"{unprepared_ms:.3f}"],
+                ["D4 link index dropped", f"{unindexed_ms:.3f}"],
+                ["D4 after index advisor", f"{reindexed_ms:.3f}"],
+            ],
             title="Ablation: prepared-statement templates (D1) and index use (D4)",
         ),
     )
-    assert _RESULTS["prepared"] < _RESULTS["unprepared"], (
+    assert prepared_ms < unprepared_ms, (
         "prepared templates should beat re-parsing every statement"
     )
-    assert _RESULTS["reindexed"] < _RESULTS["unindexed"], (
-        "the advisor-created index should beat full scans"
-    )
+    assert reindexed_ms < unindexed_ms, "the advisor-created index should beat full scans"

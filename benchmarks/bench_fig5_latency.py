@@ -20,64 +20,39 @@ paper's 45.8GB fit Db2's buffer pool).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import measure_latency
-from repro.bench.reporting import format_table
+from paper import format_table, measure_latency, write_result
 from repro.workloads.linkbench import LINKBENCH_QUERIES
 
-_RESULTS: dict[tuple[str, str, str], float] = {}  # (scale, engine, query) -> seconds
-_SCALES = ["small", "large"]
 _ENGINES = ["Db2 Graph", "GDB-X", "JanusGraph"]
 
 
-def _setup_for(request, scale):
-    return request.getfixturevalue(f"{scale}_setup")
-
-
-@pytest.mark.parametrize("scale", _SCALES)
-@pytest.mark.parametrize("engine_name", _ENGINES)
-@pytest.mark.parametrize("kind", list(LINKBENCH_QUERIES))
-def test_fig5_latency(benchmark, request, scale, engine_name, kind):
-    setup = _setup_for(request, scale)
-    engine = next(e for e in setup.engines if e.name == engine_name)
-    calls = [setup.workload.sample(kind) for _ in range(64)]
-    state = {"i": 0}
-
-    def run_one():
-        call = calls[state["i"] % len(calls)]
-        state["i"] += 1
-        return call.run(engine.traversal())
-
-    benchmark.pedantic(run_one, rounds=30, iterations=1, warmup_rounds=5)
-    result = measure_latency(engine, setup.workload, kind, iterations=150, warmup=25)
-    _RESULTS[(scale, engine_name, kind)] = result.mean_seconds
-
-
-def test_fig5_report(benchmark, request, collector):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if len(_RESULTS) < len(_SCALES) * len(_ENGINES) * len(LINKBENCH_QUERIES):
-        pytest.skip("latency benchmarks did not run")
-
-    for scale in _SCALES:
+def test_fig5_latency(small_setup, large_setup):
+    setups = {"small": small_setup, "large": large_setup}
+    results: dict[tuple[str, str, str], float] = {}  # (scale, engine, query) -> seconds
+    tables = []
+    for scale, setup in setups.items():
+        for engine in setup.engines:
+            for kind in LINKBENCH_QUERIES:
+                result = measure_latency(engine, setup.workload, kind, iterations=150, warmup=25)
+                results[(scale, engine.name, kind)] = result.mean_seconds
         rows = []
         for kind in LINKBENCH_QUERIES:
             row = [kind]
             for engine_name in _ENGINES:
-                row.append(f"{_RESULTS[(scale, engine_name, kind)] * 1e3:.3f}")
+                row.append(f"{results[(scale, engine_name, kind)] * 1e3:.3f}")
             rows.append(row)
-        collector.add(
-            "fig5_latency",
+        tables.append(
             format_table(
                 ["Query"] + [f"{e} (ms)" for e in _ENGINES],
                 rows,
                 title=f"Figure 5: latency of LinkBench queries ({scale} dataset)",
-            ),
+            )
         )
+    write_result("fig5_latency", *tables)
 
     # -- paper-shape assertions -----------------------------------------------
     def mean_over_queries(scale: str, engine: str) -> float:
-        return sum(_RESULTS[(scale, engine, k)] for k in LINKBENCH_QUERIES) / len(
+        return sum(results[(scale, engine, k)] for k in LINKBENCH_QUERIES) / len(
             LINKBENCH_QUERIES
         )
 
@@ -101,7 +76,6 @@ def test_fig5_report(benchmark, request, collector):
     assert large_janus > large_db2, "JanusGraph stays slowest at large scale"
 
     # mechanism check: the native store's cache really is the reason
-    large_setup = request.getfixturevalue("large_setup")
     native = next(e for e in large_setup.engines if e.name == "GDB-X").raw
     stats = native.cache.stats()
     assert stats["misses"] > 0, "large scale must overflow the native record cache"

@@ -4,102 +4,52 @@ Paper shape: Db2 Graph wins throughput on every query and both scales
 (up to 1.6x over GDB-X, up to 4.2x over JanusGraph), because the Db2
 engine handles concurrency well while the baselines serialize.
 
-The reproduction reports two series (see repro.bench.concurrency):
-*measured* thread-pool throughput (GIL-bound) and *modelled*
-Amdahl's-law throughput built from the measured single-client service
-time and each engine's measured serial fraction (exclusive-lock hold
-share).  The modelled series is the Fig. 6 analogue; assertions are on
-it.  The mechanism is auditable: the baselines' record/blob caches
-hold their exclusive lock for most of each request, the relational
-read path only touches the statement-cache lock.
+The reproduction reports what it measures: wall-clock throughput of 50
+client threads and the single-client service time.  All threads share
+one interpreter lock, so the measured rate cannot show the parallel
+CPU scaling the paper's 32-core server had; it shows each engine's
+per-query cost plus its queueing and lock contention (EXPERIMENTS.md,
+Fig. 6).  The assertions check that every client query completed.
 """
 
 from __future__ import annotations
 
-import pytest
+from paper import PAPER_CLIENTS, format_table, measure_throughput, write_result
 
-from repro.bench.concurrency import PAPER_CLIENTS, measure_throughput
-from repro.bench.reporting import format_table
-from repro.workloads.linkbench import LINKBENCH_QUERIES
-
-_RESULTS: dict[tuple[str, str, str], object] = {}
-_SCALES = ["small", "large"]
 _ENGINES = ["Db2 Graph", "GDB-X", "JanusGraph"]
+_KINDS = ["getNode", "getLinkList"]
+_QUERIES_PER_CLIENT = 10
 
 
-@pytest.mark.parametrize("scale", _SCALES)
-@pytest.mark.parametrize("engine_name", _ENGINES)
-@pytest.mark.parametrize("kind", ["getNode", "getLinkList"])
-def test_fig6_throughput(benchmark, request, scale, engine_name, kind):
-    setup = request.getfixturevalue(f"{scale}_setup")
-    engine = next(e for e in setup.engines if e.name == engine_name)
-
-    result = measure_throughput(
-        engine, setup.workload, kind, clients=PAPER_CLIENTS, queries_per_client=10
-    )
-    _RESULTS[(scale, engine_name, kind)] = result
-
-    calls = [setup.workload.sample(kind) for _ in range(32)]
-    state = {"i": 0}
-
-    def run_one():
-        call = calls[state["i"] % len(calls)]
-        state["i"] += 1
-        return call.run(engine.traversal())
-
-    benchmark.pedantic(run_one, rounds=20, iterations=1, warmup_rounds=3)
-
-
-def test_fig6_report(benchmark, collector):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    kinds = ["getNode", "getLinkList"]
-    if len(_RESULTS) < len(_SCALES) * len(_ENGINES) * len(kinds):
-        pytest.skip("throughput benchmarks did not run")
-
-    for scale in _SCALES:
+def test_fig6_throughput(small_setup, large_setup):
+    tables = []
+    for scale, setup in (("small", small_setup), ("large", large_setup)):
         rows = []
-        for kind in kinds:
+        for kind in _KINDS:
             for engine_name in _ENGINES:
-                r = _RESULTS[(scale, engine_name, kind)]
+                engine = next(e for e in setup.engines if e.name == engine_name)
+                r = measure_throughput(
+                    engine, setup.workload, kind,
+                    clients=PAPER_CLIENTS, queries_per_client=_QUERIES_PER_CLIENT,
+                )
+                assert r.queries == PAPER_CLIENTS * _QUERIES_PER_CLIENT
+                assert r.measured_qps > 0 and r.service_time_seconds > 0
                 rows.append(
                     [
                         kind,
                         engine_name,
-                        f"{r.modelled_qps:,.0f}",
                         f"{r.measured_qps:,.0f}",
                         f"{r.service_time_seconds * 1e3:.3f}",
-                        f"{r.serial_fraction:.2f}",
                     ]
                 )
-        collector.add(
-            "fig6_throughput",
+        tables.append(
             format_table(
-                ["Query", "System", "Modelled q/s (50 clients)", "Measured q/s",
-                 "Service time (ms)", "Serial fraction"],
+                ["Query", "System", "Measured q/s", "Service time (ms)"],
                 rows,
                 title=(
                     f"Figure 6: throughput of LinkBench queries ({scale} dataset, "
-                    f"{PAPER_CLIENTS} clients, Amdahl model on measured serial fractions)"
+                    f"{PAPER_CLIENTS} client threads, one process)"
                 ),
-            ),
+            )
         )
-
-    # -- paper-shape assertions: Db2 Graph wins modelled throughput everywhere
-    for scale in _SCALES:
-        for kind in kinds:
-            db2 = _RESULTS[(scale, "Db2 Graph", kind)].modelled_qps
-            native = _RESULTS[(scale, "GDB-X", kind)].modelled_qps
-            janus = _RESULTS[(scale, "JanusGraph", kind)].modelled_qps
-            assert db2 > native, (
-                f"{scale}/{kind}: Db2 Graph should out-throughput GDB-X "
-                f"({db2:,.0f} vs {native:,.0f} q/s)"
-            )
-            assert db2 > janus, (
-                f"{scale}/{kind}: Db2 Graph should out-throughput JanusGraph"
-            )
-
-    # mechanism: baselines are far more serialized than the relational engine
-    for scale in _SCALES:
-        db2_sf = _RESULTS[(scale, "Db2 Graph", "getLinkList")].serial_fraction
-        native_sf = _RESULTS[(scale, "GDB-X", "getLinkList")].serial_fraction
-        assert native_sf > db2_sf, "the native store must be more serialized"
+    write_result("fig6_throughput", *tables)

@@ -9,38 +9,32 @@ above the average (Zipf skew + hub).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.reporting import format_bytes, format_table
+from paper import format_bytes, format_table, write_result
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchDataset
 
 
-@pytest.mark.parametrize("scale", ["small", "large"])
-def test_table2_dataset_stats(benchmark, scale, collector):
-    config = (
-        LinkBenchConfig.small() if scale == "small" else LinkBenchConfig.large()
-    )
+def test_table2_dataset_stats():
+    tables = []
+    for scale, config in (("small", LinkBenchConfig.small()), ("large", LinkBenchConfig.large())):
+        stats = LinkBenchDataset(config).stats()
 
-    dataset = benchmark(LinkBenchDataset, config)
-    stats = dataset.stats()
+        assert 3.5 <= stats.avg_degree <= 5.5, "average degree should track the paper's ~4.2"
+        assert stats.max_degree > 20 * stats.avg_degree, "degree distribution must be skewed"
+        assert stats.n_vertices == config.n_vertices
 
-    assert 3.5 <= stats.avg_degree <= 5.5, "average degree should track the paper's ~4.2"
-    assert stats.max_degree > 20 * stats.avg_degree, "degree distribution must be skewed"
-    assert stats.n_vertices == config.n_vertices
-
-    collector.add(
-        "table2_datasets",
-        format_table(
-            ["Linkbench Dataset", "Num Of Vertices", "Num Of Edges", "Avg Degree",
-             "Max Degree", "CSV Size"],
-            [[
-                config.name,
-                stats.n_vertices,
-                stats.n_edges,
-                f"{stats.avg_degree:.1f}",
-                stats.max_degree,
-                format_bytes(stats.csv_bytes),
-            ]],
-            title=f"Table 2 ({scale}): Linkbench dataset",
-        ),
-    )
+        tables.append(
+            format_table(
+                ["Linkbench Dataset", "Num Of Vertices", "Num Of Edges", "Avg Degree",
+                 "Max Degree", "CSV Size"],
+                [[
+                    config.name,
+                    stats.n_vertices,
+                    stats.n_edges,
+                    f"{stats.avg_degree:.1f}",
+                    stats.max_degree,
+                    format_bytes(stats.csv_bytes),
+                ]],
+                title=f"Table 2 ({scale}): Linkbench dataset",
+            )
+        )
+    write_result("table2_datasets", *tables)

@@ -1,49 +1,24 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper-figure scripts.
 
-Every benchmark module regenerates one table or figure from the
-paper's evaluation (§8).  Besides pytest-benchmark's own timing table,
-each module writes a paper-style summary to ``benchmarks/results/``
-via the ``collector`` fixture.
+Every ``bench_*.py`` module is one test that regenerates one table or
+figure from the paper's evaluation (§8), asserts its shape, and writes
+it to ``benchmarks/results/`` (see ``paper.py``).
 
-Scales default to a laptop-friendly shrink of LinkBench-10M/100M; set
-``REPRO_LINKBENCH_SMALL`` / ``REPRO_LINKBENCH_LARGE`` to resize.
+The LinkBench scales are a laptop-friendly shrink of LinkBench-10M/100M:
+5,000 and 50,000 vertices (``LinkBenchConfig.small()`` / ``.large()``).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.bench.harness import build_engines, clear_engine_cache
+from paper import build_engines, clear_engine_cache
 from repro.workloads.linkbench import LinkBenchConfig
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
-
-class ResultCollector:
-    """Accumulates paper-style report lines and writes them per module."""
-
-    def __init__(self) -> None:
-        self._sections: dict[str, list[str]] = {}
-
-    def add(self, section: str, text: str) -> None:
-        self._sections.setdefault(section, []).append(text)
-
-    def flush(self) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        for section, chunks in self._sections.items():
-            path = RESULTS_DIR / f"{section}.txt"
-            body = "\n\n".join(chunks) + "\n"
-            path.write_text(body)
-            print(f"\n===== {section} =====\n{body}")
-
-
-@pytest.fixture(scope="session")
-def collector():
-    instance = ResultCollector()
-    yield instance
-    instance.flush()
+@pytest.fixture(scope="session", autouse=True)
+def _close_engines():
+    yield
     clear_engine_cache()
 
 
@@ -59,5 +34,4 @@ def large_setup():
 
 @pytest.fixture(scope="session")
 def small_db2_only():
-    config = LinkBenchConfig.small()
-    return build_engines(config, include_baselines=False)
+    return build_engines(LinkBenchConfig.small(), include_baselines=False)

@@ -15,7 +15,6 @@ Layers (bottom-up):
   KV store, with export/load pipelines.
 * :mod:`repro.workloads` — LinkBench and the paper's customer
   scenarios (healthcare, finance, police).
-* :mod:`repro.bench` — latency/throughput measurement harness.
 
 Quickstart::
 
@@ -41,4 +40,4 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-__all__ = ["relational", "graph", "core", "baselines", "workloads", "bench", "common"]
+__all__ = ["relational", "graph", "core", "baselines", "workloads", "common"]

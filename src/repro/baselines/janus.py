@@ -272,9 +272,6 @@ class JanusLikeStore(GraphProvider):
     def disk_usage_bytes(self) -> int:
         return self._store.disk_usage_bytes()
 
-    def serialization_lock_seconds(self) -> float:
-        return self.cache.lock_held_seconds + self._store.lock_held_seconds
-
     def close(self) -> None:
         self._store.close()
 

@@ -4,9 +4,7 @@ baseline.
 
 Values are pickled Python objects appended to a data file; an in-memory
 index maps keys to (offset, length).  All file access serializes
-through one store lock, as in an embedded store — the lock's hold time
-is instrumented because it determines the baseline's behaviour under
-the concurrent workload of Fig. 6.
+through one store lock, as in an embedded store.
 
 ``DiskModel`` injects a per-read latency.  Why: the paper's large-graph
 results hinge on GDB-X/JanusGraph data (327 GB) no longer fitting in
@@ -63,7 +61,6 @@ class LogStructuredKVStore:
         self._index: dict[Any, tuple[int, int]] = {}
         self._file = open(path, "a+b")
         self._lock = threading.Lock()
-        self.lock_held_seconds = 0.0
         self.reads = 0
         self.writes = 0
         self.bytes_written = 0
@@ -72,7 +69,7 @@ class LogStructuredKVStore:
 
     def put(self, key: Any, value: Any) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._timed():
+        with self._lock:
             self._file.seek(0, io.SEEK_END)
             offset = self._file.tell()
             self._file.write(payload)
@@ -81,7 +78,7 @@ class LogStructuredKVStore:
             self.bytes_written += len(payload)
 
     def get(self, key: Any) -> Any | None:
-        with self._timed():
+        with self._lock:
             entry = self._index.get(key)
             if entry is None:
                 return None
@@ -100,7 +97,7 @@ class LogStructuredKVStore:
         return len(self._index)
 
     def keys(self) -> list[Any]:
-        with self._timed():
+        with self._lock:
             return list(self._index.keys())
 
     def scan(self) -> Iterator[tuple[Any, Any]]:
@@ -110,7 +107,7 @@ class LogStructuredKVStore:
                 yield key, value
 
     def flush(self) -> None:
-        with self._timed():
+        with self._lock:
             self._file.flush()
             os.fsync(self._file.fileno())
 
@@ -122,22 +119,3 @@ class LogStructuredKVStore:
         self._file.close()
         if delete and self._owns_file and os.path.exists(self.path):
             os.unlink(self.path)
-
-    # -- lock instrumentation -------------------------------------------------
-
-    def _timed(self) -> "_Timed":
-        return _Timed(self)
-
-
-class _Timed:
-    def __init__(self, store: LogStructuredKVStore):
-        self._store = store
-        self._t0 = 0.0
-
-    def __enter__(self) -> None:
-        self._store._lock.acquire()
-        self._t0 = time.perf_counter()
-
-    def __exit__(self, *exc: object) -> None:
-        self._store.lock_held_seconds += time.perf_counter() - self._t0
-        self._store._lock.release()

@@ -22,16 +22,13 @@ each provider call (in addition to the record cache's own lock).  The
 paper observes exactly this behaviour in GDB-X — "it cannot keep up
 with the large amount of concurrency" (§8) — and an embedded
 single-writer storage engine behind a query server is the simplest
-mechanism consistent with it; see DESIGN.md substitution notes.  The
-latch hold time is instrumented, and it is what the Fig. 6 throughput
-model measures as this engine's serial fraction.
+mechanism consistent with it; see DESIGN.md substitution notes.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..common.lru import LruCache
@@ -66,26 +63,9 @@ class NativeGraphStore(GraphProvider):
         self._edge_ids: list[Any] = []
         # global engine latch (see module docstring)
         self._engine_latch = threading.RLock()
-        self.engine_latch_held_seconds = 0.0
 
     def describe(self) -> str:
         return "GDB-X(native)"
-
-    class _Latched:
-        def __init__(self, store: "NativeGraphStore"):
-            self._store = store
-            self._t0 = 0.0
-
-        def __enter__(self) -> None:
-            self._store._engine_latch.acquire()
-            self._t0 = time.perf_counter()
-
-        def __exit__(self, *exc: object) -> None:
-            self._store.engine_latch_held_seconds += time.perf_counter() - self._t0
-            self._store._engine_latch.release()
-
-    def _latched(self) -> "_Latched":
-        return NativeGraphStore._Latched(self)
 
     # ------------------------------------------------------------------
     # Loading
@@ -214,7 +194,7 @@ class NativeGraphStore(GraphProvider):
     def graph_step(
         self, return_type: str, ids: Sequence[Any] | None, pushdown: Pushdown
     ) -> Iterator[Any]:
-        with self._latched():
+        with self._engine_latch:
             return iter(list(self._graph_step_impl(return_type, ids, pushdown)))
 
     def _graph_step_impl(
@@ -266,7 +246,7 @@ class NativeGraphStore(GraphProvider):
         return_type: str,
         pushdown: Pushdown,
     ) -> dict[Any, list[Any]]:
-        with self._latched():
+        with self._engine_latch:
             return self._adjacent_impl(
                 vertices, direction, edge_labels, return_type, pushdown
             )
@@ -313,7 +293,7 @@ class NativeGraphStore(GraphProvider):
         return result
 
     def edge_vertex(self, edge: Edge, direction: Direction) -> Iterator[Vertex]:
-        with self._latched():
+        with self._engine_latch:
             if direction is Direction.BOTH:
                 records = [
                     self._record(("v", edge.out_v_id)),
@@ -324,12 +304,12 @@ class NativeGraphStore(GraphProvider):
             return iter([self._vertex_from_record(r) for r in records])
 
     def load_vertex(self, vertex_id: Any, table_hint: str | None = None) -> Vertex | None:
-        with self._latched():
+        with self._engine_latch:
             record = self._try_record(("v", vertex_id))
             return self._vertex_from_record(record) if record else None
 
     def load_edge(self, edge_id: Any) -> Edge | None:
-        with self._latched():
+        with self._engine_latch:
             record = self._try_record(("e", edge_id))
             return self._edge_from_record(record) if record else None
 
@@ -345,14 +325,6 @@ class NativeGraphStore(GraphProvider):
 
     def disk_usage_bytes(self) -> int:
         return self._store.disk_usage_bytes()
-
-    def serialization_lock_seconds(self) -> float:
-        """Exclusive-lock hold time: the serial component under load.
-
-        The engine latch subsumes the cache/store lock holds it nests
-        around, so it alone is the engine's serial component.
-        """
-        return self.engine_latch_held_seconds
 
     def close(self) -> None:
         self._store.close()

@@ -3,15 +3,12 @@
 Used by the relational buffer pool and by the baseline graph stores'
 record caches.  Capacity is measured in entries; ``capacity=None``
 means unbounded.  Every read updates recency, which — as in real cache
-implementations — requires the exclusive cache lock; the lock hold time
-is tracked so benchmark harnesses can measure how serializing a cache
-is under concurrency (paper Fig. 6 discussion).
+implementations — requires the exclusive cache lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Generic, Hashable, Iterator, TypeVar
 
@@ -31,17 +28,16 @@ class LruCache(Generic[K, V]):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.lock_held_seconds = 0.0
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __contains__(self, key: K) -> bool:
-        with self._timed_lock():
+        with self._lock:
             return key in self._data
 
     def get(self, key: K, default: Any = None) -> V | Any:
-        with self._timed_lock():
+        with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
@@ -55,10 +51,9 @@ class LruCache(Generic[K, V]):
 
         The loader runs *inside* the cache lock, deliberately: a record
         cache in front of a disk file serializes misses exactly this
-        way, and the measured lock hold time is how the concurrency
-        model derives each engine's serial fraction.
+        way.
         """
-        with self._timed_lock():
+        with self._lock:
             value = self._data.get(key, _MISSING)
             if value is not _MISSING:
                 self._data.move_to_end(key)
@@ -72,19 +67,19 @@ class LruCache(Generic[K, V]):
     def put(self, key: K, value: V) -> list[K]:
         """Insert/refresh ``key``; returns the keys evicted to make room
         (empty for unbounded caches or in-capacity inserts)."""
-        with self._timed_lock():
+        with self._lock:
             return self._put_locked(key, value)
 
     def invalidate(self, key: K) -> None:
-        with self._timed_lock():
+        with self._lock:
             self._data.pop(key, None)
 
     def clear(self) -> None:
-        with self._timed_lock():
+        with self._lock:
             self._data.clear()
 
     def keys(self) -> list[K]:
-        with self._timed_lock():
+        with self._lock:
             return list(self._data.keys())
 
     def stats(self) -> dict[str, float]:
@@ -95,14 +90,12 @@ class LruCache(Generic[K, V]):
             "evictions": self.evictions,
             "hit_rate": self.hits / total if total else 0.0,
             "entries": len(self._data),
-            "lock_held_seconds": self.lock_held_seconds,
         }
 
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.lock_held_seconds = 0.0
 
     def _put_locked(self, key: K, value: V) -> list[K]:
         if key in self._data:
@@ -115,22 +108,3 @@ class LruCache(Generic[K, V]):
                 self.evictions += 1
                 evicted.append(victim)
         return evicted
-
-    def _timed_lock(self) -> "_TimedLock":
-        return _TimedLock(self)
-
-
-class _TimedLock:
-    """Context manager that accumulates lock hold time on the cache."""
-
-    def __init__(self, cache: LruCache):
-        self._cache = cache
-        self._t0 = 0.0
-
-    def __enter__(self) -> None:
-        self._cache._lock.acquire()
-        self._t0 = time.perf_counter()
-
-    def __exit__(self, *exc: object) -> None:
-        self._cache.lock_held_seconds += time.perf_counter() - self._t0
-        self._cache._lock.release()

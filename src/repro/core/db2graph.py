@@ -423,8 +423,8 @@ class Db2Graph:
 
     def metrics(self) -> dict[str, Any]:
         """Full registry snapshot: every named counter (including the
-        per-rule ``structure.eliminated.*`` breakdown) and, when phase
-        timing is on, the translate/execute/materialize histograms."""
+        per-rule ``structure.eliminated.*`` breakdown) and every
+        histogram's summary."""
         return self.registry.snapshot()
 
     def reset_stats(self) -> None:
@@ -449,21 +449,6 @@ class Db2Graph:
 
     def disable_tracing(self) -> None:
         self.trace.enabled = False
-
-    def enable_phase_timing(self, enabled: bool = True) -> None:
-        """Toggle translate/execute/materialize phase histograms plus
-        the relational engine's per-statement timing hook."""
-        self.registry.timing_enabled = enabled
-        executor = self.connection.database.executor
-        if enabled:
-            registry = self.registry
-
-            def hook(kind: str, seconds: float, rows: int) -> None:
-                registry.histogram(f"engine.{kind}_seconds").observe(seconds)
-
-            executor.timing_hook = hook
-        else:
-            executor.timing_hook = None
 
     def close(self) -> None:
         """Release the graph.  A no-op, kept for callers that pair

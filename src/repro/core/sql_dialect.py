@@ -270,9 +270,6 @@ class SqlDialect:
         column names and one value tuple per row in that column order.
         Callers build what they need from the tuples (dicts, elements,
         bare endpoint ids)."""
-        timing = self.registry.timing_enabled
-        timed = timing or self.trace.enabled
-        started = perf_counter() if timed else 0.0
         sql, params = self.build_select(table, columns, predicates, aggregate)
         ticket = None
         if self.cache is not None:
@@ -298,8 +295,6 @@ class SqlDialect:
             self.log.append(sql)
         if aggregate is None:
             self.tracker.record(table, predicates)
-        if timing:
-            self.registry.histogram(M.PHASE_TRANSLATE).observe(perf_counter() - started)
         # Traverser batching: an id conjunct carrying >1 coalesced ids
         # means this one statement does the work of `size` per-traverser
         # probes — count it and record how many ids it carried.
@@ -319,16 +314,15 @@ class SqlDialect:
         budget = self.active_budget
         if budget is not None:
             budget.note_sql()  # cancellation checkpoint at every SQL issue
-        executed = perf_counter() if timed else 0.0
+        traced = self.trace.enabled
+        executed = perf_counter() if traced else 0.0
         result = self._run_statement(sql, params)
-        elapsed = perf_counter() - executed if timed else None
-        if timing:
-            self.registry.histogram(M.PHASE_EXECUTE).observe(elapsed)
+        elapsed = perf_counter() - executed if traced else None
         self._queries_counter.increment()
         self._rows_counter.increment(len(result.rows))
         if budget is not None:
             budget.note_rows(len(result.rows))
-        if self.trace.enabled:
+        if traced:
             self.trace.emit(
                 tracing.SQL_ISSUED,
                 seconds=elapsed,
@@ -338,7 +332,6 @@ class SqlDialect:
                 kind="select",
                 statement_id=statement_id,
             )
-        materialized = perf_counter() if timing else 0.0
         keys = [c.lower() for c in result.columns]
         if ticket is not None:
             # Fill only after the statement (and any retries) succeeded:
@@ -346,10 +339,6 @@ class SqlDialect:
             self.cache.store(
                 ticket,
                 (tuple(keys), tuple(tuple(row) for row in result.rows)),
-            )
-        if timing:
-            self.registry.histogram(M.PHASE_MATERIALIZE).observe(
-                perf_counter() - materialized
             )
         return keys, result.rows
 

@@ -3,8 +3,8 @@
 
 Everything here is off-by-default and costs one branch when disabled —
 Tier-1 latency is unchanged unless a caller opts in via
-``Db2Graph.enable_tracing()`` / ``enable_phase_timing()`` or the
-``explain()``/``profile()`` terminal steps.
+``Db2Graph.enable_tracing()`` or the ``explain()``/``profile()``
+terminal steps.
 """
 
 from .explain import ExplainResult, PlanStage, StepSql, build_explain

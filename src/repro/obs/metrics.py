@@ -5,17 +5,12 @@ one shared :class:`MetricsRegistry`, so that
 
 * :meth:`Db2Graph.stats` reads one coherent snapshot,
 * trace/stats consistency is testable (every counter increment has a
-  matching trace event, see :mod:`repro.obs.tracing`), and
-* the bench harness can break latency into *translate* (Gremlin -> SQL
-  text), *execute* (relational engine), and *materialize* (rows ->
-  graph elements) phases via histograms.
+  matching trace event, see :mod:`repro.obs.tracing`).
 
 A bare ``+= 1`` is a read-modify-write that loses updates when
 concurrent sessions share a registry, so each cell increments under
 its own lock.  Reads stay lock-free (``value`` is a single attribute
-load) and phase timing is
-gated by ``MetricsRegistry.timing_enabled`` (off by default) so Tier-1
-latency is unchanged unless a caller opts in.
+load).
 """
 
 from __future__ import annotations
@@ -101,8 +96,8 @@ class MetricsRegistry:
 
     One registry is shared by the SQL Dialect and Graph Structure
     modules of a :class:`~repro.core.db2graph.Db2Graph` instance; the
-    facade's ``stats()`` / ``reset_stats()`` and the bench harness all
-    read and reset the same cells.
+    facade's ``stats()`` / ``reset_stats()`` read and reset the same
+    cells.
     """
 
     def __init__(self) -> None:
@@ -111,10 +106,6 @@ class MetricsRegistry:
         # Guards create-on-demand registration: two threads asking for
         # the same new counter must share one cell.
         self._lock = threading.Lock()
-        # Gate for phase timing (perf_counter calls around translate /
-        # execute / materialize).  Off by default: counters alone cost
-        # one integer add; timing costs clock reads.
-        self.timing_enabled = False
 
     # -- access ------------------------------------------------------------
 
@@ -180,9 +171,6 @@ EDGE_TABLE_QUERIES = "structure.edge_table_queries"
 TABLES_ELIMINATED = "structure.tables_eliminated"
 VERTICES_FROM_EDGES = "structure.vertices_from_edges"
 LAZY_VERTICES = "structure.lazy_vertices"
-PHASE_TRANSLATE = "phase.translate_seconds"
-PHASE_EXECUTE = "phase.execute_seconds"
-PHASE_MATERIALIZE = "phase.materialize_seconds"
 # Resilience counters (lock manager / retry / budgets / fault injection).
 LOCK_WAITS = "lock.waits"
 LOCK_DEADLOCKS = "lock.deadlocks"

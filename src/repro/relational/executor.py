@@ -10,7 +10,6 @@ and producing :class:`ResultSet` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Iterator, Sequence
 
 from ..obs import metrics as obs_metrics
@@ -60,10 +59,6 @@ class ResultSet:
 class Executor:
     def __init__(self, database: Any):
         self.database = database
-        # Observability hook: when installed (Db2Graph.enable_phase_timing),
-        # called as hook(kind, seconds, rows) after each statement so the
-        # graph layer can attribute time spent inside the relational engine.
-        self.timing_hook: Any = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -71,16 +66,6 @@ class Executor:
         if isinstance(stmt, (A.SelectStmt, A.UnionStmt)):
             planned = Planner(self.database).plan_select(stmt)
             return self.run_select(planned, session, params)
-        hook = self.timing_hook
-        if hook is None:
-            return self._execute_dml(stmt, session, params)
-        started = perf_counter()
-        result = self._execute_dml(stmt, session, params)
-        kind = type(stmt).__name__.removesuffix("Stmt").lower()
-        hook(kind, perf_counter() - started, result.rowcount)
-        return result
-
-    def _execute_dml(self, stmt: A.Statement, session: Any, params: Sequence[Any]) -> ResultSet:
         kind = type(stmt).__name__.removesuffix("Stmt").lower()
         tables = [t for t in (getattr(stmt, "table", None),) if t]
         try:
@@ -144,15 +129,11 @@ class Executor:
             self._before_statement(
                 "select", [name for name, _priv in planned.accessed], session
             )
-            hook = self.timing_hook
-            started = perf_counter() if hook is not None else 0.0
             ctx = session.exec_context(params)
             rows = list(planned.root.rows(ctx))
         except Exception as exc:
             self._note_error(exc, "select")
             raise
-        if hook is not None:
-            hook("select", perf_counter() - started, len(rows))
         return ResultSet(columns=list(planned.output_names), rows=rows, rowcount=len(rows))
 
     # -- resilience hooks ---------------------------------------------------

@@ -13,6 +13,7 @@ creates an index), via the database's DDL generation counter.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Sequence
 
 from . import sql_ast as A
@@ -63,50 +64,32 @@ class StatementCache:
     """SQL-text-keyed cache of prepared statements with LRU eviction.
 
     The cache lock is the only lock the relational read path takes per
-    statement; its hold time is instrumented because it is the
-    engine's serial component under concurrent load (Fig. 6 model).
+    statement.  Parsing and planning a miss happen outside it.
     """
 
     def __init__(self, database: Any, capacity: int = 512):
         self.database = database
         self.capacity = capacity
-        self._statements: dict[str, PreparedStatement] = {}
-        self._order: list[str] = []
+        self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.lock_held_seconds = 0.0
 
     def get(self, sql: str) -> PreparedStatement:
-        import time as _time
-
-        self._lock.acquire()
-        t0 = _time.perf_counter()
-        try:
+        with self._lock:
             prepared = self._statements.get(sql)
             if prepared is not None:
                 self.hits += 1
-                self._order.remove(sql)
-                self._order.append(sql)
+                self._statements.move_to_end(sql)
                 return prepared
             self.misses += 1
-        finally:
-            self.lock_held_seconds += _time.perf_counter() - t0
-            self._lock.release()
         prepared = PreparedStatement(self.database, sql)
-        self._lock.acquire()
-        t0 = _time.perf_counter()
-        try:
+        with self._lock:
             if sql not in self._statements:
                 self._statements[sql] = prepared
-                self._order.append(sql)
-                while len(self._order) > self.capacity:
-                    evicted = self._order.pop(0)
-                    del self._statements[evicted]
+                while len(self._statements) > self.capacity:
+                    self._statements.popitem(last=False)
             return self._statements[sql]
-        finally:
-            self.lock_held_seconds += _time.perf_counter() - t0
-            self._lock.release()
 
     def __len__(self) -> int:
         return len(self._statements)
@@ -114,4 +97,3 @@ class StatementCache:
     def clear(self) -> None:
         with self._lock:
             self._statements.clear()
-            self._order.clear()

@@ -182,8 +182,7 @@ class LockManager:
 
 
 class RWLock:
-    """A reader-writer lock with deadlock detection, writer preference,
-    and hold-time instrumentation.
+    """A reader-writer lock with deadlock detection and writer preference.
 
     Re-entrant per transaction is not needed: the executor acquires each
     table lock at most once per statement/transaction.  ``owner`` is a
@@ -198,10 +197,6 @@ class RWLock:
         self._reader_count: dict[Any, int] = {}
         self._writer_owner: Any | None = None
         self._waiting_writers = 0
-        self.shared_held_seconds = 0.0
-        self.exclusive_held_seconds = 0.0
-        self._shared_since: dict[Any, float] = {}
-        self._exclusive_since = 0.0
 
     # -- introspection -------------------------------------------------------
 
@@ -287,12 +282,8 @@ class RWLock:
     def _grant(self, owner: Any, exclusive: bool) -> None:
         if exclusive:
             self._writer_owner = owner
-            self._exclusive_since = time.perf_counter()
         else:
-            count = self._reader_count.get(owner, 0)
-            self._reader_count[owner] = count + 1
-            if count == 0:
-                self._shared_since[owner] = time.perf_counter()
+            self._reader_count[owner] = self._reader_count.get(owner, 0) + 1
 
     def release_read(self, owner: Any = None) -> None:
         if owner is None:
@@ -305,9 +296,6 @@ class RWLock:
                 )
             if count == 1:
                 del self._reader_count[owner]
-                since = self._shared_since.pop(owner, None)
-                if since is not None:
-                    self.shared_held_seconds += time.perf_counter() - since
             else:
                 self._reader_count[owner] = count - 1
             self.manager._cond.notify_all()
@@ -322,7 +310,6 @@ class RWLock:
                     f"not {owner!r}"
                 )
             self._writer_owner = None
-            self.exclusive_held_seconds += time.perf_counter() - self._exclusive_since
             self.manager._cond.notify_all()
 
 

@@ -2,8 +2,7 @@
 
 The paper's datasets (Table 2) have 10M/100M vertices with average
 degree ~4.2 and extreme degree skew (max degree ~962k).  A pure-Python
-reproduction shrinks the scales (configurable via environment
-variables ``REPRO_LINKBENCH_SMALL`` / ``REPRO_LINKBENCH_LARGE``) while
+reproduction shrinks the scales to 5,000 and 50,000 vertices while
 preserving: 10 vertex types, 10 edge types, 3 vertex properties, 4
 edge properties, the ~4.2 average degree, and a Zipf-skewed degree
 distribution with a designated hub vertex.
@@ -29,7 +28,6 @@ of an out-edge of ``id1`` is ``id1`` itself, so we follow the query's
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -40,8 +38,8 @@ from ..graph.traversal import GraphTraversalSource, Traversal, __
 from ..relational.database import Database
 
 N_TYPES = 10
-DEFAULT_SMALL = int(os.environ.get("REPRO_LINKBENCH_SMALL", "5000"))
-DEFAULT_LARGE = int(os.environ.get("REPRO_LINKBENCH_LARGE", "50000"))
+DEFAULT_SMALL = 5000
+DEFAULT_LARGE = 50000
 
 
 def node_label(type_index: int) -> str:

@@ -96,11 +96,6 @@ class TestDiskModel:
             store.get("k")
         assert time.perf_counter() - start < 0.5
 
-    def test_lock_hold_time_accumulates(self, store):
-        store.put("k", 1)
-        store.get("k")
-        assert store.lock_held_seconds > 0
-
 
 @given(st.dictionaries(st.integers(0, 50), st.binary(max_size=64), max_size=40))
 @settings(max_examples=20, deadline=None)

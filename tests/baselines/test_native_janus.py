@@ -115,13 +115,6 @@ class TestNativeSpecifics:
         g = GraphTraversalSource(store)
         assert g.V().has("name", "ada").count().next() == 1
 
-    def test_engine_latch_time_accumulates(self):
-        store = NativeGraphStore(cache_records=100, disk_model=DiskModel(0.0))
-        tiny_dataset(store)
-        g = GraphTraversalSource(store)
-        g.V().toList()
-        assert store.serialization_lock_seconds() > 0
-
     def test_duplicate_vertex_rejected(self):
         store = NativeGraphStore()
         store.add_vertex(1, "n")
@@ -164,13 +157,6 @@ class TestJanusSpecifics:
         edge_ids_1 = {e["edge_id"] for e in blob1["adjacency"]}
         edge_ids_2 = {e["edge_id"] for e in blob2["adjacency"]}
         assert "e1" in edge_ids_1 and "e1" in edge_ids_2
-
-    def test_store_lock_time_accumulates(self):
-        store = JanusLikeStore(cache_blobs=1, disk_model=DiskModel(0.0))
-        tiny_dataset(store)
-        g = GraphTraversalSource(store)
-        g.V().toList()
-        assert store.serialization_lock_seconds() > 0
 
 
 class TestDiskBlowup:

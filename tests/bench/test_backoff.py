@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.load import LoadResult, backoff_delay, run_closed_loop
 from repro.resilience.retry import is_transient
 from repro.service.errors import AdmissionRejectedError, RequestShedError
+
+from ..service.loadgen import LoadResult, backoff_delay, run_closed_loop
 
 
 # -- the math ----------------------------------------------------------------

@@ -95,17 +95,6 @@ def test_contains_and_keys():
     assert cache.keys() == ["a"]
 
 
-def test_lock_hold_time_accumulates():
-    cache = LruCache(capacity=4)
-    assert cache.lock_held_seconds == 0.0
-    for i in range(100):
-        cache.put(i, i)
-        cache.get(i)
-    assert cache.lock_held_seconds > 0.0
-    cache.reset_stats()
-    assert cache.lock_held_seconds == 0.0
-
-
 @pytest.mark.stress
 def test_thread_safety_under_contention():
     cache = LruCache(capacity=64)

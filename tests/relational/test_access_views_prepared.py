@@ -159,6 +159,20 @@ class TestPreparedStatements:
         conn.prepare("SELECT 3")
         assert len(people_db.statement_cache) <= 2
 
+    def test_cache_evicts_least_recently_used(self, people_db):
+        cache = people_db.statement_cache
+        cache.capacity = 2
+        conn = people_db.connect()
+        first = conn.prepare("SELECT 1")
+        second = conn.prepare("SELECT 2")
+        assert conn.prepare("SELECT 1") is first  # hit: SELECT 1 is now newest
+        conn.prepare("SELECT 3")  # evicts SELECT 2, the least recently used
+        assert len(cache) == 2
+        hits, misses = cache.hits, cache.misses
+        assert conn.prepare("SELECT 1") is first
+        assert conn.prepare("SELECT 2") is not second
+        assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
+
     def test_grants_checked_per_execution(self, people_db):
         people_db.execute("GRANT SELECT ON person TO eve")
         eve = people_db.connect("eve")

@@ -288,7 +288,7 @@ class TestStandaloneLock:
         b.acquire_write(owner=1)
         a.release_write(owner=1)
         b.release_write(owner=1)
-        assert a.exclusive_held_seconds > 0.0
+        assert a.is_idle and b.is_idle
 
     def test_database_tables_share_one_manager(self, two_tables):
         db = two_tables

@@ -1,4 +1,5 @@
-"""Load generation for the multi-session service layer.
+"""Load generation for the multi-session service layer (driven by
+``tests/service/test_service_soak.py``).
 
 Two standard shapes drive a :class:`~repro.service.GraphService`:
 
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..service.errors import AdmissionRejectedError, RequestShedError
+from repro.service.errors import AdmissionRejectedError, RequestShedError
 
 
 def percentile(sorted_values: list[float], q: float) -> float:

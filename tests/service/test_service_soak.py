@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.load import run_closed_loop, run_open_loop
 from repro.relational import Database
 from repro.service import GraphService, ServiceConfig
+
+from .loadgen import run_closed_loop, run_open_loop
 
 pytestmark = pytest.mark.service
 

@@ -1,6 +1,7 @@
 """Pins the configuration surface: the ``REPRO_*`` environment knobs the
 engine reads, the keywords ``Db2Graph.open`` takes, the README knob
-table, and the knobs and test paths the CI workflow names.
+table, the knobs and test paths the CI workflow names, and that nothing
+imports the deleted ``repro.bench`` package.
 
 A new knob or ``open()`` keyword must be added here on purpose; a knob
 the workflow sets but nothing reads fails instead of soaking nothing,
@@ -19,6 +20,7 @@ from repro.core import Db2Graph
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 KNOB = re.compile(r"REPRO_[A-Z_]+")
+BENCH_IMPORT = re.compile(r"^\s*(?:from|import)\s+repro\.bench\b", re.MULTILINE)
 REPO_PATH = re.compile(r"\b(?:tests|benchmarks)/[\w./-]*\w")
 
 # Benchmark scripts deleted once their checks moved into tests/, and the
@@ -48,8 +50,6 @@ KNOBS = {
     "REPRO_CACHE_ENABLED",
     "REPRO_WAL_DIR",
     "REPRO_WAL_FSYNC",
-    "REPRO_LINKBENCH_SMALL",
-    "REPRO_LINKBENCH_LARGE",
 }
 
 OPEN_KEYWORDS = {
@@ -122,3 +122,16 @@ def test_ci_steps_name_existing_tests_and_no_deleted_script():
     assert MOVED_GATES <= named
     assert {path for path in named if not (ROOT / path).exists()} == set()
     assert named & DELETED_SCRIPTS == set()
+
+
+def test_nothing_imports_the_deleted_bench_package():
+    """``repro.bench`` is gone: the paper scripts run on
+    ``benchmarks/paper.py`` and the load generator lives in
+    ``tests/service/loadgen.py``."""
+    importers = [
+        str(path.relative_to(ROOT))
+        for top in ("src", "tests", "benchmarks")
+        for path in (ROOT / top).rglob("*.py")
+        if BENCH_IMPORT.search(path.read_text())
+    ]
+    assert importers == []
