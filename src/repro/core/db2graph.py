@@ -201,6 +201,10 @@ class Db2Graph:
     def _resolve_replication(database: Database, replication: Any):
         """Attach (or reuse) a replication cluster for ``database``;
         a request against a non-durable database raises."""
+        durability = database.durability
+        shipping = durability is not None and durability.replication is not None
+        if not shipping and (replication is None or replication is False or replication == 0):
+            return None  # the first open of a process skips the package import
         from ..replication import ReplicationCluster
         from ..replication.config import resolve_replication_config
 

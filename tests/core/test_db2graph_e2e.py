@@ -2,6 +2,11 @@
 table function, synergy with SQL, access control and temporal behaviour
 inherited through the graph, and the paper's example queries."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.common.clock import ManualClock
@@ -34,6 +39,31 @@ class TestOpen:
         conn = paper_db.connect()
         graph = Db2Graph.open(conn, HEALTHCARE_TINY_OVERLAY)
         assert graph.connection is conn
+
+    def test_plain_open_does_not_import_replication(self):
+        # without replication to resolve, the first open of a process
+        # skips the replication package import (tens of milliseconds)
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core import Db2Graph
+            from repro.relational import Database
+
+            db = Database()
+            db.execute("CREATE TABLE item (id INT PRIMARY KEY)")
+            overlay = {"v_tables": [{"table_name": "item", "id": "id",
+                       "fix_label": True, "label": "'item'"}], "e_tables": []}
+            for replication in (None, False, 0):
+                Db2Graph.open(db, overlay, replication=replication)
+            print("repro.replication" in sys.modules)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_multiple_overlays_on_same_tables(self, paper_db):
         """Paper §5.1: 'One can create multiple overlay configuration
