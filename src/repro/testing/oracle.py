@@ -356,30 +356,25 @@ def reference_wcc(
     *,
     edge_labels: "tuple[str, ...] | None" = None,
 ) -> dict[Any, Any]:
-    """Weakly-connected components by union-find (a deliberately
-    different algorithm than the engine's label propagation — the
-    fixpoint is unique, so any correct implementation agrees).  Each
-    vertex maps to the sorted-min member id of its component."""
-    root: dict[Any, Any] = {v: v for v in graph._vertices}
-
-    def find(x: Any) -> Any:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for edge in graph._edges.values():
-        if edge_labels and edge.label not in edge_labels:
+    """Weakly-connected components by BFS flood fill over both edge
+    directions (a deliberately different algorithm than the engine's
+    union-find).  Seeds are taken in sorted order, so each component is
+    first reached from, and mapped to, its sorted-min member id."""
+    component: dict[Any, Any] = {}
+    for seed in sorted(graph._vertices, key=_a_key):
+        if seed in component:
             continue
-        a, b = find(edge.out_v_id), find(edge.in_v_id)
-        if a != b:
-            root[b] = a
-    minima: dict[Any, Any] = {}
-    for v in graph._vertices:
-        r = find(v)
-        if r not in minima or _a_key(v) < _a_key(minima[r]):
-            minima[r] = v
-    return {v: minima[find(v)] for v in graph._vertices}
+        component[seed] = seed
+        frontier = [seed]
+        while frontier:
+            next_frontier: list[Any] = []
+            for u in frontier:
+                for _edge, v in _a_incident(graph, u, "both", edge_labels):
+                    if v not in component:
+                        component[v] = seed
+                        next_frontier.append(v)
+            frontier = next_frontier
+    return {v: component[v] for v in graph._vertices}
 
 
 def reference_pagerank(
