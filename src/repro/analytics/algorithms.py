@@ -1,14 +1,16 @@
 """The four bulk graph algorithms (BFS, SSSP, WCC, PageRank).
 
-All four run level-synchronously on the :class:`FrontierExecutor`, so
-one step costs one scan per unindexed edge table, or ⌈frontier /
-batch_size⌉ probes per indexed one and direction.  Determinism contract
-(the differential battery relies on it): every per-level loop iterates
-vertices in canonical :func:`~repro.analytics.frontier.sort_key`
-order, and ties resolve to the sorted-first candidate — so
-BFS/SSSP/WCC results are bit-identical to the pure-Python oracle,
-while PageRank (whose per-vertex accumulation order depends on SQL row
-order) is compared within an L1 tolerance.
+BFS and SSSP run level-synchronously on the :class:`FrontierExecutor`,
+so one step costs one scan per unindexed edge table, or ⌈frontier /
+batch_size⌉ probes per indexed one and direction; WCC is one union-find
+step over one read of each table, and PageRank iterates in memory.
+Determinism contract (the differential battery relies on it): loops
+iterate vertices in canonical :func:`~repro.analytics.frontier.sort_key`
+order, ties resolve to the sorted-first candidate, and a component is
+named by its sorted-min member — so BFS/SSSP/WCC results are
+bit-identical to the pure-Python oracle, while PageRank (whose
+per-vertex accumulation order depends on SQL row order) is compared
+within an L1 tolerance.
 
 Budget semantics: algorithms run inside the dialect's thread-local
 budget scope, so every SQL statement and frontier vertex checkpoints
@@ -17,7 +19,7 @@ budget trips mid-run the raised error carries the partial result on
 ``exc.partial`` (depths/distances/components/ranks computed so far).
 
 ``analytics.converged`` is emitted only on *natural* convergence —
-frontier drained, label fixpoint, or tolerance met — never when a
+frontier drained, WCC's pass done, or tolerance met — never when a
 ``max_depth``/``max_iterations`` cutoff stops the run early.
 """
 
@@ -101,11 +103,7 @@ class WccResult:
     frontier_sizes: list[int] = field(default_factory=list)
 
     def component_count(self) -> int:
-        return len(set(map(self._key, self.component.values())))
-
-    @staticmethod
-    def _key(value: Any) -> tuple[str, str]:
-        return sort_key(value)
+        return len(set(map(sort_key, self.component.values())))
 
     def rows(self) -> list[tuple]:
         return [
@@ -284,58 +282,53 @@ class GraphAnalytics:
 
     # -- WCC -----------------------------------------------------------------
 
-    def wcc(
-        self,
-        *,
-        edge_labels: tuple[str, ...] = (),
-        max_iterations: int | None = None,
-    ) -> WccResult:
-        """Weakly-connected components via min-label propagation.
+    def wcc(self, *, edge_labels: tuple[str, ...] = ()) -> WccResult:
+        """Weakly-connected components by union-find over one id read of
+        the vertices and one endpoint read of each edge table.
 
-        Every vertex starts labeled with its own id; each step pushes
-        labels across BOTH edge directions and vertices adopt the
-        sorted-smaller label.  At the fixpoint each component is
-        labeled by its sorted-min member id (order-independent, so any
-        correct implementation agrees exactly)."""
+        A union keeps the sorted-smaller root, so each component is
+        named by its sorted-min member id.  An endpoint outside the
+        vertex read (a dangling id) joins its component but never names
+        it, and a component with no vertex-read member is dropped: the
+        fixpoint of min-label propagation, which any correct
+        implementation reaches exactly."""
         with self._execution() as executor:
             component: dict[Any, Any] = {}
-            steps = 0
             sizes: list[int] = []
             try:
-                vertices = executor.all_vertex_ids()
-                component.update({v: v for v in vertices})
-                # every label is a vertex id: one sort key each per run
-                key_of = {v: sort_key(v) for v in vertices}
-                frontier: set[Any] = set(vertices)
-                while frontier:
-                    if max_iterations is not None and steps >= max_iterations:
-                        return WccResult(component, False, steps, sizes)
-                    ordered, adjacency = executor.expand(
-                        frontier, Direction.BOTH, edge_labels, algorithm="wcc"
-                    )
-                    sizes.append(len(ordered))
-                    changed: set[Any] = set()
-                    for u in ordered:
-                        label = component[u]
-                        label_key = key_of[label]
-                        for v in adjacency.get(u, ()):
-                            incumbent = component.get(v)
-                            if incumbent is None:
-                                # an endpoint outside the initial scan
-                                # (e.g. committed concurrently) joins the
-                                # propagating component
-                                component[v] = label
-                                changed.add(v)
-                            elif label_key < key_of[incumbent]:
-                                component[v] = label
-                                changed.add(v)
-                    frontier = changed
-                    steps += 1
+                # one sort key per vertex per run; an id without one is dangling
+                key_of = {v: sort_key(v) for v in self.provider.vertex_ids()}
+                component.update({v: v for v in key_of})
+                pairs = executor.edge_endpoints(key_of, edge_labels, algorithm="wcc")
+                sizes.append(len(key_of))
             except BudgetError as exc:
-                exc.partial = WccResult(component, False, steps, sizes)
+                exc.partial = WccResult(component, False, 0, sizes)
                 raise
+            parent = dict(component)
+
+            def find(x: Any) -> Any:
+                p = parent.setdefault(x, x)
+                while p is not x:  # path splitting
+                    grand = parent[p]
+                    parent[x] = grand
+                    x, p = p, grand
+                return x
+
+            for a, b in pairs:
+                ra, rb = find(a), find(b)
+                if ra is rb:
+                    continue
+                ka, kb = key_of.get(ra), key_of.get(rb)
+                if kb is not None and (ka is None or kb < ka):
+                    parent[ra] = rb
+                else:
+                    parent[rb] = ra
+            for v in list(parent):
+                root = find(v)
+                if root in key_of:
+                    component[v] = root
             executor.converged("wcc")
-            return WccResult(component, True, steps, sizes)
+            return WccResult(component, True, 1, sizes)
 
     # -- PageRank ------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The level-synchronous frontier executor (set-at-a-time traversal).
+"""The frontier executor (set-at-a-time traversal).
 
 GRAPHITE-style bulk execution over the relational overlay: instead of
 expanding one traverser at a time, :class:`FrontierExecutor` hands a
@@ -10,21 +10,21 @@ single-column endpoint of a base table, reads the table in one scan
 unindexed edge table instead of O(frontier vertices).  Those
 statements select only the endpoint columns (plus the weight column for
 SSSP), and the neighbours come back as bare ids: no edge or vertex
-element is built.
+element is built.  WCC's one step reads every edge's endpoints instead.
 
-Every expansion emits the 1:1 counter/event pair ``analytics.step`` and
+Every step emits the 1:1 counter/event pair ``analytics.step`` and
 one ``frontier.size`` histogram observation mirrored by a
 ``frontier.size`` trace event — the same invariant every other
 subsystem's counters obey (see :mod:`repro.obs.tracing`).  Budget
 checkpoints run per frontier vertex (``note_traverser``) plus a
-deadline check per level, so runaway expansions trip the same
+deadline check per step, so runaway expansions trip the same
 first-wins :class:`~repro.resilience.budget.BudgetTracker` machinery
 as Gremlin traversals.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from ..graph.model import Direction, GraphProvider
 from ..obs import metrics as M
@@ -98,16 +98,29 @@ class FrontierExecutor:
         ``(neighbour id, weight value)`` pairs when ``weight`` is given.
         """
         ordered = sorted(set(frontier), key=sort_key)
-        tracker = self.tracker
-        if tracker is not None:
-            tracker.check_deadline()
-            for _ in ordered:
-                tracker.note_traverser()
-        self.note_iteration(algorithm, len(ordered))
+        self._step(ordered, algorithm)
         adjacency = self.provider.adjacent_ids(
             ordered, direction, edge_labels or None, weight
         )
         return ordered, adjacency
+
+    def edge_endpoints(
+        self, vertices: Collection[Any], edge_labels: tuple[str, ...] | None, *, algorithm: str
+    ) -> list[tuple[Any, Any]]:
+        """One whole-graph step over ``vertices``: the checkpoints and
+        counters of expanding them as one frontier, then every edge's
+        ``(out id, in id)`` from one endpoint-only read per edge table."""
+        self._step(vertices, algorithm)
+        return self.provider.edge_endpoints(edge_labels or None)
+
+    def _step(self, frontier: Collection[Any], algorithm: str) -> None:
+        """A deadline check, one traverser per frontier vertex, one step."""
+        tracker = self.tracker
+        if tracker is not None:
+            tracker.check_deadline()
+            for _ in frontier:
+                tracker.note_traverser()
+        self.note_iteration(algorithm, len(frontier))
 
     def note_iteration(self, algorithm: str, size: int) -> None:
         """Emit one analytics step: counter + event, histogram + event.

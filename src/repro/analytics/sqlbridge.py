@@ -90,10 +90,7 @@ def evaluate_spec(analytics: GraphAnalytics, spec: str) -> Iterator[tuple]:
             default_weight=_float_opt(options, "default_weight", 1.0),
         )
     elif algorithm == "wcc":
-        result = analytics.wcc(
-            edge_labels=labels,
-            max_iterations=_int_opt(options, "max_iterations"),
-        )
+        result = analytics.wcc(edge_labels=labels)
     else:  # pagerank
         result = analytics.pagerank(
             damping=_float_opt(options, "damping", 0.85),

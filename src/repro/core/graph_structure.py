@@ -699,8 +699,29 @@ class OverlayGraph(GraphProvider):
             columns = list(dict.fromkeys(vtop.relation.canonical(c) for c in template.columns))
             self._note_table_query(vtop.table_name, "vertex")
             keys, rows = self.dialect.select(vtop.table_name, columns, predicates)
-            ids.extend(template.render(dict(zip(keys, row))) for row in rows)
+            ids.extend(map(_id_reader(keys, template), rows))
         return ids
+
+    def edge_endpoints(self, edge_labels: tuple[str, ...] | None) -> list[tuple[Any, Any]]:
+        """``g.E()``'s plan, eliminations and events reduced to ``(out
+        id, in id)`` pairs: each SELECT fetches only
+        :func:`neighbour_columns`, rows are read as tuples, and no edge
+        is built.  Rows are dropped as :meth:`_neighbours` drops them."""
+        eliminated, plan = self._plan("edge", None, Pushdown(labels=edge_labels))
+        self._note_eliminations(eliminated)
+        pairs: list[tuple[Any, Any]] = []
+        for etop, predicates, _aggregated in plan:
+            columns, label_column, _weight = neighbour_columns(etop, edge_labels)
+            self._note_table_query(etop.table_name, "edge")
+            keys, rows = self.dialect.select(etop.table_name, columns, predicates)
+            if edge_labels and etop.fixed_label not in (None, *edge_labels):
+                continue  # survives only with label elimination off
+            ends = _endpoint_reader(keys, etop.src_template, etop.dst_template)
+            if label_column:
+                label_at = keys.index(label_column.lower())
+                rows = [row for row in rows if str(row[label_at]) in edge_labels]
+            pairs.extend(map(ends, rows))
+        return pairs
 
     def _elements(
         self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
@@ -1236,21 +1257,24 @@ def neighbour_columns(
     return columns, label_column, weight_column
 
 
+def _id_reader(keys: Sequence[str], template: IdTemplate) -> Callable[[Sequence[Any]], Any]:
+    """The id of one row tuple: a single-column id by tuple index, a
+    composite or prefixed id rendered from a row dict."""
+    if template.is_single_column:
+        return operator.itemgetter(keys.index(template.columns[0].lower()))
+    return lambda row: template.render(dict(zip(keys, row)))
+
+
 def _endpoint_reader(
     keys: Sequence[str], near: IdTemplate, far: IdTemplate
 ) -> Callable[[Sequence[Any]], tuple[Any, Any]]:
-    """``(near id, far id)`` of one row tuple: single-column ids by
-    tuple index, composite or prefixed ids rendered from one row dict."""
+    """``(near id, far id)`` of one row tuple."""
     if near.is_single_column and far.is_single_column:
         return operator.itemgetter(
             keys.index(near.columns[0].lower()), keys.index(far.columns[0].lower())
         )
-
-    def render(row: Sequence[Any]) -> tuple[Any, Any]:
-        named = dict(zip(keys, row))
-        return near.render(named), far.render(named)
-
-    return render
+    near_id, far_id = _id_reader(keys, near), _id_reader(keys, far)
+    return lambda row: (near_id(row), far_id(row))
 
 
 def _has_repeats(ids: Sequence[Any] | None) -> bool:

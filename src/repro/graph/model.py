@@ -251,6 +251,13 @@ class GraphProvider:
         """Every vertex id in ``g.V()`` order (the overlay reads id columns only)."""
         return [v.id for v in self.graph_step("vertex", None, Pushdown())]
 
+    def edge_endpoints(self, edge_labels: tuple[str, ...] | None) -> list[tuple[Any, Any]]:
+        """``(out id, in id)`` of every edge in ``g.E()`` order, limited
+        to ``edge_labels`` when given (the overlay reads endpoint columns
+        only)."""
+        edges = self.graph_step("edge", None, Pushdown(labels=edge_labels))
+        return [(e.out_v_id, e.in_v_id) for e in edges]
+
     def adjacent(
         self,
         vertices: Sequence[Vertex],
