@@ -15,8 +15,10 @@ from repro.analytics import (
     WccResult,
     coerce_weight,
 )
+from repro.analytics.frontier import FrontierExecutor
 from repro.core import Db2Graph
 from repro.graph import __
+from repro.graph.model import Direction
 from repro.obs import metrics as M
 from repro.obs import tracing
 from repro.relational import Database
@@ -132,10 +134,6 @@ class TestWcc:
         assert got.component_count() == 2
         assert got.converged
 
-    def test_max_iterations_cutoff(self, graph):
-        got = graph.analytics().wcc(max_iterations=1)
-        assert not got.converged
-
 
 class TestPageRank:
     def test_ranks_form_a_distribution(self, graph):
@@ -164,13 +162,13 @@ class TestPageRank:
 class TestBudgets:
     def test_partial_progress_on_statement_budget(self):
         g = Db2Graph.open(make_db(), OVERLAY, cache=False)
-        an = g.analytics(budget=QueryBudget(max_sql_statements=3))
+        an = g.analytics(budget=QueryBudget(max_sql_statements=1))
         with pytest.raises(BudgetExceededError) as info:
             an.wcc()
         partial = info.value.partial
         assert isinstance(partial, WccResult)
         assert not partial.converged
-        assert partial.component  # the scan completed before the trip
+        assert partial.component  # the vertex read completed before the trip
 
     def test_partial_progress_on_bfs(self):
         g = Db2Graph.open(make_db(), OVERLAY, cache=False)
@@ -180,23 +178,22 @@ class TestBudgets:
         assert isinstance(info.value.partial, BfsResult)
 
     def test_statement_budget_trips_mid_step_at_a_pinned_statement(self):
-        # scan, step 0's OUT and IN probes, step 1's OUT probe: the fifth
-        # statement (step 1's IN probe) trips, the same statement as when
-        # the executor expanded through edge elements
+        # the vertex read runs; the second statement (the link read)
+        # trips, so no union has run and every vertex is its own component
         g = Db2Graph.open(make_db(), OVERLAY, cache=False)
         g.enable_tracing()
-        an = g.analytics(budget=QueryBudget(max_sql_statements=4))
+        an = g.analytics(budget=QueryBudget(max_sql_statements=1))
         with pytest.raises(BudgetExceededError) as info:
             an.wcc()
-        assert g.trace.count(tracing.SQL_ISSUED) == 4
+        assert g.trace.count(tracing.SQL_ISSUED) == 1
         partial = info.value.partial
-        assert (partial.steps, partial.frontier_sizes) == (1, [6])
-        assert partial.component == {1: 1, 2: 1, 3: 1, 4: 1, 5: 5, 6: 5}
+        assert (partial.steps, partial.frontier_sizes) == (0, [])
+        assert partial.component == {v: v for v in range(1, 7)}
 
     def test_graph_level_budget_is_inherited(self):
         g = Db2Graph.open(
             make_db(), OVERLAY, cache=False,
-            budget=QueryBudget(max_sql_statements=2),
+            budget=QueryBudget(max_sql_statements=1),
         )
         with pytest.raises(BudgetExceededError):
             g.analytics().wcc()
@@ -211,8 +208,8 @@ class TestReadCache:
         assert g.stats()["sql_queries"] == issued  # every statement hit
         g.connection.execute("INSERT INTO link VALUES (4, 5, 1.0)")
         merged = g.analytics().wcc()
-        # the vertex scan still hits; each link probe is re-issued
-        assert g.stats()["sql_queries"] == issued + 4
+        # the vertex read still hits; the one link read is re-issued
+        assert g.stats()["sql_queries"] == issued + 1
         assert merged.component == {v: 1 for v in range(1, 7)}
 
 
@@ -288,8 +285,8 @@ class TestRepeat:
 
 
 def stride_db() -> Database:
-    """40 items and 37 links ``i -> i + 3``: three components whose WCC
-    levels hold 40, 35 and 12 ids, each more than ``batch_size=8``."""
+    """40 items and 37 links ``i -> i + 3``: a level over all 40 ids is
+    more than ``batch_size=8``."""
     db = Database()
     db.execute("CREATE TABLE item (id INT PRIMARY KEY, name VARCHAR)")
     db.execute("CREATE TABLE link (src INT, dst INT, w DOUBLE)")
@@ -303,32 +300,34 @@ def stride_db() -> Database:
 
 
 class TestScanOrProbe:
-    """A WCC level on an unindexed ``link`` costs one scan for both
+    """A frontier level on an unindexed ``link`` costs one scan for both
     directions; an index or a view-backed edge table keeps per-batch
-    probes (DESIGN.md §9).  The choice reads the live catalog."""
+    probes (DESIGN.md §9).  The choice reads the live catalog.  The
+    level is every id under BOTH, as WCC's first level was when it
+    propagated labels."""
 
-    SIZES = [40, 35, 12]
-    PROBES = sum(2 * -(-size // 8) for size in SIZES)  # per batch, per direction
+    PROBES = 2 * -(-40 // 8)  # per batch, per direction
 
     @staticmethod
-    def traced_wcc(graph):
+    def traced_level(graph):
         recorder = graph.enable_tracing()
         recorder.clear()
-        result = graph.analytics().wcc()
-        return result, [e.get("sql") for e in recorder.named(tracing.SQL_ISSUED)]
+        executor = FrontierExecutor(graph.provider)
+        ordered, adjacency = executor.expand(graph.provider.vertex_ids(), Direction.BOTH)
+        assert ordered == sorted(range(1, 41), key=str)
+        return adjacency, [e.get("sql") for e in recorder.named(tracing.SQL_ISSUED)]
 
     def test_one_edge_statement_per_level_until_an_index_exists(self):
         db = stride_db()
         graph = Db2Graph.open(db, OVERLAY, batch_size=8, cache=False)
-        scanned, statements = self.traced_wcc(graph)
-        assert (scanned.converged, scanned.frontier_sizes) == (True, self.SIZES)
-        assert scanned.component_count() == 3
-        assert statements == ["SELECT id FROM item"] + ["SELECT src, dst FROM link"] * 3
+        scanned, statements = self.traced_level(graph)
+        assert scanned[1] == [4] and scanned[20] == [23, 17]
+        assert statements == ["SELECT id FROM item", "SELECT src, dst FROM link"]
         db.execute("CREATE INDEX link_src ON link (src)")
         db.execute("CREATE INDEX link_dst ON link (dst)")
-        probed, statements = self.traced_wcc(graph)
+        probed, statements = self.traced_level(graph)
         assert probed == scanned
-        assert len(statements) == 1 + self.PROBES == 25
+        assert len(statements) == 1 + self.PROBES == 11
         assert all(" IN (" in sql for sql in statements[1:])
         graph.close()
 
@@ -337,10 +336,10 @@ class TestScanOrProbe:
         # the probes (batch_size=1 equality lookups), so no scan
         db = stride_db()
         graph = Db2Graph.open(db, OVERLAY, batch_size=8, cache=False)
-        scanned, _statements = self.traced_wcc(graph)
+        scanned, _statements = self.traced_level(graph)
         db.execute("CREATE INDEX link_src_w ON link (src, w)")
         db.execute("CREATE INDEX link_dst_w ON link (dst, w)")
-        probed, statements = self.traced_wcc(graph)
+        probed, statements = self.traced_level(graph)
         assert probed == scanned
         assert len(statements) == 1 + self.PROBES
         graph.close()
@@ -371,29 +370,32 @@ class TestScanOrProbe:
 
     def test_view_backed_edge_table_keeps_probing(self):
         db = stride_db()
+        base = Db2Graph.open(db, OVERLAY, batch_size=8, cache=False)
+        scanned, _statements = self.traced_level(base)
+        base.close()
         db.execute("CREATE VIEW link_v AS SELECT src, dst, w FROM link")
         overlay = {
             "v_tables": OVERLAY["v_tables"],
             "e_tables": [{**OVERLAY["e_tables"][0], "table_name": "link_v"}],
         }
         graph = Db2Graph.open(db, overlay, batch_size=8, cache=False)
-        result, statements = self.traced_wcc(graph)
-        assert result.frontier_sizes == self.SIZES
+        result, statements = self.traced_level(graph)
+        assert result == scanned
         assert len(statements) == 1 + self.PROBES
         graph.close()
 
     def test_budget_tripping_on_a_scan_level_carries_partial_progress(self):
-        # the vertex read and level 0's scan run; level 1's scan trips
+        # the vertex read and the first level's scan run; the next
+        # level's scan trips
         graph = Db2Graph.open(stride_db(), OVERLAY, batch_size=8, cache=False)
         graph.enable_tracing()
         an = graph.analytics(budget=QueryBudget(max_sql_statements=2))
-        with pytest.raises(BudgetExceededError) as info:
-            an.wcc()
+        with pytest.raises(BudgetExceededError), an._execution() as executor:
+            ordered, adjacency = executor.expand(graph.provider.vertex_ids(), Direction.BOTH)
+            executor.expand(range(4, 39), Direction.BOTH)
         assert graph.trace.count(tracing.SQL_ISSUED) == 2
-        partial = info.value.partial
-        assert isinstance(partial, WccResult) and not partial.converged
-        assert (partial.steps, partial.frontier_sizes) == (1, [40])
-        assert len(partial.component) == 40
+        assert executor.steps_taken == 2
+        assert len(ordered) == len(adjacency) == 40
         graph.close()
 
 
