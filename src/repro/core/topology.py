@@ -335,14 +335,17 @@ class Topology:
 
     def vertex_subsumed_by_edge(self, edge_top: EdgeTopology, endpoint: str) -> VertexTopology | None:
         """§6.3 'When A Vertex Table Is Also An Edge Table': if the
-        endpoint's vertex table is the edge's own table and the vertex's
-        required columns are a subset of the edge table's columns, the
-        vertex can be built straight from the edge row."""
+        endpoint's vertex table is the edge's own table, the endpoint's
+        id template is the vertex's id template (so the row's vertex is
+        the endpoint, not another row's) and the vertex's required
+        columns are a subset of the edge table's columns, the vertex can
+        be built straight from the edge row."""
         table = edge_top.src_v_table if endpoint == "src" else edge_top.dst_v_table
         if table is None or table.lower() != edge_top.table_name.lower():
             return None
         vtop = self._vertex_by_table.get(table.lower())
-        if vtop is None:
+        template = edge_top.src_template if endpoint == "src" else edge_top.dst_template
+        if vtop is None or vtop.id_template != template:
             return None
         edge_columns = {c.lower() for c in edge_top.relation.columns}
         needed = {c.lower() for c in vtop.required_columns()}

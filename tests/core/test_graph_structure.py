@@ -245,6 +245,37 @@ class TestVertexFromEdge:
         assert sorted(result) == ["first", "second"]
         assert slow.stats()["vertices_from_edges"] == 0
 
+    @pytest.mark.parametrize("opts", [None, RuntimeOptimizations.all_off()], ids=["on", "off"])
+    def test_self_reference_builds_the_endpoint_not_the_row(self, opts):
+        """A table referencing itself: the row (5, 6) is vertex 'v1::5'
+        and an edge to 'v1::6'.  The dst endpoint's vertex table is the
+        edge table, but the row's vertex is not the dst endpoint, so it
+        must not be built from the row."""
+        from repro.relational import Database
+
+        db = Database(enforce_foreign_keys=False)
+        db.execute("CREATE TABLE v1 (pk INT PRIMARY KEY, ref_pk INT)")
+        db.execute("INSERT INTO v1 VALUES (5, 6), (6, 6)")
+        overlay = {
+            "v_tables": [
+                {"table_name": "v1", "prefixed_id": True, "id": "'v1'::pk",
+                 "fix_label": True, "label": "'v1'", "properties": []},
+            ],
+            "e_tables": [
+                {"table_name": "v1", "src_v_table": "v1", "src_v": "'v1'::pk",
+                 "dst_v_table": "v1", "dst_v": "'v1'::ref_pk", "implicit_edge_id": True,
+                 "fix_label": True, "label": "'e'", "properties": []},
+            ],
+        }
+        graph = Db2Graph.open(db, overlay, runtime_opts=opts, cache=False)
+        g = graph.traversal()
+        assert [v.id for v in g.E().inV().toList()] == ["v1::6", "v1::6"]
+        assert [v.id for v in g.V("v1::5").out().toList()] == ["v1::6"]
+        assert [v.id for v in g.V("v1::5").as_("a").out().toList()] == ["v1::6"]
+        src = graph.topology.edge_tables[0]
+        assert graph.topology.vertex_subsumed_by_edge(src, "src") is not None
+        assert graph.topology.vertex_subsumed_by_edge(src, "dst") is None
+
 
 class TestAggregatesAcrossTables:
     @pytest.fixture
