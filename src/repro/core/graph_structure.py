@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
+from ..graph.errors import TraversalError
 from ..graph.model import Direction, Edge, GraphProvider, Pushdown, Vertex
 from ..obs import metrics as M
 from ..obs import tracing
@@ -95,11 +96,12 @@ class RuntimeOptimizations:
 
 
 class OverlayEdge(Edge):
-    __slots__ = ("row",)
+    __slots__ = ("row", "etop")
 
-    def __init__(self, *args: Any, row: Mapping[str, Any] | None = None, **kwargs: Any):
+    def __init__(self, *args: Any, row: Mapping[str, Any], etop: EdgeTopology, **kwargs: Any):
         super().__init__(*args, **kwargs)
         self.row = row
+        self.etop = etop
 
 
 class OverlayGraph(GraphProvider):
@@ -544,17 +546,13 @@ class OverlayGraph(GraphProvider):
     def _table_fully_pushable(self, top: Any, pushdown: Pushdown) -> bool:
         for key, p in pushdown.predicates:
             if key == "~label":
-                if top.fixed_label is not None:
-                    if not p.test(top.fixed_label):
-                        # impossible: contributes zero, still pushable
-                        continue
-                    continue
-                if not top.label.column:
+                # a fixed label that fails the predicate contributes zero
+                if top.fixed_label is None and not top.label.column:
                     return False
                 continue
-            if key in ("~id", "~src_v", "~dst_v"):
-                if key == "~id":
-                    continue  # id groups encode it exactly
+            if key == "~id":
+                continue  # id groups encode it exactly
+            if key in ("~src_v", "~dst_v"):
                 return False
             if not top.has_property(key):
                 continue
@@ -632,6 +630,8 @@ class OverlayGraph(GraphProvider):
     def _make_edge(
         self, etop: EdgeTopology, row: Mapping[str, Any], pushdown: Pushdown
     ) -> OverlayEdge | None:
+        if None in etop.endpoint_values(row):
+            return None  # a NULL endpoint column: no edge
         label = etop.row_label(row)
         if not pushdown.matches_labels(label):
             return None
@@ -650,6 +650,7 @@ class OverlayGraph(GraphProvider):
             out_v_table=etop.src_v_table if self.opts.use_src_dst_tables else None,
             in_v_table=etop.dst_v_table if self.opts.use_src_dst_tables else None,
             row=row,
+            etop=etop,
         )
 
     def _edge_matches_predicates(
@@ -706,7 +707,8 @@ class OverlayGraph(GraphProvider):
         """``g.E()``'s plan, eliminations and events reduced to ``(out
         id, in id)`` pairs: each SELECT fetches only
         :func:`neighbour_columns`, rows are read as tuples, and no edge
-        is built.  Rows are dropped as :meth:`_neighbours` drops them."""
+        is built.  Rows are dropped as :meth:`_neighbours` drops them,
+        NULL endpoints included."""
         eliminated, plan = self._plan("edge", None, Pushdown(labels=edge_labels))
         self._note_eliminations(eliminated)
         pairs: list[tuple[Any, Any]] = []
@@ -720,7 +722,9 @@ class OverlayGraph(GraphProvider):
             if label_column:
                 label_at = keys.index(label_column.lower())
                 rows = [row for row in rows if str(row[label_at]) in edge_labels]
-            pairs.extend(map(ends, rows))
+            pairs.extend(
+                (near, far) for near, far in map(ends, rows) if near is not None and far is not None
+            )
         return pairs
 
     def _elements(
@@ -818,10 +822,9 @@ class OverlayGraph(GraphProvider):
     ) -> Iterator[OverlayEdge]:
         """One SELECT against the edge table per id batch, yielding the
         matching edges."""
-        label_filter = Pushdown(labels=edge_labels) if edge_labels else None
         for predicates in groups:
             for edge in self._run_select("edge", etop, predicates, pushdown):
-                if label_filter is None or label_filter.matches_labels(edge.label):
+                if not edge_labels or edge.label in edge_labels:
                     yield edge
 
     def _aggregate_edges_for(
@@ -844,40 +847,35 @@ class OverlayGraph(GraphProvider):
         return _memory_aggregate(weighted, pushdown)
 
     def _resolve_adjacent_vertices(
-        self, targets: dict[Any, list[tuple[Any, str | None]]], pushdown: Pushdown
-    ) -> dict[Any, list[Any]]:
-        """Vertex id -> neighbour vertices from ``(neighbour id, table
-        hint)`` pairs: lazy vertices, or fetched ones when a ``has()`` or
-        aggregate was folded into the step."""
-        needs_resolution = bool(
-            pushdown.predicates or pushdown.labels or pushdown.projection or pushdown.aggregate
-        )
-        if not needs_resolution:
-            self.registry.counter(M.LAZY_VERTICES).increment(sum(map(len, targets.values())))
+        self, targets: dict[Any, list[Vertex]], pushdown: Pushdown
+    ) -> dict[Any, list[Vertex]]:
+        """Vertex id -> neighbour vertices from :meth:`_neighbours`: lazy
+        ones as they are, or, when a ``has()`` or projection was folded
+        into the step, fetched in one pass.  A vertex built from its edge
+        row (§6.3) is complete: its folded ``has()``s are checked in
+        memory and it is not fetched again."""
+        lazy = [v for entry in targets.values() for v in entry if not v.is_materialized]
+        if not (pushdown.predicates or pushdown.labels or pushdown.projection):
+            self.registry.counter(M.LAZY_VERTICES).increment(len(lazy))
             if self.trace.enabled:
-                for entry in targets.values():
-                    for _other_id, hint in entry:
-                        self.trace.emit(tracing.VERTEX_LAZY, table=hint)
-            return {
-                vertex_id: [Vertex(v, provider=self, source_table=hint) for v, hint in entry]
-                for vertex_id, entry in targets.items()
-            }
+                for vertex in lazy:
+                    self.trace.emit(tracing.VERTEX_LAZY, table=vertex.source_table)
+            return targets
+        ids = list(dict.fromkeys(v.id for v in lazy))
+        resolved = {v.id: v for v in self._elements("vertex", ids, pushdown)} if ids else {}
 
-        resolved: dict[Any, Vertex] = {}
-        unique_ids = list(
-            dict.fromkeys(other_id for entry in targets.values() for other_id, _hint in entry)
-        )
-        if unique_ids:
-            for vertex in self._elements("vertex", unique_ids, pushdown):
-                resolved[vertex.id] = vertex
-        result = {
-            vertex_id: [resolved[other] for other, _hint in entry if other in resolved]
+        def kept(v: Vertex) -> Vertex | None:
+            if not v.is_materialized:
+                return resolved.get(v.id)
+            matches = pushdown.matches_labels(v.label) and pushdown.matches_predicates(
+                v.properties, v.label, v.id
+            )
+            return v if matches else None
+
+        return {
+            vertex_id: [k for v in entry if (k := kept(v)) is not None]
             for vertex_id, entry in targets.items()
         }
-        if pushdown.aggregate is not None:
-            flattened = [v for vs in result.values() for v in vs]
-            return {None: [_memory_aggregate_final(flattened, pushdown)]}
-        return result
 
     def adjacent_ids(
         self,
@@ -899,38 +897,45 @@ class OverlayGraph(GraphProvider):
         weight: str | None = None,
         hinted: bool = False,
     ) -> dict[Any, list[Any]]:
-        """Vertex id -> far endpoint ids, over ``adjacent()``'s plan:
-        the same eliminations, tables, statements and order.  Each SELECT
+        """Vertex id -> far endpoints, over ``adjacent()``'s plan: the
+        same eliminations, tables, statements and order.  Each SELECT
         fetches only :func:`neighbour_columns` (§6.2 projection pushdown)
-        and rows are read as tuples; no element is built.  With
-        ``weight`` or ``hinted`` an entry is a ``(far id, value)`` pair:
-        the weight property's value, or the far endpoint's declared
-        vertex table as its §6.3 narrowing hint."""
+        and rows are read as tuples; no edge is built, and a row with a
+        NULL endpoint column is no edge.  An entry is the far id; with
+        ``weight``, a ``(far id, weight value)`` pair; with ``hinted``, a
+        vertex: lazy and hinted with the far endpoint's declared vertex
+        table (§6.3 narrowing), or built from the row when that table is
+        the edge table itself (§6.3 vertex-from-edge)."""
         eliminated, plan = self._adjacent_plan(
             vertices, direction, edge_labels, Pushdown(), scans=True
         )
         self._note_eliminations(eliminated)
-        paired = hinted or weight is not None
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
         for etop, sides, groups, _aggregated in plan:
             # a fixed label outside edge_labels survives only with label
             # elimination off: its statements run, its rows are dropped
             rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
-            columns, label_column, weight_column = neighbour_columns(etop, edge_labels, weight)
+            row_vertices = [self._row_vertex(etop, d) if hinted else None for d, _m, _k in sides]
+            columns, label_column, weight_column = neighbour_columns(
+                etop, edge_labels, weight, row_vertices
+            )
             for predicates in groups:
                 self._note_table_query(etop.table_name, "edge")
                 keys, rows = self.dialect.select(etop.table_name, columns, predicates)
                 if rejected:
                     continue
                 label_at = keys.index(label_column.lower()) if label_column else None
-                weight_at = keys.index(weight_column.lower()) if weight_column else None
-                for d, _matching, keep in sides:
+                for (d, _matching, keep), row_vertex in zip(sides, row_vertices):
                     near, far = etop.src_template, etop.dst_template
                     if d is Direction.IN:
                         near, far = far, near
-                    declared = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
-                    hint = declared if hinted and self.opts.use_src_dst_tables else None
                     ends = _endpoint_reader(keys, near, far)
+                    if weight is not None:
+                        entry = _weight_entry(keys, weight_column)
+                    elif hinted:
+                        entry = self._vertex_entry(keys, etop, d, row_vertex)
+                    else:
+                        entry = None
                     side_rows = rows
                     if keep is not None:
                         near_at = keys.index(near.only_column.lower())
@@ -940,13 +945,35 @@ class OverlayGraph(GraphProvider):
                             continue
                         key, other = ends(row)
                         bucket = result.get(key)
-                        if bucket is None:
+                        if bucket is None or key is None or other is None:
                             continue
-                        if not paired:
-                            bucket.append(other)
-                        else:
-                            bucket.append((other, hint if weight_at is None else row[weight_at]))
+                        bucket.append(other if entry is None else entry(other, row))
         return result
+
+    def _row_vertex(self, etop: EdgeTopology, d: Direction) -> VertexTopology | None:
+        """The vertex table whose vertex at ``etop``'s far end over ``d``
+        is built from the edge row (§6.3 vertex-from-edge), or ``None``."""
+        if not self.opts.use_vertex_from_edge:
+            return None
+        return etop.dst_row_vertex if d is Direction.OUT else etop.src_row_vertex
+
+    def _vertex_entry(
+        self, keys: Sequence[str], etop: EdgeTopology, d: Direction, row_vertex: Any
+    ) -> Callable[[Any, Sequence[Any]], Vertex]:
+        """The far vertex of one neighbour row over ``d``."""
+        if row_vertex is not None:
+            return lambda _other, row: self._vertex_from_row(row_vertex, dict(zip(keys, row)))
+        declared = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
+        hint = declared if self.opts.use_src_dst_tables else None
+        return lambda other, _row: Vertex(other, provider=self, source_table=hint)
+
+    def _vertex_from_row(self, vtop: VertexTopology, row: Mapping[str, Any]) -> Vertex:
+        """§6.3 'When A Vertex Table Is Also An Edge Table': the vertex
+        built from its edge row, with no statement of its own."""
+        self.registry.counter(M.VERTICES_FROM_EDGES).increment()
+        self.trace.emit(tracing.VERTEX_FROM_EDGE, table=vtop.table_name)
+        built = vtop.row_id(row), vtop.row_label(row), vtop.row_properties(row)
+        return Vertex(*built, provider=self, source_table=vtop.table_name)
 
     # ------------------------------------------------------------------
     # Edge endpoints: outV()/inV()
@@ -957,48 +984,17 @@ class OverlayGraph(GraphProvider):
             yield from self.edge_vertex(edge, Direction.OUT)
             yield from self.edge_vertex(edge, Direction.IN)
             return
-        endpoint = "src" if direction is Direction.OUT else "dst"
-        vertex_id = edge.endpoint_id(direction)
-        # §6.3: vertex table is also the edge table -> build from the row
-        if (
-            self.opts.use_vertex_from_edge
-            and isinstance(edge, OverlayEdge)
-            and edge.row is not None
-            and edge.source_table is not None
-        ):
-            try:
-                etop = next(
-                    e
-                    for e in self.topology.edge_tables
-                    if e.name.lower() == edge.source_table.lower()
-                )
-            except StopIteration:
-                etop = None
-            if etop is not None:
-                vtop = self.topology.vertex_subsumed_by_edge(etop, endpoint)
-                if vtop is not None and any(
-                    c.lower() not in edge.row for c in vtop.required_columns()
-                ):
-                    # the edge was fetched with a projection that dropped
-                    # some vertex columns — the row can't build the vertex
-                    vtop = None
-                if vtop is not None:
-                    self.registry.counter(M.VERTICES_FROM_EDGES).increment()
-                    self.trace.emit(
-                        tracing.VERTEX_FROM_EDGE, table=vtop.table_name
-                    )
-                    yield Vertex(
-                        vtop.row_id(edge.row),
-                        vtop.row_label(edge.row),
-                        vtop.row_properties(edge.row),
-                        provider=self,
-                        source_table=vtop.table_name,
-                    )
-                    return
+        vtop = None
+        if isinstance(edge, OverlayEdge):  # outV() is the far end over IN
+            vtop = self._row_vertex(edge.etop, direction.opposite())
+        # a row fetched under a projection may lack vertex columns
+        if vtop is not None and all(c.lower() in edge.row for c in vtop.required_columns()):
+            yield self._vertex_from_row(vtop, edge.row)
+            return
         hint = edge.out_v_table if direction is Direction.OUT else edge.in_v_table
         self.registry.counter(M.LAZY_VERTICES).increment()
         self.trace.emit(tracing.VERTEX_LAZY, table=hint)
-        yield Vertex(vertex_id, provider=self, source_table=hint)
+        yield Vertex(edge.endpoint_id(direction), provider=self, source_table=hint)
 
     # ------------------------------------------------------------------
     # Mutation: addV()/addE() translate to SQL INSERTs
@@ -1030,8 +1026,6 @@ class OverlayGraph(GraphProvider):
         src_values = etop.src_template.decode(src_id)
         dst_values = etop.dst_template.decode(dst_id)
         if src_values is None or dst_values is None:
-            from ..graph.errors import TraversalError
-
             raise TraversalError(
                 f"edge endpoints {src_id!r} -> {dst_id!r} do not match table "
                 f"{etop.table_name!r}'s src/dst id shapes"
@@ -1047,16 +1041,12 @@ class OverlayGraph(GraphProvider):
     def _unique_table_for_label(self, tables: list, label: str, kind: str):
         matches = [t for t in tables if t.fixed_label == label]
         if len(matches) != 1:
-            from ..graph.errors import TraversalError
-
             raise TraversalError(
                 f"cannot insert: label {label!r} maps to {len(matches)} {kind} "
                 f"tables (need exactly one fixed-label table)"
             )
         top = matches[0]
         if top.relation.is_view:
-            from ..graph.errors import TraversalError
-
             raise TraversalError(f"cannot insert into view-backed table {top.table_name!r}")
         return top
 
@@ -1075,8 +1065,6 @@ class OverlayGraph(GraphProvider):
                 consumed.add(key)
         unknown = set(by_lower) - consumed
         if unknown:
-            from ..graph.errors import TraversalError
-
             raise TraversalError(
                 f"properties {sorted(unknown)} have no columns in {top.table_name!r}"
             )
@@ -1243,16 +1231,22 @@ def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
 
 
 def neighbour_columns(
-    etop: EdgeTopology, edge_labels: tuple[str, ...] | None, weight: str | None = None
+    etop: EdgeTopology,
+    edge_labels: tuple[str, ...] | None,
+    weight: str | None = None,
+    row_vertices: Sequence[VertexTopology | None] = (),
 ) -> tuple[list[str], str | None, str | None]:
     """``(columns, label column, weight column)`` of a neighbour-only
     SELECT on ``etop``: both endpoints' columns, plus the label column
-    when ``edge_labels`` is re-checked on a column-label table and the
-    ``weight`` property's column.  ``explain()`` previews the same list."""
+    when ``edge_labels`` is re-checked on a column-label table, the
+    ``weight`` property's column, and the columns of each vertex built
+    from the row (``row_vertices``).  ``explain()`` previews the same
+    list."""
     label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
     weight_column = weight if weight in etop.property_columns else None
     wanted = [*etop.src_template.columns, *etop.dst_template.columns]
     wanted += [c for c in (label_column, weight_column) if c]
+    wanted += [c for vtop in row_vertices if vtop is not None for c in vtop.required_columns()]
     columns = list(dict.fromkeys(etop.relation.canonical(c) for c in wanted))
     return columns, label_column, weight_column
 
@@ -1268,13 +1262,24 @@ def _id_reader(keys: Sequence[str], template: IdTemplate) -> Callable[[Sequence[
 def _endpoint_reader(
     keys: Sequence[str], near: IdTemplate, far: IdTemplate
 ) -> Callable[[Sequence[Any]], tuple[Any, Any]]:
-    """``(near id, far id)`` of one row tuple."""
+    """``(near id, far id)`` of one row tuple; an id is ``None`` when one
+    of its columns is NULL."""
     if near.is_single_column and far.is_single_column:
         return operator.itemgetter(
             keys.index(near.columns[0].lower()), keys.index(far.columns[0].lower())
         )
     near_id, far_id = _id_reader(keys, near), _id_reader(keys, far)
-    return lambda row: (near_id(row), far_id(row))
+    at = [keys.index(c.lower()) for c in (*near.columns, *far.columns)]
+    return lambda row: (None, None) if None in [row[i] for i in at] else (near_id(row), far_id(row))
+
+
+def _weight_entry(
+    keys: Sequence[str], weight_column: str | None
+) -> Callable[[Any, Sequence[Any]], tuple[Any, Any]]:
+    """``(far id, weight value)`` of one neighbour row; the value is
+    ``None`` on a table without the weight property."""
+    at = keys.index(weight_column.lower()) if weight_column else None
+    return lambda other, row: (other, None if at is None else row[at])
 
 
 def _has_repeats(ids: Sequence[Any] | None) -> bool:

@@ -12,6 +12,7 @@ by table name, by id prefix, and vertex-from-edge subsumption.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -253,6 +254,10 @@ class EdgeTopology(_TableTopology):
         self.fixed_label: str | None = self.label.constant
         self.src_v_table = config.src_v_table
         self.dst_v_table = config.dst_v_table
+        # the vertex tables whose src/dst vertex is built from this
+        # table's row (§6.3 vertex-from-edge), set by Topology
+        self.src_row_vertex: VertexTopology | None = None
+        self.dst_row_vertex: VertexTopology | None = None
 
         self.id_template: IdTemplate | None = config.id_template
         self.implicit_id: ImplicitEdgeId | None = None
@@ -266,6 +271,8 @@ class EdgeTopology(_TableTopology):
                 relation.canonical(column)
 
         key_columns = [*self.src_template.columns, *self.dst_template.columns]
+        # a row's endpoint column values (two or more): a NULL is no edge
+        self.endpoint_values = operator.itemgetter(*(c.lower() for c in key_columns))
         if self.id_template is not None:
             key_columns.extend(self.id_template.columns)
         if not self.label.is_fixed and self.label.column:
@@ -317,6 +324,9 @@ class Topology:
                         f"prefixes must be unique table identifiers"
                     )
                 self._vertex_by_prefix[prefix] = vtop
+        for etop in self.edge_tables:
+            etop.src_row_vertex = self.vertex_subsumed_by_edge(etop, "src")
+            etop.dst_row_vertex = self.vertex_subsumed_by_edge(etop, "dst")
 
     # -- lookups (the §6.3 questions) ---------------------------------------------
 
@@ -335,11 +345,11 @@ class Topology:
 
     def vertex_subsumed_by_edge(self, edge_top: EdgeTopology, endpoint: str) -> VertexTopology | None:
         """§6.3 'When A Vertex Table Is Also An Edge Table': if the
-        endpoint's vertex table is the edge's own table, the endpoint's
-        id template is the vertex's id template (so the row's vertex is
-        the endpoint, not another row's) and the vertex's required
-        columns are a subset of the edge table's columns, the vertex can
-        be built straight from the edge row."""
+        endpoint's vertex table is the edge's own table (so the vertex's
+        columns are the edge row's) and the endpoint's id template is the
+        vertex's (so the row's vertex is that endpoint, not the row a
+        self-reference points at), the vertex can be built straight from
+        the edge row."""
         table = edge_top.src_v_table if endpoint == "src" else edge_top.dst_v_table
         if table is None or table.lower() != edge_top.table_name.lower():
             return None
@@ -347,11 +357,7 @@ class Topology:
         template = edge_top.src_template if endpoint == "src" else edge_top.dst_template
         if vtop is None or vtop.id_template != template:
             return None
-        edge_columns = {c.lower() for c in edge_top.relation.columns}
-        needed = {c.lower() for c in vtop.required_columns()}
-        if needed <= edge_columns:
-            return vtop
-        return None
+        return vtop
 
     def describe(self) -> str:
         lines = ["Topology:"]

@@ -157,9 +157,11 @@ class Step:
 
 
 class GraphStep(Step):
-    """``g.V(ids)`` / ``g.E(ids)`` — and, after the
-    GraphStep::VertexStep mutation (§6.2), also "edges whose src/dst is
-    in ids" via ``endpoint_filter``."""
+    """``g.V(ids)`` / ``g.E(ids)`` — and, after the GraphStep::VertexStep
+    mutation (§6.2), ``g.V(ids).out(l)``/``outE(l)``-style steps with an
+    ``endpoint_filter`` of ``(direction, edge labels, vertex ids)``: no
+    vertex lookup, then the ``provider.adjacent`` call a ``VertexStep``
+    over those ids makes, so both spellings share one row path."""
 
     is_gsa = True
 
@@ -168,16 +170,13 @@ class GraphStep(Step):
         return_type: str,
         ids: Sequence[Any] | None = None,
         pushdown: Pushdown | None = None,
-        endpoint_filter: tuple[Direction, tuple[Any, ...]] | None = None,
+        endpoint_filter: tuple[Direction, tuple[str, ...] | None, tuple[Any, ...]] | None = None,
     ):
         if return_type not in ("vertex", "edge"):
             raise TraversalError(f"invalid GraphStep return type {return_type!r}")
         self.return_type = return_type
         self.ids = list(ids) if ids else None
         self.pushdown = pushdown or Pushdown()
-        # (direction, vertex_ids): produced by the GraphStep::VertexStep
-        # mutation — retrieve edges by endpoint instead of scanning
-        # vertices first.
         self.endpoint_filter = endpoint_filter
 
     def process(self, incoming: Iterator[Traverser], ctx: TraversalContext) -> Iterator[Traverser]:
@@ -192,36 +191,30 @@ class GraphStep(Step):
 
     def _emit(self, ctx: TraversalContext) -> Iterator[Any]:
         provider = ctx.provider
-        if self.endpoint_filter is not None:
-            direction, vertex_ids = self.endpoint_filter
+        if self.endpoint_filter is None:
+            results: Iterable[Any] = provider.graph_step(self.return_type, self.ids, self.pushdown)
+        else:
+            direction, edge_labels, vertex_ids = self.endpoint_filter
             vertices = [Vertex(v, provider=provider) for v in vertex_ids]
             adjacency = provider.adjacent(
-                vertices, direction, self.pushdown.labels, "edge", self.pushdown
+                vertices, direction, edge_labels, self.return_type, self.pushdown
             )
-            if self.pushdown.aggregate is not None:
-                # provider returns {None: [scalar]} for aggregates
-                yield from self._aggregate_results(adjacency.get(None, [0]))
-                return
-            for vertex_id in vertex_ids:
-                yield from adjacency.get(vertex_id, ())
-            return
-        results = provider.graph_step(self.return_type, self.ids, self.pushdown)
-        if self.pushdown.aggregate is not None:
-            yield from self._aggregate_results(results)
-            return
+            # provider returns {None: [scalar]} for aggregates
+            keys = vertex_ids if self.pushdown.aggregate is None else [None]
+            results = (element for key in keys for element in adjacency.get(key, ()))
+        if self.pushdown.aggregate not in (None, "count"):
+            # Gremlin: sum()/mean()/min()/max() over an empty stream emit
+            # nothing (count() emits 0)
+            results = (scalar for scalar in results if scalar is not None)
         yield from results
-
-    def _aggregate_results(self, scalars: Iterable[Any]) -> Iterator[Any]:
-        """Gremlin semantics: sum()/mean()/min()/max() over an empty
-        stream emit nothing (count() emits 0)."""
-        for scalar in scalars:
-            if scalar is None and self.pushdown.aggregate != "count":
-                continue
-            yield scalar
 
     def name(self) -> str:
         target = "V" if self.return_type == "vertex" else "E"
-        return f"GraphStep({target}, ids={self.ids}, pushdown={self.pushdown})"
+        if self.endpoint_filter is None:
+            return f"GraphStep({target}, ids={self.ids}, pushdown={self.pushdown})"
+        direction, labels, ids = self.endpoint_filter
+        step = direction.value + ("E" if target == "E" else "")
+        return f"GraphStep(V(ids={list(ids)}).{step}(labels={labels}), pushdown={self.pushdown})"
 
 
 class VertexStep(Step):

@@ -135,37 +135,38 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
     from ..graph.steps import GraphStep, VertexStep
 
     entry = StepSql(step.name())
-    if not isinstance(provider, OverlayGraph):
+    if not isinstance(provider, OverlayGraph) or not isinstance(step, (GraphStep, VertexStep)):
         return entry
-    neighbours = isinstance(step, VertexStep) and step.return_type == "vertex"
     if isinstance(step, GraphStep) and step.endpoint_filter is None:
         pushdown = step.pushdown
         eliminated, plan = provider._plan(step.return_type, step.ids, pushdown)
-    elif isinstance(step, (GraphStep, VertexStep)):
+        statements = [(top, predicates, aggregated, None) for top, predicates, aggregated in plan]
+    else:
         if isinstance(step, GraphStep):
-            # GraphStep::VertexStep mutation: edges by constant endpoint ids
-            direction, vertex_ids = step.endpoint_filter
-            vertices = [Vertex(v, provider=provider) for v in vertex_ids]
-            edge_labels, pushdown = step.pushdown.labels, step.pushdown
+            # g.V(ids).out()/outE()/... after the GraphStep::VertexStep
+            # mutation: the vertex batch is the constant ids
+            direction, edge_labels, ids = step.endpoint_filter
+            vertices = [Vertex(v, provider=provider) for v in ids]
         else:
             # out()/in()/outE()/...: the vertex batch is known only at run
             # time, so the endpoint probe is a placeholder
             vertices, direction, edge_labels = None, step.direction, step.edge_labels
-            pushdown = step.pushdown if step.return_type == "edge" else Pushdown(labels=None)
+        neighbours = step.return_type == "vertex"
+        pushdown = Pushdown() if neighbours else step.pushdown
         eliminated, adjacency = provider._adjacent_plan(
-            vertices, direction, edge_labels, pushdown
+            vertices, direction, edge_labels, pushdown, scans=neighbours
         )
-        plan = [
-            (etop, predicates, aggregated)
-            for etop, _sides, groups, aggregated in adjacency
-            for predicates in groups
-        ]
-    else:
-        return entry
+        statements = []
+        for etop, sides, groups, aggregated in adjacency:
+            # out()/in()/both() fetch only the columns naming a neighbour
+            # and those of a vertex built from the row
+            columns = None
+            if neighbours:
+                row_vertices = [provider._row_vertex(etop, d) for d, _matching, _keep in sides]
+                columns = neighbour_columns(etop, edge_labels, None, row_vertices)[0]
+            statements += [(etop, predicates, aggregated, columns) for predicates in groups]
     entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
-    for top, predicates, aggregated in plan:
-        # out()/in()/both() fetch only the columns naming a neighbour
-        columns = neighbour_columns(top, edge_labels)[0] if neighbours else None
+    for top, predicates, aggregated, columns in statements:
         entry.statements.append(_render(provider, top, predicates, pushdown, aggregated, columns))
     return entry
 

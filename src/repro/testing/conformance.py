@@ -549,13 +549,14 @@ def _start_ids_resolve(chain: list[tuple], oracle: InMemoryGraph) -> bool:
     """Whether every id of the chain's leading ``V(ids)`` names a vertex:
     the SQL-monotonicity check covers only such chains.
 
-    §6.2's GraphStepVertexStepMutation folds ``V(ids).out()`` into edge
+    §6.2's GraphStepVertexStepMutation folds ``V(ids).outE()`` into edge
     probes by endpoint id and, by design, skips the vertex lookup the
-    stripped engine issues first (it is the LinkBench ``V(id).out()``
-    path).  For an id that names no vertex, the stripped engine stops at
-    the empty lookup while the fold still probes every edge table whose
-    endpoint could hold the id: more statements, though no rule has
-    over-eliminated anything (sweep seed 2953)."""
+    stripped engine issues first (it is the LinkBench ``V(id).outE()``
+    path; ``V(ids).out()`` folds the same way).  For an id that names no
+    vertex, the stripped engine stops at the empty lookup while the fold
+    still probes every edge table whose endpoint could hold the id: more
+    statements, though no rule has over-eliminated anything (sweep seed
+    2953)."""
     head = chain[0] if chain else ()
     if len(head) < 2 or head[0] != "V":
         return True

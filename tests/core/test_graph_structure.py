@@ -245,6 +245,33 @@ class TestVertexFromEdge:
         assert sorted(result) == ["first", "second"]
         assert slow.stats()["vertices_from_edges"] == 0
 
+    @pytest.mark.parametrize(
+        "build, statements, from_edges",
+        [
+            (lambda g: g.V("c::1").in_("placedBy").values("note"), 1, 1),
+            # the vertex lookup of as() runs first; the order still comes
+            # from its edge row, not from a second orders lookup
+            (lambda g: g.V("c::1").as_("c").in_("placedBy").values("note"), 2, 1),
+            (lambda g: g.V("c::1", "c::2").in_("placedBy").count(), 1, 2),
+            (lambda g: g.V("c::1", "c::2").in_("placedBy").has("note", "first"), 1, 2),
+        ],
+        ids=["values", "as_values", "count", "has"],
+    )
+    def test_in_builds_the_order_from_its_edge_row(self, fact_graph, db, build, statements, from_edges):
+        """in('placedBy') reaches orders, whose vertex table is the edge
+        table: one SELECT of orders fetches the edge and the order, on
+        both spellings of the step and under a folded has()."""
+        graph = Db2Graph.open(db, fact_graph.topology.config, cache=False)
+        want = build(Db2Graph.open(
+            db, graph.topology.config, runtime_opts=RuntimeOptimizations.all_off(), cache=False
+        ).traversal()).toList()
+        graph.reset_stats()
+        got = build(graph.traversal()).toList()
+        assert [getattr(x, "id", x) for x in got] == [getattr(x, "id", x) for x in want]
+        assert graph.stats()["sql_queries"] == statements
+        assert graph.stats()["vertices_from_edges"] == from_edges
+        assert graph.stats()["lazy_vertices"] == 0
+
     @pytest.mark.parametrize("opts", [None, RuntimeOptimizations.all_off()], ids=["on", "off"])
     def test_self_reference_builds_the_endpoint_not_the_row(self, opts):
         """A table referencing itself: the row (5, 6) is vertex 'v1::5'
@@ -275,6 +302,68 @@ class TestVertexFromEdge:
         src = graph.topology.edge_tables[0]
         assert graph.topology.vertex_subsumed_by_edge(src, "src") is not None
         assert graph.topology.vertex_subsumed_by_edge(src, "dst") is None
+
+
+class TestNullEndpoints:
+    """A row with a NULL endpoint column is no edge: rows (NULL, 2),
+    (NULL, 5) and (1, 2) over vertices 1, 2 and 5 hold one edge, 1 -> 2,
+    on every path that reads edge rows, with plain and prefixed ids."""
+
+    @staticmethod
+    def open_graph(prefix, batch_size=256):
+        from repro.relational import Database
+
+        db = Database(enforce_foreign_keys=False)
+        db.execute("CREATE TABLE node (id INT PRIMARY KEY)")
+        db.execute("CREATE TABLE link (src INT, dst INT)")
+        db.execute("INSERT INTO node VALUES (1), (2), (5)")
+        db.execute("INSERT INTO link VALUES (NULL, 2), (NULL, 5), (1, 2)")
+        spec = (lambda column: f"'n'::{column}") if prefix else (lambda column: column)
+        overlay = {
+            "v_tables": [
+                {"table_name": "node", "prefixed_id": prefix, "id": spec("id"),
+                 "fix_label": True, "label": "'node'", "properties": []},
+            ],
+            "e_tables": [
+                {"table_name": "link", "src_v_table": "node", "src_v": spec("src"),
+                 "dst_v_table": "node", "dst_v": spec("dst"), "implicit_edge_id": True,
+                 "fix_label": True, "label": "'link'", "properties": []},
+            ],
+        }
+        return Db2Graph.open(db, overlay, batch_size=batch_size, cache=False)
+
+    @pytest.mark.parametrize("prefix", [False, True], ids=["plain", "prefixed"])
+    def test_traversals_skip_null_rows(self, prefix):
+        from repro.graph.model import Direction
+
+        name = (lambda i: f"n::{i}") if prefix else (lambda i: i)
+        graph = self.open_graph(prefix)
+        g = graph.traversal()
+        assert [v.id for v in g.V(name(2)).both().toList()] == [name(1)]
+        assert [v.id for v in g.V(name(2)).in_().toList()] == [name(1)]
+        assert [v.id for v in g.V(name(2)).as_("a").in_().toList()] == [name(1)]
+        ends = [(e.out_v_id, e.in_v_id) for e in g.V(name(2)).bothE().toList()]
+        assert ends == [(name(1), name(2))]
+        assert [(e.out_v_id, e.in_v_id) for e in g.E().toList()] == [(name(1), name(2))]
+        neighbours = graph.provider.adjacent_ids([name(2)], Direction.BOTH, None)
+        assert neighbours == {name(2): [name(1)]}
+        components = graph.analytics().wcc().component
+        assert components == {name(1): name(1), name(2): name(1), name(5): name(5)}
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_bfs_agrees_across_scan_and_probe(self, batch_size):
+        from repro.graph.model import Direction
+
+        graph = self.open_graph(False, batch_size)
+        depth = graph.analytics().bfs(2, direction=Direction.BOTH).depth
+        assert depth == {2: 0, 1: 1}
+
+    def test_pushed_down_count_still_counts_null_rows(self):
+        # COUNT(*) runs in SQL, where the NULL rows match the probe on
+        # dst; the statement is left unchanged (DESIGN.md §9)
+        graph = self.open_graph(False)
+        assert graph.traversal().V(2).inE().count().next() == 2
+        assert [e.out_v_id for e in graph.traversal().V(2).inE().toList()] == [1]
 
 
 class TestAggregatesAcrossTables:
