@@ -11,7 +11,7 @@ from repro.core.strategies import (
     optimized_strategies,
 )
 from repro.graph import Direction, P, __
-from repro.graph.steps import CountStep, EdgeVertexStep, GraphStep, HasStep, VertexStep
+from repro.graph.steps import CountStep, GraphStep, HasStep, VertexStep
 from repro.graph.traversal import Traversal
 
 
@@ -43,7 +43,7 @@ class TestPredicatePushdown:
 
     def test_has_after_edge_vertex_step_stays(self):
         # EdgeVertexStep is not a GSA step, so the filter cannot fold
-        steps = plan(__.V(1).out("knows").has("age", 29))
+        steps = plan(__.V(1).outE("knows").inV().has("age", 29))
         assert isinstance(steps[-1], HasStep)
 
     def test_endpoint_filter_becomes_predicate(self):
@@ -120,19 +120,21 @@ class TestMutation:
         graph_step = steps[0]
         assert isinstance(graph_step, GraphStep)
         assert graph_step.return_type == "edge"
-        assert graph_step.endpoint_filter == (Direction.OUT, (1, 2))
-        assert graph_step.pushdown.labels == ("knows",)
+        # the step's labels travel in the endpoint filter
+        assert graph_step.endpoint_filter == (Direction.OUT, ("knows",), (1, 2))
+        assert graph_step.pushdown.labels is None
 
-    def test_v_ids_out_adds_edge_vertex_step(self):
+    def test_v_ids_out_mutates_to_one_vertex_step(self):
         steps = plan(__.V(1).out("knows"))
-        assert isinstance(steps[0], GraphStep)
-        assert isinstance(steps[1], EdgeVertexStep)
-        assert steps[1].direction is Direction.IN
+        assert len(steps) == 1
+        assert steps[0].return_type == "vertex"
+        assert steps[0].endpoint_filter == (Direction.OUT, ("knows",), (1,))
+        assert steps[0].pushdown.labels is None
 
     def test_v_ids_in_mutates_to_out_endpoint(self):
         steps = plan(__.V(1).in_("knows"))
-        assert steps[0].endpoint_filter[0] is Direction.IN
-        assert steps[1].direction is Direction.OUT
+        assert len(steps) == 1
+        assert steps[0].endpoint_filter == (Direction.IN, ("knows",), (1,))
 
     def test_both_vertices_not_mutated(self):
         steps = plan(__.V(1).both("knows"))
@@ -161,7 +163,7 @@ class TestMutation:
         steps = plan(__.V(7).outE().has("metIn", "US").count())
         assert len(steps) == 1
         graph_step = steps[0]
-        assert graph_step.endpoint_filter == (Direction.OUT, (7,))
+        assert graph_step.endpoint_filter == (Direction.OUT, None, (7,))
         assert ("metIn", P.eq("US")) in graph_step.pushdown.predicates
         assert graph_step.pushdown.aggregate == "count"
 

@@ -64,11 +64,16 @@ def test_graphstep_vertexstep_mutation_plan_diff(paper_graph):
     ex = paper_graph.traversal().V("patient::1").out("hasDisease").explain()
     stage = stage_by_name(ex, "GraphStepVertexStepMutation")
     assert any("VertexStep(out" in step for step in stage.before)
-    # rewritten to an edge scan + endpoint hop, pinned to patient 1
-    assert any("GraphStep(E" in step for step in stage.after)
-    assert any("EdgeVertexStep(inV)" in step for step in stage.after)
+    # rewritten to one step: patient 1's out('hasDisease') neighbours,
+    # with no vertex lookup and no endpoint hop
+    assert stage.after == [
+        "GraphStep(V(ids=['patient::1']).out(labels=('hasDisease',)), pushdown="
+        "Pushdown(labels=None, predicates=[], projection=None, aggregate=None, "
+        "aggregate_key=None))"
+    ]
     sql = "\n".join(stmt for s in ex.step_sql for stmt in s.statements)
-    assert "HasDisease" in sql and "patientID = ?" in sql
+    # the neighbour path's columns: the endpoints, no edge property
+    assert "SELECT patientID, diseaseID FROM HasDisease" in sql and "patientID = ?" in sql
 
 
 def test_explain_snapshot_sections(paper_graph):
