@@ -132,8 +132,25 @@ def test_generated_overlays_match_the_element_default(seed):
                     for weight in weights:
                         assert_contract(provider, vertex_ids, direction, edge_labels, weight)
                     assert_vertex_contract(provider, vertices, direction, edge_labels)
+            assert_mutation_contract(graph.traversal(), vertex_ids, labels[:1])
         finally:
             graph.close()
+
+
+def assert_mutation_contract(g, vertex_ids, labels):
+    """``g.V(ids).out()``/``in()``, which the §6.2 GraphStep::VertexStep
+    mutation folds into one step from the constant ids, equals the
+    unfolded ``g.V(ids).as('a').out()``/``in()``: the same vertices in
+    the same order, with the same hints, lazy or built alike."""
+    for step in ("out", "in_"):
+        for step_labels in ((), tuple(labels)):
+            folded = getattr(g.V(*vertex_ids), step)(*step_labels).toList()
+            unfolded = getattr(g.V(*vertex_ids).as_("a"), step)(*step_labels).toList()
+            context = f"{step}{step_labels}"
+            assert [v.id for v in folded] == [v.id for v in unfolded], context
+            assert [(v.source_table, v.is_materialized) for v in folded] == [
+                (v.source_table, v.is_materialized) for v in unfolded
+            ], context
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +290,8 @@ def test_composite_and_prefixed_endpoints(direction, batch_size):
         graph.close()
 
 
-def test_out_builds_no_edge_elements(corner_graph, monkeypatch):
+def count_edges_built(monkeypatch) -> list:
+    """The ids of every ``OverlayEdge`` built from now on."""
     built = []
     init = OverlayEdge.__init__
 
@@ -282,9 +300,28 @@ def test_out_builds_no_edge_elements(corner_graph, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(OverlayEdge, "__init__", counting)
+    return built
+
+
+def test_out_builds_no_edge_elements(corner_graph, monkeypatch):
+    built = count_edges_built(monkeypatch)
     g = corner_graph.traversal()
     assert sorted(v.id for v in g.V().out().toList()) == [1, 1, 2, 2, 2, 3, 4]
     assert sorted(v.id for v in g.V(1).both().toList()) == [1, 1, 2, 2, 4]
     assert built == []
     assert len(g.V().outE().toList()) == 7
     assert len(built) == 7
+
+
+def test_folded_in_builds_no_edge_elements(healthcare_graph, monkeypatch):
+    """The §4 synergy script's ``g.V(similar_diseases).in('hasDisease')``,
+    which the §6.2 mutation folds into one step from the disease ids,
+    reads its neighbours as ``in()`` does: no edge is built."""
+    _dataset, _database, graph = healthcare_graph
+    g = graph.traversal()
+    diseases = [v.id for v in g.V().hasLabel("disease").toList()]
+    want = [v.id for v in g.V(*diseases).as_("d").in_("hasDisease").toList()]
+    built = count_edges_built(monkeypatch)
+    patients = g.V(*diseases).in_("hasDisease").toList()
+    assert want and [v.id for v in patients] == want
+    assert built == []

@@ -41,6 +41,13 @@ class TestPredicatePushdown:
         assert not any(isinstance(s, HasStep) for s in steps)
         assert ("weight", P.gt(0.5)) in steps[0].pushdown.predicates
 
+    def test_has_after_mutated_out_folds(self):
+        # the mutated g.V(ids).out() is one GSA step: the filter folds
+        # into it as into a VertexStep
+        steps = plan(__.V(1).out("knows").has("age", 29))
+        assert len(steps) == 1
+        assert ("age", P.eq(29)) in steps[0].pushdown.predicates
+
     def test_has_after_edge_vertex_step_stays(self):
         # EdgeVertexStep is not a GSA step, so the filter cannot fold
         steps = plan(__.V(1).outE("knows").inV().has("age", 29))
@@ -135,6 +142,12 @@ class TestMutation:
         steps = plan(__.V(1).in_("knows"))
         assert len(steps) == 1
         assert steps[0].endpoint_filter == (Direction.IN, ("knows",), (1,))
+
+    def test_count_after_mutated_out_not_folded(self):
+        # neighbours are lazy: a scalar over them would fetch every one
+        steps = plan(__.V(1, 2).out("knows").count())
+        assert steps[0].pushdown.aggregate is None
+        assert isinstance(steps[1], CountStep)
 
     def test_both_vertices_not_mutated(self):
         steps = plan(__.V(1).both("knows"))
