@@ -1262,8 +1262,8 @@ def _id_reader(keys: Sequence[str], template: IdTemplate) -> Callable[[Sequence[
 def _endpoint_reader(
     keys: Sequence[str], near: IdTemplate, far: IdTemplate
 ) -> Callable[[Sequence[Any]], tuple[Any, Any]]:
-    """``(near id, far id)`` of one row tuple; an id is ``None`` when one
-    of its columns is NULL."""
+    """``(near id, far id)`` of one row tuple; a row with a NULL endpoint
+    column reads as a pair holding ``None``."""
     if near.is_single_column and far.is_single_column:
         return operator.itemgetter(
             keys.index(near.columns[0].lower()), keys.index(far.columns[0].lower())
