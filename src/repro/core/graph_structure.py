@@ -173,11 +173,14 @@ class OverlayGraph(GraphProvider):
         pushdown: Pushdown,
         edge_labels: tuple[str, ...] | None = None,
         record: bool = True,
+        tables: Sequence[Any] | None = None,
     ) -> tuple[list[Any], list[tuple[str, str]]]:
-        """Surviving ``kind`` tables plus ``(table, rule)`` eliminations
-        by label value and property name (§6.3).  ``edge_labels`` are the
-        labels of an ``out('l')``-style step."""
-        tables = self.topology.vertex_tables if kind == "vertex" else self.topology.edge_tables
+        """Surviving ``kind`` tables (of ``tables``, by default all of
+        them) plus ``(table, rule)`` eliminations by label value and
+        property name (§6.3).  ``edge_labels`` are the labels of an
+        ``out('l')``-style step."""
+        if tables is None:
+            tables = self.topology.vertex_tables if kind == "vertex" else self.topology.edge_tables
         candidates = list(tables)
         eliminated: list[tuple[str, str]] = []
         labels = _label_values(pushdown)
@@ -222,18 +225,24 @@ class OverlayGraph(GraphProvider):
         return survivors
 
     def _plan(
-        self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
+        self,
+        kind: str,
+        ids: Sequence[Any] | None,
+        pushdown: Pushdown,
+        tables: Sequence[Any] | None = None,
     ) -> tuple[list[tuple[str, str]], list[tuple[Any, list[SqlPredicate], bool]]]:
         """``g.V(ids)`` / ``g.E(ids)``: eliminations plus the
         ``(table, predicates, aggregated)`` statements in run order —
-        candidate tables in topology order × id groups.  ``aggregated``
-        statements compute the step's aggregate in SQL; the others
-        fetch rows."""
-        candidates, eliminated = self._candidate_tables(kind, pushdown, record=False)
+        candidate tables in topology order (or ``tables``) × id groups.
+        ``aggregated`` statements compute the step's aggregate in SQL;
+        the others fetch rows."""
+        candidates, eliminated = self._candidate_tables(
+            kind, pushdown, record=False, tables=tables
+        )
         if pushdown.aggregate is not None and _has_repeats(ids):
             # g.V(1, 1).count() == 2, but the IN list dedups: the rows are
             # fetched and aggregated in memory instead
-            fetch_eliminated, plan = self._plan(kind, ids, _without_aggregate(pushdown))
+            fetch_eliminated, plan = self._plan(kind, ids, _without_aggregate(pushdown), tables)
             return eliminated + fetch_eliminated, plan
         plan: list[tuple[Any, list[SqlPredicate], bool]] = []
         for top in candidates:
@@ -728,9 +737,13 @@ class OverlayGraph(GraphProvider):
         return pairs
 
     def _elements(
-        self, kind: str, ids: Sequence[Any] | None, pushdown: Pushdown
+        self,
+        kind: str,
+        ids: Sequence[Any] | None,
+        pushdown: Pushdown,
+        tables: Sequence[Any] | None = None,
     ) -> Iterator[Any]:
-        eliminated, plan = self._plan(kind, ids, pushdown)
+        eliminated, plan = self._plan(kind, ids, pushdown, tables)
         self._note_eliminations(eliminated)
         if pushdown.aggregate is not None:
             if _has_repeats(ids):
@@ -851,9 +864,10 @@ class OverlayGraph(GraphProvider):
     ) -> dict[Any, list[Vertex]]:
         """Vertex id -> neighbour vertices from :meth:`_neighbours`: lazy
         ones as they are, or, when a ``has()`` or projection was folded
-        into the step, fetched in one pass.  A vertex built from its edge
-        row (§6.3) is complete: its folded ``has()``s are checked in
-        memory and it is not fetched again."""
+        into the step, fetched in one pass per table hint, over the hint
+        table alone (§6.3 src/dst narrowing, as :meth:`load_vertex`).  A
+        vertex built from its edge row (§6.3) is complete: its folded
+        ``has()``s are checked in memory and it is not fetched again."""
         lazy = [v for entry in targets.values() for v in entry if not v.is_materialized]
         if not (pushdown.predicates or pushdown.labels or pushdown.projection):
             self.registry.counter(M.LAZY_VERTICES).increment(len(lazy))
@@ -861,12 +875,18 @@ class OverlayGraph(GraphProvider):
                 for vertex in lazy:
                     self.trace.emit(tracing.VERTEX_LAZY, table=vertex.source_table)
             return targets
-        ids = list(dict.fromkeys(v.id for v in lazy))
-        resolved = {v.id: v for v in self._elements("vertex", ids, pushdown)} if ids else {}
+        by_hint: dict[str | None, dict[Any, None]] = {}
+        for v in lazy:
+            by_hint.setdefault(v.source_table, {})[v.id] = None
+        resolved = {
+            (v.id, hint): v
+            for hint, ids in by_hint.items()
+            for v in self._elements("vertex", list(ids), pushdown, self._hint_tables(hint))
+        }
 
         def kept(v: Vertex) -> Vertex | None:
             if not v.is_materialized:
-                return resolved.get(v.id)
+                return resolved.get((v.id, v.source_table))
             matches = pushdown.matches_labels(v.label) and pushdown.matches_predicates(
                 v.properties, v.label, v.id
             )
@@ -1184,17 +1204,22 @@ class OverlayGraph(GraphProvider):
             )
         return result
 
+    def _hint_tables(self, hint: str | None) -> list[VertexTopology]:
+        """The vertex tables a lazy vertex's table hint narrows its fetch
+        to (§6.3): the hint table alone when ``use_src_dst_tables`` is on
+        and the hint names one, else every vertex table."""
+        if hint is not None and self.opts.use_src_dst_tables:
+            try:
+                return [self.topology.vertex_table(hint)]
+            except Exception:
+                pass
+        return list(self.topology.vertex_tables)
+
     def _load_vertex_uncached(
         self, vertex_id: Any, table_hint: str | None = None
     ) -> Vertex | None:
-        candidates: list[VertexTopology]
-        if table_hint is not None and self.opts.use_src_dst_tables:
-            try:
-                candidates = [self.topology.vertex_table(table_hint)]
-            except Exception:
-                candidates = list(self.topology.vertex_tables)
-        else:
-            candidates = list(self.topology.vertex_tables)
+        candidates = self._hint_tables(table_hint)
+        if table_hint is None or not self.opts.use_src_dst_tables:
             if self.opts.use_prefixed_ids:
                 pinned = self.topology.vertex_table_for_prefix(vertex_id)
                 if pinned is not None:

@@ -30,8 +30,8 @@ from ..core import ids as _ids
 def _bug_label_elimination() -> tuple[Any, str, Callable]:
     original = _gs.OverlayGraph._candidate_tables
 
-    def _candidate_tables(self, kind, pushdown, edge_labels=None, record=True):
-        candidates, eliminated = original(self, kind, pushdown, edge_labels, record)
+    def _candidate_tables(self, kind, pushdown, *args, **kwargs):
+        candidates, eliminated = original(self, kind, pushdown, *args, **kwargs)
         labels = _gs._label_values(pushdown)
         if kind == "vertex" and self.opts.use_label_values and labels is not None:
             # BUG: column-label tables (fixed_label None) are dropped

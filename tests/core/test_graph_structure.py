@@ -198,6 +198,49 @@ class TestSrcDstTables:
         # materializing the lazy vertex queried exactly one table
         assert graph.stats()["vertex_table_queries"] == 1
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda g: g.V(1).out("knows").has("name", "grace"), [2]),
+            (lambda g: g.V(1).out("knows").as_("a").has("name", "grace"), [2]),
+            (lambda g: g.V(1).out("knows").values("name"), ["grace", "alan"]),
+            (lambda g: g.V(1).out("knows").in_("knows").has("name", "ada"), [1, 1]),
+        ],
+    )
+    def test_folded_fill_reads_the_hint_table_only(self, build, expected):
+        """A ``has()`` or projection folded into ``out()`` fetches the
+        neighbours from their declared vertex table, as ``load_vertex``
+        and ``bulk_materialize`` do, never from every vertex table."""
+        from repro.relational import Database
+
+        db = Database()
+        for table in ("Person", "Company"):
+            db.execute(f"CREATE TABLE {table} (id BIGINT PRIMARY KEY, name VARCHAR)")
+        db.execute("CREATE TABLE Knows (src BIGINT, dst BIGINT)")
+        for row in ("Person VALUES (1, 'ada')", "Person VALUES (2, 'grace')",
+                    "Person VALUES (3, 'alan')", "Company VALUES (10, 'ibm')",
+                    "Company VALUES (11, 'acme')", "Knows VALUES (1, 2)",
+                    "Knows VALUES (1, 3)"):
+            db.execute(f"INSERT INTO {row}")
+        vertex = {"id": "id", "fix_label": True, "properties": ["name"]}
+        overlay = {
+            "v_tables": [
+                {**vertex, "table_name": "Person", "label": "'person'"},
+                {**vertex, "table_name": "Company", "label": "'company'"},
+            ],
+            "e_tables": [{
+                "table_name": "Knows", "src_v_table": "Person", "dst_v_table": "Person",
+                "src_v": "src", "dst_v": "dst", "implicit_edge_id": True,
+                "fix_label": True, "label": "'knows'",
+            }],
+        }
+        graph = Db2Graph.open(db, overlay, cache=False)
+        graph.dialect.log = []
+        got = [getattr(x, "id", x) for x in build(graph.traversal()).toList()]
+        assert got == expected
+        fills = [sql for sql in graph.dialect.log if "FROM Knows" not in sql]
+        assert fills and all("FROM Person" in sql for sql in fills)
+
 
 class TestVertexFromEdge:
     @pytest.fixture
