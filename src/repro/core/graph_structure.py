@@ -1,23 +1,10 @@
 """The Graph Structure module (paper §6, Figure 3): the overlay-backed
 implementation of the graph structure API.
 
-Every GSA step of a traversal lands here and becomes one or more SQL
-queries (via the SQL Dialect module).  The data-dependent runtime
-optimizations of §6.3 are all implemented — and individually
-toggleable through :class:`RuntimeOptimizations` so the ablation
-benchmarks can quantify each:
-
-* ``use_src_dst_tables``   — src_v_table/dst_v_table narrowing
-* ``use_vertex_from_edge`` — build the vertex straight from the edge
-  row when a table serves as both vertex and edge table
-* ``use_property_names``   — eliminate tables lacking a pushed-down
-  property
-* ``use_label_values``     — eliminate fixed-label tables whose label
-  doesn't match
-* ``use_prefixed_ids``     — pin the table from a prefixed id and
-  decompose composite ids into conjunctive predicates
-* ``use_implicit_edge_ids``— use the label inside ``src::label::dst``
-  edge ids for table elimination
+Every GSA step of a traversal lands here.  The §6.3 planner
+(:mod:`repro.core.planning`) decides its SELECTs; this module records
+the plan's eliminations, runs its statements through the SQL Dialect
+module, and builds elements (or bare ids) from the rows.
 
 A step's per-table statements run one after another on the caller's
 thread.  Traverser batching coalesces up to ``batch_size`` ids into one
@@ -30,7 +17,6 @@ import itertools
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
@@ -41,7 +27,17 @@ from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
 from .ids import IdTemplate
-from .sql_dialect import SqlDialect, SqlPredicate, predicate_to_sql
+from .planning import (
+    Adjacency,
+    Planner,
+    RuntimeOptimizations,
+    Side,
+    Statement,
+    effective_projection,
+    fills,
+    has_repeats,
+)
+from .sql_dialect import SqlDialect
 from .topology import EdgeTopology, Topology, VertexTopology
 
 #: Traverser-coalescing default: matches the step layer's historical
@@ -69,32 +65,6 @@ def resolve_batch_size(batch_size: int | None) -> int:
     return max(1, int(batch_size))
 
 
-def chunked(values: Sequence[Any], size: int) -> list[Sequence[Any]]:
-    """Split ``values`` into ``len(values)//size (+1)`` runs of at most
-    ``size``, preserving order — the traverser-batching unit."""
-    if size <= 0 or len(values) <= size:
-        return [values]
-    return [values[i : i + size] for i in range(0, len(values), size)]
-
-
-@dataclass
-class RuntimeOptimizations:
-    use_src_dst_tables: bool = True
-    use_vertex_from_edge: bool = True
-    use_property_names: bool = True
-    use_label_values: bool = True
-    use_prefixed_ids: bool = True
-    use_implicit_edge_ids: bool = True
-
-    @classmethod
-    def all_on(cls) -> "RuntimeOptimizations":
-        return cls()
-
-    @classmethod
-    def all_off(cls) -> "RuntimeOptimizations":
-        return cls(False, False, False, False, False, False)
-
-
 class OverlayEdge(Edge):
     __slots__ = ("row", "etop")
 
@@ -118,7 +88,6 @@ class OverlayGraph(GraphProvider):
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: Any = None,
     ):
-        self.topology = topology
         self.dialect = dialect
         self.opts = opts or RuntimeOptimizations()
         # Optional GraphCache (repro.cache): level 2 memoizes endpoint
@@ -133,6 +102,19 @@ class OverlayGraph(GraphProvider):
         # IN (...) probe per table.  The step layer reads it too, to size
         # its traverser batches so the two levels agree (graph/steps.py).
         self.batch_size = batch_size
+        # §6.3: every SELECT this module runs is one of the planner's
+        # statements; explain() renders the same ones.
+        self.planner = Planner(
+            topology, self.opts, batch_size, dialect.connection.database.catalog
+        )
+
+    @property
+    def topology(self) -> Topology:
+        return self.planner.topology
+
+    @topology.setter
+    def topology(self, topology: Topology) -> None:
+        self.planner.topology = topology  # Db2Graph.refresh()
 
     def describe(self) -> str:
         return "Db2Graph(OverlayGraph)"
@@ -162,467 +144,37 @@ class OverlayGraph(GraphProvider):
         self.trace.emit(tracing.TABLE_QUERIED, table=table, kind=kind)
 
     # ------------------------------------------------------------------
-    # Planning: which statements a step issues.  Pure — nothing here
-    # counts, traces or runs SQL; callers record the eliminations once,
-    # before their first statement, and explain() renders the same plan.
+    # Running a plan: each statement exactly as the planner built it
     # ------------------------------------------------------------------
 
-    def _candidate_tables(
-        self,
-        kind: str,
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None = None,
-        record: bool = True,
-        tables: Sequence[Any] | None = None,
-    ) -> tuple[list[Any], list[tuple[str, str]]]:
-        """Surviving ``kind`` tables (of ``tables``, by default all of
-        them) plus ``(table, rule)`` eliminations by label value and
-        property name (§6.3).  ``edge_labels`` are the labels of an
-        ``out('l')``-style step."""
-        if tables is None:
-            tables = self.topology.vertex_tables if kind == "vertex" else self.topology.edge_tables
-        candidates = list(tables)
-        eliminated: list[tuple[str, str]] = []
-        labels = _label_values(pushdown)
-        if edge_labels is not None:
-            labels = tuple(edge_labels) if labels is None else tuple(
-                set(labels) & set(edge_labels)
-            )
-        if self.opts.use_label_values and labels is not None:
-            survivors = []
-            for top in candidates:
-                if top.fixed_label is None or top.fixed_label in labels:
-                    survivors.append(top)
-                else:
-                    eliminated.append((top.table_name, "label_values"))
-            candidates = survivors
-        if self.opts.use_property_names:
-            survivors = self._eliminate_by_properties(candidates, pushdown)
-            kept = {id(t) for t in survivors}
-            eliminated.extend(
-                (t.table_name, "property_names") for t in candidates if id(t) not in kept
-            )
-            candidates = survivors
-        if record:
-            self._note_eliminations(eliminated)
-        return candidates, eliminated
-
-    def _eliminate_by_properties(self, candidates: list, pushdown: Pushdown) -> list:
-        required = {
-            key.lower() for key, _p in pushdown.predicates if not key.startswith("~")
-        }
-        if pushdown.aggregate_key is not None:
-            required.add(pushdown.aggregate_key.lower())
-        survivors = [
-            t for t in candidates if all(t.has_property(name) for name in required)
-        ]
-        if pushdown.projection:
-            wanted = {p.lower() for p in pushdown.projection}
-            # a table lacking *every* projected property can emit nothing
-            survivors = [
-                t for t in survivors if any(t.has_property(name) for name in wanted)
-            ]
-        return survivors
-
-    def _plan(
-        self,
-        kind: str,
-        ids: Sequence[Any] | None,
-        pushdown: Pushdown,
-        tables: Sequence[Any] | None = None,
-    ) -> tuple[list[tuple[str, str]], list[tuple[Any, list[SqlPredicate], bool]]]:
-        """``g.V(ids)`` / ``g.E(ids)``: eliminations plus the
-        ``(table, predicates, aggregated)`` statements in run order —
-        candidate tables in topology order (or ``tables``) × id groups.
-        ``aggregated`` statements compute the step's aggregate in SQL;
-        the others fetch rows."""
-        candidates, eliminated = self._candidate_tables(
-            kind, pushdown, record=False, tables=tables
-        )
-        if pushdown.aggregate is not None and _has_repeats(ids):
-            # g.V(1, 1).count() == 2, but the IN list dedups: the rows are
-            # fetched and aggregated in memory instead
-            fetch_eliminated, plan = self._plan(kind, ids, _without_aggregate(pushdown), tables)
-            return eliminated + fetch_eliminated, plan
-        plan: list[tuple[Any, list[SqlPredicate], bool]] = []
-        for top in candidates:
-            table_eliminated, groups = self._table_plan(kind, top, ids, pushdown)
-            eliminated += table_eliminated
-            # an aggregate pushes down only when everything else does too
-            aggregated = pushdown.aggregate is not None and self._table_fully_pushable(
-                top, pushdown
-            )
-            plan.extend((top, group, aggregated) for group in groups)
-        return eliminated, plan
-
-    def _table_plan(
-        self, kind: str, top: Any, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> tuple[list[tuple[str, str]], list[list[SqlPredicate]]]:
-        """One table's predicate groups: the scan, or one group per id
-        probe.  No id fitting the table eliminates it."""
-        base = self._base_predicates(kind, top, pushdown)
-        if ids is None:
-            return [], [base]
-        if kind == "vertex":
-            template = top.id_template
-            decoded = [d for i in ids if (d := self._decode(top, template, i)) is not None]
-            column, rule = template.only_column, "prefixed_ids"
-        else:
-            decoded = [d for i in ids if (d := self._decode_edge_id(top, i)) is not None]
-            # edge ids are never batched: one conjunctive lookup per id
-            column = None
-            rule = "prefixed_ids" if top.implicit_id is None else "implicit_edge_ids"
-        groups = self._id_groups(top, decoded, column)
-        if not groups:
-            return [(top.table_name, rule)], []
-        return [], [group + base for group in groups]
-
-    def _adjacent_plan(
-        self,
-        vertices: Sequence[Vertex] | None,
-        direction: Direction,
-        edge_labels: tuple[str, ...] | None,
-        pushdown: Pushdown,
-        scans: bool = False,
-    ) -> tuple[list[tuple[str, str]], list[tuple[Any, list, list, bool]]]:
-        """``adjacent()`` for one vertex batch: eliminations plus ``(edge
-        table, sides, predicate groups, aggregated)`` in run order.  A
-        side is ``(direction, matching vertices, keep)``; a probe entry
-        has one side with ``keep=None``.  With ``scans`` (the neighbour
-        path, :meth:`_neighbours`) an entry may scan instead
-        (:meth:`_scan_filter`): it keeps rows whose near endpoint value
-        is in ``keep``, and under BOTH serves both sides from one
-        statement, walked OUT then IN.  The edge and aggregate paths
-        keep probes: a scan would build an edge per table row, and an
-        aggregate would no longer push down.
-
-        ``vertices=None`` plans for a batch known only at run time
-        (``explain()`` of ``out()``): nothing is narrowed and the
-        endpoint probe is a placeholder."""
-        directions = (
-            (Direction.OUT, Direction.IN) if direction is Direction.BOTH else (direction,)
-        )
-        candidates, eliminated = self._candidate_tables(
-            "edge", pushdown, edge_labels, record=False
-        )
-        plan: list[tuple[Any, list, list, bool]] = []
-        for etop in candidates:
-            base = self._base_predicates("edge", etop, pushdown, edge_labels)
-            pushable = pushdown.aggregate is not None and self._fully_pushable(
-                etop, pushdown, edge_labels
-            )
-            scan_sides: list | None = None
-            for d in directions:
-                template = etop.src_template if d is Direction.OUT else etop.dst_template
-                if vertices is None:
-                    column = etop.relation.canonical(template.columns[0])
-                    probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
-                    plan.append((etop, [(d, None, None)], [[probe] + base], pushable))
-                    continue
-                matching, decoded = self._vertices_matching_endpoint(etop, vertices, d)
-                if not matching:
-                    eliminated.append((etop.table_name, "src_dst_tables"))
-                    continue
-                keep = self._scan_filter(etop, template.only_column, decoded) if scans else None
-                if keep is not None:
-                    if scan_sides is None:  # under BOTH, IN joins OUT's scan
-                        scan_sides = []
-                        plan.append((etop, scan_sides, [base], False))
-                    scan_sides.append((d, matching, keep))
-                    continue
-                groups = self._id_groups(etop, decoded, template.only_column)
-                # duplicate endpoints each count toward an aggregate, but
-                # the IN list dedups them: fetch and weight instead
-                aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
-                plan.append((etop, [(d, matching, None)], [g + base for g in groups], aggregated))
-        return eliminated, plan
-
-    def _scan_filter(
-        self, etop: EdgeTopology, column: str | None, decoded: list[dict[str, Any]]
-    ) -> set[Any] | None:
-        """Scan or probe (DESIGN.md §9): the ``column`` values a scan of
-        ``etop`` keeps, or ``None`` to probe.  A scan replaces two or more
-        probes that would each scan the table anyway: a single-column
-        endpoint of a base table that no index in the live catalog
-        covers, alone or beside other columns."""
-        if column is None or len(decoded) <= self.batch_size:
-            return None
-        catalog = self.dialect.connection.database.catalog
-        if not catalog.has_table(etop.table_name):
-            return None  # a view: probes may reach its base tables' indexes
-        indexes = catalog.get_table(etop.table_name).storage.indexes.values()
-        if any(column.lower() in map(str.lower, index.columns) for index in indexes):
-            return None
-        keep = {values[column] for values in decoded}
-        return keep if len(keep) > self.batch_size else None
-
-    def _vertices_matching_endpoint(
-        self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
-    ) -> tuple[list[Vertex], list[dict[str, Any]]]:
-        """src/dst vertex-table narrowing (§6.3): which of the input
-        vertices can possibly have edges in this table+direction, and
-        the decoded endpoint values of those whose id also coerces to
-        the column types."""
-        declared = etop.src_v_table if d is Direction.OUT else etop.dst_v_table
-        template = etop.src_template if d is Direction.OUT else etop.dst_template
-        narrow = self.opts.use_src_dst_tables and declared is not None
-        decode, strict = template.decode, self.opts.use_prefixed_ids
-        # _decode's coercion, with each column's coercer looked up once
-        # per batch rather than once per vertex
-        coercers = [(c, etop.relation.coercer(c)) for c in template.columns]
-        matching: list[Vertex] = []
-        decoded: list[dict[str, Any]] = []
-        for vertex in vertices:
-            if (
-                narrow
-                and vertex.source_table is not None
-                and vertex.source_table.lower() != declared.lower()
-            ):
-                continue
-            values = decode(vertex.id, strict)
-            if values is None:
-                continue
-            matching.append(vertex)
-            try:
-                for column, coerce in coercers:
-                    values[column] = coerce(values[column])
-            except Exception:
-                continue
-            decoded.append(values)
-        return matching, decoded
-
-    # -- ids -----------------------------------------------------------------
-
-    def _decode(self, top: Any, template: Any, value: Any) -> dict[str, Any] | None:
-        """``value``'s column values under ``template``, coerced to
-        ``top``'s column types; ``None`` when it cannot be an id there
-        (wrong shape or prefix, or a value the column type rejects)."""
-        values = template.decode(value, strict=self.opts.use_prefixed_ids)
-        if values is None:
-            return None
-        coerce = top.relation.coerce
-        try:
-            for column, v in values.items():
-                values[column] = coerce(column, v)
-        except Exception:
-            return None
-        return values
-
-    def _decode_edge_id(self, etop: EdgeTopology, edge_id: Any) -> dict[str, Any] | None:
-        if etop.implicit_id is None:
-            return self._decode(etop, etop.id_template, edge_id)
-        ends = etop.implicit_id.decode(edge_id, strict=self.opts.use_implicit_edge_ids)
-        if ends is None:
-            return None
-        src = self._decode(etop, etop.src_template, ends[0])
-        dst = self._decode(etop, etop.dst_template, ends[1])
-        if src is None or dst is None:
-            return None
-        return {**src, **dst}
-
-    def _id_groups(
-        self, top: Any, decoded: list[dict[str, Any]], column: str | None
-    ) -> list[list[SqlPredicate]]:
-        """Id conjuncts for decoded ids.  With one varying ``column``, its
-        distinct values coalesce into ``=``/``IN`` probes of at most
-        ``batch_size`` (1 degenerates to one ``=`` per traverser);
-        otherwise each distinct id is one conjunctive lookup (§6.3)."""
-        if column is not None:
-            values = list(dict.fromkeys([d[column] for d in decoded]))
-            if not values:
-                return []
-            canonical = top.relation.canonical(column)
-            return [
-                [SqlPredicate(canonical, "IN" if len(chunk) > 1 else "=", tuple(chunk), batch=True)]
-                for chunk in chunked(values, self.batch_size)
-            ]
-        distinct = {tuple(d.items()): d for d in decoded}
-        return [
-            [SqlPredicate(top.relation.canonical(col), "=", (value,)) for col, value in d.items()]
-            for d in distinct.values()
-        ]
-
-    # -- pushdown predicates -------------------------------------------------
-
-    def _base_predicates(
-        self,
-        kind: str,
-        top: Any,
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None = None,
-    ) -> list[SqlPredicate]:
-        """Every statement's non-id conjuncts for one table: pushed-down
-        property/label predicates and, for edges, endpoint and step-label
-        predicates.  Untranslatable ones are re-checked in memory."""
-        predicates: list[SqlPredicate] = []
-        for key, p in pushdown.predicates:
-            if key == "~label":
-                if top.fixed_label is None and top.label.column:
-                    converted = predicate_to_sql(top.relation.canonical(top.label.column), p)
-                    if converted:
-                        predicates.extend(converted)
-                continue
-            if key.startswith("~"):
-                continue  # ~id handled via id groups; ~src_v/~dst_v below
-            if not top.has_property(key):
-                continue  # post-filter rejects rows from this table
-            converted = predicate_to_sql(top.relation.canonical(key), p)
-            if converted:
-                predicates.extend(converted)
-        if kind == "edge":
-            predicates.extend(self._endpoint_predicates(top, pushdown))
-            predicates.extend(self._edge_label_sql(top, edge_labels))
-        return predicates
-
-    def _endpoint_predicates(self, etop: EdgeTopology, pushdown: Pushdown) -> list[SqlPredicate]:
-        """~src_v / ~dst_v pushdown predicates (from folded
-        ``filter(inV().id() == x)`` patterns)."""
-        predicates: list[SqlPredicate] = []
-        for key, p in pushdown.predicates:
-            if key not in ("~src_v", "~dst_v"):
-                continue
-            template = etop.src_template if key == "~src_v" else etop.dst_template
-            targets = (
-                list(p.value) if p.op == "within" else [p.value] if p.op == "eq" else None
-            )
-            if targets is None:
-                continue  # verified in memory instead
-            groups = [
-                values
-                for target in targets
-                if (values := self._decode(etop, template, target)) is not None
-            ]
-            column = etop.relation.canonical(template.columns[0])
-            if not groups:
-                # no target can live in this table: impossible predicate
-                predicates.append(SqlPredicate(column, "IS NULL"))
-            elif template.is_single_column:
-                values = tuple(g[template.columns[0]] for g in groups)
-                op = "=" if len(values) == 1 else "IN"
-                predicates.append(SqlPredicate(column, op, values))
-            elif len(groups) == 1:
-                for col, value in groups[0].items():
-                    predicates.append(
-                        SqlPredicate(etop.relation.canonical(col), "=", (value,))
-                    )
-            # multiple composite targets: leave to in-memory verification
-        return predicates
-
-    def _edge_label_sql(
-        self, etop: EdgeTopology, edge_labels: tuple[str, ...] | None
-    ) -> list[SqlPredicate]:
-        if edge_labels is None or etop.fixed_label is not None:
-            return []
-        if not etop.label.column:
-            return []
-        column = etop.relation.canonical(etop.label.column)
-        if len(edge_labels) == 1:
-            return [SqlPredicate(column, "=", (edge_labels[0],))]
-        return [SqlPredicate(column, "IN", tuple(edge_labels))]
-
-    def _fully_pushable(
-        self, etop: EdgeTopology, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
-    ) -> bool:
-        if edge_labels is not None and etop.fixed_label is None and not etop.label.column:
-            return False
-        if edge_labels is not None and etop.fixed_label is not None:
-            if etop.fixed_label not in edge_labels:
-                return False
-        for key, p in pushdown.predicates:
-            if key in ("~src_v", "~dst_v"):
-                template = etop.src_template if key == "~src_v" else etop.dst_template
-                if p.op not in ("eq", "within"):
-                    return False
-                targets = list(p.value) if p.op == "within" else [p.value]
-                if not template.is_single_column and len(targets) > 1:
-                    return False
-                continue
-            if key == "~label":
-                if etop.fixed_label is None and not etop.label.column:
-                    return False
-                continue
-            if key == "~id":
-                return False
-            if not etop.has_property(key):
-                continue  # table can't match; COUNT(*) with impossible pred is fine
-            column = etop.relation.canonical(key)
-            if predicate_to_sql(column, p) is None:
-                return False
-        if pushdown.aggregate_key is not None and not etop.has_property(pushdown.aggregate_key):
-            return False
-        return True
-
-    def _table_fully_pushable(self, top: Any, pushdown: Pushdown) -> bool:
-        for key, p in pushdown.predicates:
-            if key == "~label":
-                # a fixed label that fails the predicate contributes zero
-                if top.fixed_label is None and not top.label.column:
-                    return False
-                continue
-            if key == "~id":
-                continue  # id groups encode it exactly
-            if key in ("~src_v", "~dst_v"):
-                return False
-            if not top.has_property(key):
-                continue
-            if predicate_to_sql(top.relation.canonical(key), p) is None:
-                return False
-        if pushdown.aggregate_key is not None and not top.has_property(pushdown.aggregate_key):
-            return False
-        # label predicates that exclude this fixed-label table entirely
-        labels = _label_values(pushdown)
-        if labels is not None and top.fixed_label is not None and top.fixed_label not in labels:
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Running a plan
-    # ------------------------------------------------------------------
-
-    def _run_select(
-        self, kind: str, top: Any, predicates: list[SqlPredicate], pushdown: Pushdown
-    ) -> list[Any]:
-        """One SQL statement against one table, rows built into elements."""
-        columns = top.required_columns(self._effective_projection(pushdown))
-        self._note_table_query(top.table_name, kind)
+    def _run_select(self, kind: str, s: Statement, pushdown: Pushdown) -> list[Any]:
+        """One row-fetching statement, rows built into elements."""
+        self._note_table_query(s.table, kind)
         make = self._make_vertex if kind == "vertex" else self._make_edge
         out: list[Any] = []
-        keys, rows = self.dialect.select(top.table_name, columns, predicates)
+        keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
         for values in rows:
-            element = make(top, dict(zip(keys, values)), pushdown)
+            element = make(s.top, dict(zip(keys, values)), pushdown)
             if element is not None:
                 out.append(element)
         return out
 
-    def _query_table(
-        self, kind: str, top: Any, ids: Sequence[Any] | None, pushdown: Pushdown
-    ) -> Iterator[Any]:
-        """One table's elements, statement by statement (lazy)."""
-        eliminated, groups = self._table_plan(kind, top, ids, pushdown)
+    def _run_plan(self, kind: str, plan: tuple, pushdown: Pushdown) -> Iterator[Any]:
+        """Record a plan's eliminations, then its elements, statement by
+        statement (lazy: a caller that stops pulling issues no more)."""
+        eliminated, statements = plan
         self._note_eliminations(eliminated)
-        for predicates in groups:
-            yield from self._run_select(kind, top, predicates, pushdown)
+        for s in statements:
+            yield from self._run_select(kind, s, pushdown)
 
-    def _table_aggregate(
-        self, table: str, pushdown: Pushdown, predicates: list[SqlPredicate]
-    ) -> Any:
-        kind, column = aggregate_spec(pushdown)
-        if kind == "sum_count":
-            return self.dialect.sum_and_count(table, column or "", predicates)
-        value = self.dialect.aggregate_value(table, kind, column, predicates)
-        return (value or 0) if kind == "count" else value
-
-    @staticmethod
-    def _effective_projection(pushdown: Pushdown) -> tuple[str, ...] | None:
-        """Projection plus every property the predicates need to re-check."""
-        if pushdown.projection is None:
-            return None
-        extra = [
-            key for key, _p in pushdown.predicates if not key.startswith("~")
-        ]
-        if pushdown.aggregate_key:
-            extra.append(pushdown.aggregate_key)
-        return tuple(dict.fromkeys((*pushdown.projection, *extra)))
+    def _aggregate(self, kind: str, s: Statement) -> Any:
+        """One statement computing its aggregate in SQL."""
+        self._note_table_query(s.table, kind)
+        agg, column = s.aggregate
+        if agg == "sum_count":
+            return self.dialect.sum_and_count(s.table, column or "", s.predicates)
+        value = self.dialect.aggregate_value(s.table, agg, column, s.predicates)
+        return (value or 0) if agg == "count" else value
 
     def _make_vertex(
         self, vtop: VertexTopology, row: Mapping[str, Any], pushdown: Pushdown
@@ -630,7 +182,7 @@ class OverlayGraph(GraphProvider):
         label = vtop.row_label(row)
         if not pushdown.matches_labels(label):
             return None
-        properties = vtop.row_properties(row, self._effective_projection(pushdown))
+        properties = vtop.row_properties(row, effective_projection(pushdown))
         vertex_id = vtop.row_id(row)
         if not pushdown.matches_predicates(properties, label, vertex_id):
             return None
@@ -644,7 +196,7 @@ class OverlayGraph(GraphProvider):
         label = etop.row_label(row)
         if not pushdown.matches_labels(label):
             return None
-        properties = etop.row_properties(row, self._effective_projection(pushdown))
+        properties = etop.row_properties(row, effective_projection(pushdown))
         edge_id = etop.row_id(row)
         if not self._edge_matches_predicates(etop, row, properties, label, edge_id, pushdown):
             return None
@@ -701,30 +253,26 @@ class OverlayGraph(GraphProvider):
     def vertex_ids(self) -> list[Any]:
         """``g.V()``'s plan, eliminations and events reduced to ids: each
         SELECT fetches only the id columns, and no vertex is built."""
-        eliminated, plan = self._plan("vertex", None, Pushdown())
+        eliminated, plan = self.planner.vertex_id_plan()
         self._note_eliminations(eliminated)
         ids: list[Any] = []
-        for vtop, predicates, _aggregated in plan:
-            template = vtop.id_template
-            columns = list(dict.fromkeys(vtop.relation.canonical(c) for c in template.columns))
-            self._note_table_query(vtop.table_name, "vertex")
-            keys, rows = self.dialect.select(vtop.table_name, columns, predicates)
-            ids.extend(map(_id_reader(keys, template), rows))
+        for s in plan:
+            self._note_table_query(s.table, "vertex")
+            keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
+            ids.extend(map(_id_reader(keys, s.top.id_template), rows))
         return ids
 
     def edge_endpoints(self, edge_labels: tuple[str, ...] | None) -> list[tuple[Any, Any]]:
         """``g.E()``'s plan, eliminations and events reduced to ``(out
-        id, in id)`` pairs: each SELECT fetches only
-        :func:`neighbour_columns`, rows are read as tuples, and no edge
-        is built.  Rows are dropped as :meth:`_neighbours` drops them,
-        NULL endpoints included."""
-        eliminated, plan = self._plan("edge", None, Pushdown(labels=edge_labels))
+        id, in id)`` pairs: rows are read as tuples, and no edge is
+        built.  Rows are dropped as :meth:`_neighbours` drops them, NULL
+        endpoints included."""
+        eliminated, plan = self.planner.endpoint_plan(edge_labels)
         self._note_eliminations(eliminated)
         pairs: list[tuple[Any, Any]] = []
-        for etop, predicates, _aggregated in plan:
-            columns, label_column, _weight = neighbour_columns(etop, edge_labels)
-            self._note_table_query(etop.table_name, "edge")
-            keys, rows = self.dialect.select(etop.table_name, columns, predicates)
+        for etop, _sides, [s], label_column, _weight in plan:
+            self._note_table_query(s.table, "edge")
+            keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
             if edge_labels and etop.fixed_label not in (None, *edge_labels):
                 continue  # survives only with label elimination off
             ends = _endpoint_reader(keys, etop.src_template, etop.dst_template)
@@ -743,32 +291,32 @@ class OverlayGraph(GraphProvider):
         pushdown: Pushdown,
         tables: Sequence[Any] | None = None,
     ) -> Iterator[Any]:
-        eliminated, plan = self._plan(kind, ids, pushdown, tables)
+        eliminated, statements = self.planner.plan(kind, ids, pushdown, tables)
         self._note_eliminations(eliminated)
         if pushdown.aggregate is not None:
-            if _has_repeats(ids):
-                elements = self._fetch_ids(kind, ids, plan, pushdown)
+            if has_repeats(ids):
+                elements = self._fetch_ids(kind, ids, statements, pushdown)
                 yield _memory_aggregate_final(elements, pushdown)
             else:
-                yield self._aggregate_over_tables(kind, plan, pushdown)
+                yield self._aggregate_over_tables(kind, statements, pushdown)
             return
         if ids is not None:
-            yield from self._fetch_ids(kind, ids, plan, pushdown)
+            yield from self._fetch_ids(kind, ids, statements, pushdown)
             return
         # Scans stay lazy: a downstream limit()/next() that stops
         # pulling must not issue SQL against the remaining tables.
-        for top, predicates, _aggregated in plan:
-            yield from self._run_select(kind, top, predicates, pushdown)
+        for s in statements:
+            yield from self._run_select(kind, s, pushdown)
 
     def _fetch_ids(
-        self, kind: str, ids: Sequence[Any], plan: list, pushdown: Pushdown
+        self, kind: str, ids: Sequence[Any], statements: list[Statement], pushdown: Pushdown
     ) -> list[Any]:
         """Gremlin semantics: g.V(1, 1) yields the vertex twice and
         preserves request order; the SQL IN-list dedups, so run every
         planned statement and re-emit per request."""
         fetched: dict[str, Any] = {}
-        for top, predicates, _aggregated in plan:
-            for element in self._run_select(kind, top, predicates, pushdown):
+        for s in statements:
+            for element in self._run_select(kind, s, pushdown):
                 fetched.setdefault(str(element.id), element)
         out: list[Any] = []
         for requested in ids:
@@ -777,22 +325,18 @@ class OverlayGraph(GraphProvider):
                 out.append(element)
         return out
 
-    def _aggregate_over_tables(self, kind: str, plan: list, pushdown: Pushdown) -> Any:
+    def _aggregate_over_tables(
+        self, kind: str, statements: list[Statement], pushdown: Pushdown
+    ) -> Any:
         """Per-table partials: SQL aggregates where they push down, else
         an in-memory aggregate over the table's fetched rows."""
         partials: list[Any] = []
-        for top, entries in itertools.groupby(plan, key=lambda entry: entry[0]):
-            entries = list(entries)
-            if entries[0][2]:
-                for _top, predicates, _aggregated in entries:
-                    self._note_table_query(top.table_name, kind)
-                    partials.append(self._table_aggregate(top.table_name, pushdown, predicates))
+        for _top, table_statements in itertools.groupby(statements, key=operator.itemgetter(0)):
+            table_statements = list(table_statements)
+            if table_statements[0].aggregate:
+                partials.extend(self._aggregate(kind, s) for s in table_statements)
                 continue
-            elements = [
-                element
-                for _top, predicates, _aggregated in entries
-                for element in self._run_select(kind, top, predicates, pushdown)
-            ]
+            elements = [e for s in table_statements for e in self._run_select(kind, s, pushdown)]
             partials.append(_memory_aggregate(elements, pushdown))
         return _combine_aggregates(pushdown.aggregate, partials)
 
@@ -811,7 +355,7 @@ class OverlayGraph(GraphProvider):
         if return_type == "vertex":
             targets = self._neighbours(vertices, direction, edge_labels, hinted=True)
             return self._resolve_adjacent_vertices(targets, pushdown)
-        eliminated, plan = self._adjacent_plan(vertices, direction, edge_labels, pushdown)
+        eliminated, plan = self.planner.adjacent_plan(vertices, direction, edge_labels, pushdown)
         self._note_eliminations(eliminated)
         if pushdown.aggregate is not None:
             aggregates = [
@@ -819,42 +363,39 @@ class OverlayGraph(GraphProvider):
             ]
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, [(d, _matching, _keep)], groups, _aggregated in plan:
-            for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
-                bucket = result.get(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
+        for entry in plan:
+            out = entry.sides[0].direction is Direction.OUT
+            for edge in self._fetch_edges_for(entry.statements, pushdown, edge_labels):
+                bucket = result.get(edge.out_v_id if out else edge.in_v_id)
                 if bucket is not None:
                     bucket.append(edge)
         return result
 
     def _fetch_edges_for(
         self,
-        etop: EdgeTopology,
-        groups: list[list[SqlPredicate]],
+        statements: list[Statement],
         pushdown: Pushdown,
         edge_labels: tuple[str, ...] | None,
     ) -> Iterator[OverlayEdge]:
         """One SELECT against the edge table per id batch, yielding the
         matching edges."""
-        for predicates in groups:
-            for edge in self._run_select("edge", etop, predicates, pushdown):
+        for s in statements:
+            for edge in self._run_select("edge", s, pushdown):
                 if not edge_labels or edge.label in edge_labels:
                     yield edge
 
     def _aggregate_edges_for(
-        self, entry: tuple, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
+        self, entry: Adjacency, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
     ) -> Any:
-        etop, [(d, matching, _keep)], groups, aggregated = entry
-        if aggregated:
-            partials: list[Any] = []
-            for predicates in groups:
-                self._note_table_query(etop.table_name, "edge")
-                partials.append(self._table_aggregate(etop.table_name, pushdown, predicates))
+        [(d, matching, *_far)], statements = entry.sides, entry.statements
+        if statements and statements[0].aggregate:
+            partials = [self._aggregate("edge", s) for s in statements]
             return _combine_aggregates(pushdown.aggregate, partials)
         # Fetch and aggregate in memory, weighting each edge by its
         # endpoint's multiplicity (g.V(1, 1).outE().count()).
         multiplicity = Counter(str(v.id) for v in matching)
         weighted: list[OverlayEdge] = []
-        for edge in self._fetch_edges_for(etop, groups, pushdown, edge_labels):
+        for edge in self._fetch_edges_for(statements, pushdown, edge_labels):
             endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
             weighted.extend([edge] * multiplicity.get(endpoint, 1))
         return _memory_aggregate(weighted, pushdown)
@@ -869,7 +410,7 @@ class OverlayGraph(GraphProvider):
         vertex built from its edge row (§6.3) is complete: its folded
         ``has()``s are checked in memory and it is not fetched again."""
         lazy = [v for entry in targets.values() for v in entry if not v.is_materialized]
-        if not (pushdown.predicates or pushdown.labels or pushdown.projection):
+        if not fills(pushdown):
             self.registry.counter(M.LAZY_VERTICES).increment(len(lazy))
             if self.trace.enabled:
                 for vertex in lazy:
@@ -881,7 +422,9 @@ class OverlayGraph(GraphProvider):
         resolved = {
             (v.id, hint): v
             for hint, ids in by_hint.items()
-            for v in self._elements("vertex", list(ids), pushdown, self._hint_tables(hint))
+            for v in self._elements(
+                "vertex", list(ids), pushdown, self.planner.hint_tables(hint)
+            )
         }
 
         def kept(v: Vertex) -> Vertex | None:
@@ -917,49 +460,44 @@ class OverlayGraph(GraphProvider):
         weight: str | None = None,
         hinted: bool = False,
     ) -> dict[Any, list[Any]]:
-        """Vertex id -> far endpoints, over ``adjacent()``'s plan: the
-        same eliminations, tables, statements and order.  Each SELECT
-        fetches only :func:`neighbour_columns` (§6.2 projection pushdown)
-        and rows are read as tuples; no edge is built, and a row with a
-        NULL endpoint column is no edge.  An entry is the far id; with
-        ``weight``, a ``(far id, weight value)`` pair; with ``hinted``, a
-        vertex: lazy and hinted with the far endpoint's declared vertex
-        table (§6.3 narrowing), or built from the row when that table is
-        the edge table itself (§6.3 vertex-from-edge)."""
-        eliminated, plan = self._adjacent_plan(
-            vertices, direction, edge_labels, Pushdown(), scans=True
+        """Vertex id -> far endpoints, over the planner's neighbour plan
+        (endpoint columns only, §6.2 projection pushdown); rows are read
+        as tuples, no edge is built, and a row with a NULL endpoint
+        column is no edge.  An entry is the far id; with ``weight``, a
+        ``(far id, weight value)`` pair; with ``hinted``, a vertex: lazy
+        and hinted with the far endpoint's declared vertex table (§6.3
+        narrowing), or built from the row when that table is the edge
+        table itself (§6.3 vertex-from-edge)."""
+        eliminated, plan = self.planner.neighbour_plan(
+            vertices, direction, edge_labels, weight, hinted
         )
         self._note_eliminations(eliminated)
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, sides, groups, _aggregated in plan:
+        for etop, sides, statements, label_column, weight_column in plan:
             # a fixed label outside edge_labels survives only with label
             # elimination off: its statements run, its rows are dropped
             rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
-            row_vertices = [self._row_vertex(etop, d) if hinted else None for d, _m, _k in sides]
-            columns, label_column, weight_column = neighbour_columns(
-                etop, edge_labels, weight, row_vertices
-            )
-            for predicates in groups:
-                self._note_table_query(etop.table_name, "edge")
-                keys, rows = self.dialect.select(etop.table_name, columns, predicates)
+            for s in statements:
+                self._note_table_query(s.table, "edge")
+                keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
                 if rejected:
                     continue
                 label_at = keys.index(label_column.lower()) if label_column else None
-                for (d, _matching, keep), row_vertex in zip(sides, row_vertices):
+                for side in sides:
                     near, far = etop.src_template, etop.dst_template
-                    if d is Direction.IN:
+                    if side.direction is Direction.IN:
                         near, far = far, near
                     ends = _endpoint_reader(keys, near, far)
                     if weight is not None:
                         entry = _weight_entry(keys, weight_column)
                     elif hinted:
-                        entry = self._vertex_entry(keys, etop, d, row_vertex)
+                        entry = self._vertex_entry(keys, side)
                     else:
                         entry = None
                     side_rows = rows
-                    if keep is not None:
+                    if side.keep is not None:
                         near_at = keys.index(near.only_column.lower())
-                        side_rows = [row for row in rows if row[near_at] in keep]
+                        side_rows = [row for row in rows if row[near_at] in side.keep]
                     for row in side_rows:
                         if label_at is not None and str(row[label_at]) not in edge_labels:
                             continue
@@ -970,21 +508,13 @@ class OverlayGraph(GraphProvider):
                         bucket.append(other if entry is None else entry(other, row))
         return result
 
-    def _row_vertex(self, etop: EdgeTopology, d: Direction) -> VertexTopology | None:
-        """The vertex table whose vertex at ``etop``'s far end over ``d``
-        is built from the edge row (§6.3 vertex-from-edge), or ``None``."""
-        if not self.opts.use_vertex_from_edge:
-            return None
-        return etop.dst_row_vertex if d is Direction.OUT else etop.src_row_vertex
-
     def _vertex_entry(
-        self, keys: Sequence[str], etop: EdgeTopology, d: Direction, row_vertex: Any
+        self, keys: Sequence[str], side: Side
     ) -> Callable[[Any, Sequence[Any]], Vertex]:
-        """The far vertex of one neighbour row over ``d``."""
+        """The far vertex of one neighbour row over ``side``."""
+        row_vertex, hint = side.row_vertex, side.hint
         if row_vertex is not None:
             return lambda _other, row: self._vertex_from_row(row_vertex, dict(zip(keys, row)))
-        declared = etop.dst_v_table if d is Direction.OUT else etop.src_v_table
-        hint = declared if self.opts.use_src_dst_tables else None
         return lambda other, _row: Vertex(other, provider=self, source_table=hint)
 
     def _vertex_from_row(self, vtop: VertexTopology, row: Mapping[str, Any]) -> Vertex:
@@ -1006,7 +536,7 @@ class OverlayGraph(GraphProvider):
             return
         vtop = None
         if isinstance(edge, OverlayEdge):  # outV() is the far end over IN
-            vtop = self._row_vertex(edge.etop, direction.opposite())
+            vtop = self.planner.row_vertex(edge.etop, direction.opposite())
         # a row fetched under a projection may lack vertex columns
         if vtop is not None and all(c.lower() in edge.row for c in vtop.required_columns()):
             yield self._vertex_from_row(vtop, edge.row)
@@ -1138,11 +668,12 @@ class OverlayGraph(GraphProvider):
         loaded: dict[Any, Vertex] = {}
         if hint is not None:
             try:
-                vtop = self.topology.vertex_table(hint)
+                tables = [self.topology.vertex_table(hint)]
             except Exception:
-                vtop = None
-            if vtop is not None:
-                for vertex in self._query_table("vertex", vtop, ids, empty):
+                tables = None
+            if tables is not None:
+                plan = self.planner.plan("vertex", ids, empty, tables)
+                for vertex in self._run_plan("vertex", plan, empty):
                     loaded[vertex.id] = vertex
         if not loaded:
             for vertex in self._elements("vertex", ids, empty):
@@ -1204,21 +735,10 @@ class OverlayGraph(GraphProvider):
             )
         return result
 
-    def _hint_tables(self, hint: str | None) -> list[VertexTopology]:
-        """The vertex tables a lazy vertex's table hint narrows its fetch
-        to (§6.3): the hint table alone when ``use_src_dst_tables`` is on
-        and the hint names one, else every vertex table."""
-        if hint is not None and self.opts.use_src_dst_tables:
-            try:
-                return [self.topology.vertex_table(hint)]
-            except Exception:
-                pass
-        return list(self.topology.vertex_tables)
-
     def _load_vertex_uncached(
         self, vertex_id: Any, table_hint: str | None = None
     ) -> Vertex | None:
-        candidates = self._hint_tables(table_hint)
+        candidates = self.planner.hint_tables(table_hint)
         if table_hint is None or not self.opts.use_src_dst_tables:
             if self.opts.use_prefixed_ids:
                 pinned = self.topology.vertex_table_for_prefix(vertex_id)
@@ -1226,7 +746,8 @@ class OverlayGraph(GraphProvider):
                     candidates = [pinned]
         empty = Pushdown()
         for vtop in candidates:
-            for vertex in self._query_table("vertex", vtop, [vertex_id], empty):
+            plan = self.planner.plan("vertex", [vertex_id], empty, [vtop])
+            for vertex in self._run_plan("vertex", plan, empty):
                 return vertex
         return None
 
@@ -1235,45 +756,6 @@ class OverlayGraph(GraphProvider):
         for edge in self._elements("edge", [edge_id], empty):
             return edge
         return None
-
-
-def _label_values(pushdown: Pushdown) -> tuple[str, ...] | None:
-    """Constant label values implied by the pushdown, if any."""
-    values: set[str] | None = None
-    if pushdown.labels is not None:
-        values = set(pushdown.labels)
-    for key, p in pushdown.predicates:
-        if key != "~label":
-            continue
-        if p.op == "eq":
-            candidate = {p.value}
-        elif p.op == "within":
-            candidate = set(p.value)
-        else:
-            continue
-        values = candidate if values is None else values & candidate
-    return tuple(sorted(values)) if values is not None else None
-
-
-def neighbour_columns(
-    etop: EdgeTopology,
-    edge_labels: tuple[str, ...] | None,
-    weight: str | None = None,
-    row_vertices: Sequence[VertexTopology | None] = (),
-) -> tuple[list[str], str | None, str | None]:
-    """``(columns, label column, weight column)`` of a neighbour-only
-    SELECT on ``etop``: both endpoints' columns, plus the label column
-    when ``edge_labels`` is re-checked on a column-label table, the
-    ``weight`` property's column, and the columns of each vertex built
-    from the row (``row_vertices``).  ``explain()`` previews the same
-    list."""
-    label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
-    weight_column = weight if weight in etop.property_columns else None
-    wanted = [*etop.src_template.columns, *etop.dst_template.columns]
-    wanted += [c for c in (label_column, weight_column) if c]
-    wanted += [c for vtop in row_vertices if vtop is not None for c in vtop.required_columns()]
-    columns = list(dict.fromkeys(etop.relation.canonical(c) for c in wanted))
-    return columns, label_column, weight_column
 
 
 def _id_reader(keys: Sequence[str], template: IdTemplate) -> Callable[[Sequence[Any]], Any]:
@@ -1305,26 +787,6 @@ def _weight_entry(
     ``None`` on a table without the weight property."""
     at = keys.index(weight_column.lower()) if weight_column else None
     return lambda other, row: (other, None if at is None else row[at])
-
-
-def _has_repeats(ids: Sequence[Any] | None) -> bool:
-    return ids is not None and len({str(i) for i in ids}) != len(ids)
-
-
-def _without_aggregate(pushdown: Pushdown) -> Pushdown:
-    fetch = pushdown.copy()
-    fetch.aggregate = None
-    return fetch
-
-
-def aggregate_spec(pushdown: Pushdown) -> tuple[str, str | None]:
-    """``SqlDialect.build_select``'s ``aggregate`` for a pushed-down
-    aggregate; a mean is computed as a sum and a count."""
-    if pushdown.aggregate == "count":
-        return "count", None
-    if pushdown.aggregate == "mean":
-        return "sum_count", pushdown.aggregate_key
-    return pushdown.aggregate or "count", pushdown.aggregate_key
 
 
 def _memory_aggregate_final(elements: list, pushdown: Pushdown) -> Any:

@@ -14,10 +14,11 @@ inspectable:
   eliminations (§6.3) annotated inline.
 
 Nothing here executes SQL.  The previews render, through
-``SqlDialect.build_select``, the plan the Graph Structure module itself
-runs: the same eliminations, id decoding, ``batch_size`` chunking and
-aggregate pushdown.  Only ``out()``/``in()``-style steps, whose vertex
-batch exists only at run time, show a placeholder endpoint probe.
+``SqlDialect.build_select``, the statements of the §6.3 planner
+(``provider.planner``) that the Graph Structure module itself runs: the
+same eliminations, id decoding, ``batch_size`` chunking, column lists
+and aggregate pushdown.  Only ``out()``/``in()``-style steps, whose
+vertex batch exists only at run time, show a placeholder endpoint probe.
 """
 
 from __future__ import annotations
@@ -127,20 +128,19 @@ def build_explain(traversal: "Traversal") -> ExplainResult:
 
 
 def preview_step_sql(provider: Any, step: "Step") -> StepSql:
-    """Render the statements the runtime plans for ``step``, with its
-    table eliminations as notes.  Planning is pure, so nothing is
-    counted, traced or run."""
-    from ..core.graph_structure import OverlayGraph, neighbour_columns
-    from ..graph.model import Pushdown, Vertex
+    """Render the planner's statements for ``step``, with its table
+    eliminations as notes.  Planning is pure, so nothing is counted,
+    traced or run."""
+    from ..graph.model import Vertex
     from ..graph.steps import GraphStep, VertexStep
 
     entry = StepSql(step.name())
-    if not isinstance(provider, OverlayGraph) or not isinstance(step, (GraphStep, VertexStep)):
+    planner = getattr(provider, "planner", None)
+    if planner is None or not isinstance(step, (GraphStep, VertexStep)):
         return entry
+    pushdown = step.pushdown
     if isinstance(step, GraphStep) and step.endpoint_filter is None:
-        pushdown = step.pushdown
-        eliminated, plan = provider._plan(step.return_type, step.ids, pushdown)
-        statements = [(top, predicates, aggregated, None) for top, predicates, aggregated in plan]
+        eliminated, statements = planner.plan(step.return_type, step.ids, pushdown)
     else:
         if isinstance(step, GraphStep):
             # g.V(ids).out()/outE()/... after the GraphStep::VertexStep
@@ -151,35 +151,18 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
             # out()/in()/outE()/...: the vertex batch is known only at run
             # time, so the endpoint probe is a placeholder
             vertices, direction, edge_labels = None, step.direction, step.edge_labels
-        neighbours = step.return_type == "vertex"
-        pushdown = Pushdown() if neighbours else step.pushdown
-        eliminated, adjacency = provider._adjacent_plan(
-            vertices, direction, edge_labels, pushdown, scans=neighbours
-        )
-        statements = []
-        for etop, sides, groups, aggregated in adjacency:
-            # out()/in()/both() fetch only the columns naming a neighbour
-            # and those of a vertex built from the row
-            columns = None
-            if neighbours:
-                row_vertices = [provider._row_vertex(etop, d) for d, _matching, _keep in sides]
-                columns = neighbour_columns(etop, edge_labels, None, row_vertices)[0]
-            statements += [(etop, predicates, aggregated, columns) for predicates in groups]
+        if step.return_type == "vertex":
+            eliminated, adjacency = planner.neighbour_plan(
+                vertices, direction, edge_labels, hinted=True
+            )
+        else:
+            eliminated, adjacency = planner.adjacent_plan(
+                vertices, direction, edge_labels, pushdown
+            )
+        statements = [s for a in adjacency for s in a.statements]
     entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
-    for top, predicates, aggregated, columns in statements:
-        entry.statements.append(_render(provider, top, predicates, pushdown, aggregated, columns))
+    for s in statements:
+        sql, params = provider.dialect.build_select(s.table, s.columns, s.predicates, s.aggregate)
+        rendered = f"{sql}  [params: {', '.join(repr(p) for p in params)}]" if params else sql
+        entry.statements.append(rendered)
     return entry
-
-
-def _render(
-    provider: Any, top: Any, predicates: list, pushdown: Any, aggregated: bool, columns: list | None
-) -> str:
-    from ..core.graph_structure import aggregate_spec
-
-    aggregate = aggregate_spec(pushdown) if aggregated else None
-    if columns is None and not aggregated:
-        columns = top.required_columns(provider._effective_projection(pushdown))
-    sql, params = provider.dialect.build_select(top.table_name, columns, predicates, aggregate)
-    if params:
-        return f"{sql}  [params: {', '.join(repr(p) for p in params)}]"
-    return sql

@@ -6,14 +6,14 @@ mutation-testing check that the oracle + shrinker actually catch and
 minimize real translation bugs.  Used by the runner's ``--inject-bug``
 mode and the acceptance tests.
 
-* ``label-elimination`` — ``OverlayGraph._candidate_tables`` also
+* ``label-elimination`` — ``Planner.candidate_tables`` also
   eliminates column-label *vertex* tables under a label filter (the
   paper explicitly warns that tables *without* fixed labels must always
   be searched).
 * ``implicit-id-swap`` — ``ImplicitEdgeId.render`` emits
   ``dst::label::src``, so every implicit edge id the engine
   materializes is reversed.
-* ``property-elimination`` — ``OverlayGraph._eliminate_by_properties``
+* ``property-elimination`` — ``Planner._eliminate_by_properties``
   eliminates any table with more than one property column, dropping
   valid result tables from ``has()`` fan-outs.
 """
@@ -23,23 +23,23 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
-from ..core import graph_structure as _gs
 from ..core import ids as _ids
+from ..core import planning as _planning
 
 
 def _bug_label_elimination() -> tuple[Any, str, Callable]:
-    original = _gs.OverlayGraph._candidate_tables
+    original = _planning.Planner.candidate_tables
 
-    def _candidate_tables(self, kind, pushdown, *args, **kwargs):
+    def candidate_tables(self, kind, pushdown, *args, **kwargs):
         candidates, eliminated = original(self, kind, pushdown, *args, **kwargs)
-        labels = _gs._label_values(pushdown)
+        labels = _planning.label_values(pushdown)
         if kind == "vertex" and self.opts.use_label_values and labels is not None:
             # BUG: column-label tables (fixed_label None) are dropped
             # too — the paper warns they must always be searched
             candidates = [v for v in candidates if v.fixed_label is not None]
         return candidates, eliminated
 
-    return _gs.OverlayGraph, "_candidate_tables", _candidate_tables
+    return _planning.Planner, "candidate_tables", candidate_tables
 
 
 def _bug_implicit_id_swap() -> tuple[Any, str, Callable]:
@@ -53,7 +53,7 @@ def _bug_implicit_id_swap() -> tuple[Any, str, Callable]:
 
 
 def _bug_property_elimination() -> tuple[Any, str, Callable]:
-    original = _gs.OverlayGraph._eliminate_by_properties
+    original = _planning.Planner._eliminate_by_properties
 
     def _eliminate_by_properties(self, candidates, pushdown):
         survivors = original(self, candidates, pushdown)
@@ -65,7 +65,7 @@ def _bug_property_elimination() -> tuple[Any, str, Callable]:
             survivors = [s for s in survivors if len(s.property_columns) <= 1]
         return survivors
 
-    return _gs.OverlayGraph, "_eliminate_by_properties", _eliminate_by_properties
+    return _planning.Planner, "_eliminate_by_properties", _eliminate_by_properties
 
 
 BUGS: dict[str, Callable[[], tuple[Any, str, Callable]]] = {
