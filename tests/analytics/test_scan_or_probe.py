@@ -1,5 +1,5 @@
 """Scan or probe: on the neighbour path (``adjacent_ids`` and
-``adjacent(..., "vertex")``), ``OverlayGraph._adjacent_plan`` replaces
+``adjacent(..., "vertex")``), ``Planner.neighbour_plan`` replaces
 the ``IN (...)`` probes on an unindexed single-column endpoint of a base
 table with one scan of the table when a batch holds more distinct ids
 than ``batch_size`` (DESIGN.md §9).  Both physical forms must return the
@@ -78,13 +78,11 @@ def scannable_tables(provider) -> set[str]:
 
 
 def scanned_tables(provider, vertices) -> set[str]:
-    _eliminated, plan = provider._adjacent_plan(
-        vertices, Direction.BOTH, None, Pushdown(), scans=True
-    )
+    _eliminated, plan = provider.planner.neighbour_plan(vertices, Direction.BOTH, None)
     return {
-        etop.table_name
-        for etop, sides, _groups, _aggregated in plan
-        if any(keep is not None for _side, _matching, keep in sides)
+        entry.etop.table_name
+        for entry in plan
+        if any(side.keep is not None for side in entry.sides)
     }
 
 

@@ -1,6 +1,7 @@
-"""Unit tests for the fan-out's batching helpers in
-:mod:`repro.core.graph_structure`: the ``REPRO_BATCH_SIZE`` knob and
-the id-chunking that turns a traverser batch into ``IN (...)`` probes.
+"""Unit tests for the fan-out's batching helpers: the
+``REPRO_BATCH_SIZE`` knob (:mod:`repro.core.graph_structure`) and the
+id-chunking that turns a traverser batch into ``IN (...)`` probes
+(:mod:`repro.core.planning`).
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ import pytest
 from repro.core.graph_structure import (
     BATCH_SIZE_ENV,
     DEFAULT_BATCH_SIZE,
-    chunked,
     resolve_batch_size,
 )
+from repro.core.planning import chunked
 
 
 def test_resolve_batch_size(monkeypatch):

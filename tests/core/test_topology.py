@@ -23,7 +23,7 @@ def provider(paper_db):
 
 def surviving(provider, kind, pushdown, edge_labels=None):
     """The §6.3 label/property eliminations as the runtime applies them."""
-    tables, _ = provider._candidate_tables(kind, pushdown, edge_labels, record=False)
+    tables, _ = provider.planner.candidate_tables(kind, pushdown, edge_labels)
     return [t.table_name for t in tables]
 
 
@@ -126,8 +126,8 @@ class TestLookups:
 
     def test_edges_from_to_vertex_table(self, provider):
         def adjacent_tables(vertex, direction):
-            _, plan = provider._adjacent_plan([vertex], direction, None, Pushdown())
-            return [etop.name for etop, *_rest in plan]
+            _, plan = provider.planner.adjacent_plan([vertex], direction, None, Pushdown())
+            return [entry.etop.name for entry in plan]
 
         patient = Vertex("patient::1", source_table="Patient")
         assert adjacent_tables(patient, Direction.OUT) == ["HasDisease"]
