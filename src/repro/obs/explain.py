@@ -17,8 +17,9 @@ Nothing here executes SQL.  The previews render, through
 ``SqlDialect.build_select``, the statements of the §6.3 planner
 (``provider.planner``) that the Graph Structure module itself runs: the
 same eliminations, id decoding, ``batch_size`` chunking, column lists
-and aggregate pushdown.  Only ``out()``/``in()``-style steps, whose
-vertex batch exists only at run time, show a placeholder endpoint probe.
+and aggregate pushdown.  Ids known only at run time — the vertex batch
+of an ``out()``/``in()``-style step, and the neighbours that a folded
+``has()`` or projection fetches — show as placeholders.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
     """Render the planner's statements for ``step``, with its table
     eliminations as notes.  Planning is pure, so nothing is counted,
     traced or run."""
+    from ..core.planning import RUNTIME_IDS, fills
     from ..graph.model import Vertex
     from ..graph.steps import GraphStep, VertexStep
 
@@ -160,6 +162,14 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
                 vertices, direction, edge_labels, pushdown
             )
         statements = [s for a in adjacency for s in a.statements]
+        if step.return_type == "vertex" and fills(pushdown):
+            # the fetch of the lazy neighbours a folded has() or
+            # projection needs, per table hint; their ids come at run time
+            lazy = [side.hint for a in adjacency for side in a.sides if side.row_vertex is None]
+            for hint in dict.fromkeys(lazy):
+                fill = planner.plan("vertex", RUNTIME_IDS, pushdown, planner.hint_tables(hint))
+                eliminated = eliminated + fill[0]
+                statements += fill[1]
     entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
     for s in statements:
         sql, params = provider.dialect.build_select(s.table, s.columns, s.predicates, s.aggregate)

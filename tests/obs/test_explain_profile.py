@@ -235,3 +235,35 @@ def test_profile_has_step_and_subtraversal_nodes(paper_graph):
     assert filter_node.children and filter_node.children[0].name == "filter"
     sub_steps = filter_node.children[0].children
     assert sub_steps and "VertexStep" in sub_steps[0].name
+
+
+def test_explain_previews_the_fill_after_out():
+    """A ``values()`` folded into ``out()`` fetches the neighbours after
+    the edge read: explain() lists that fill, with placeholder ids, so
+    it shows as many statements as profile() counts."""
+    from repro.core import Db2Graph
+    from repro.relational import Database
+
+    db = Database()
+    db.execute("CREATE TABLE Person (id BIGINT PRIMARY KEY, name VARCHAR)")
+    db.execute("CREATE TABLE Knows (src BIGINT, dst BIGINT, since INT)")
+    for row in ("Person VALUES (1, 'ada')", "Person VALUES (2, 'grace')",
+                "Knows VALUES (1, 2, 1950)"):
+        db.execute(f"INSERT INTO {row}")
+    overlay = {
+        "v_tables": [{"table_name": "Person", "id": "id", "fix_label": True,
+                      "label": "'person'", "properties": ["name"]}],
+        "e_tables": [{"table_name": "Knows", "src_v_table": "Person", "src_v": "src",
+                      "dst_v_table": "Person", "dst_v": "dst", "implicit_edge_id": True,
+                      "fix_label": True, "label": "'knows'"}],
+    }
+    graph = Db2Graph.open(db, overlay, cache=False)
+    build = lambda g: g.V(1).out("knows").values("name")  # noqa: E731
+    statements = [sql for entry in build(graph.traversal()).explain().step_sql
+                  for sql in entry.statements]
+    assert statements == [
+        "SELECT src, dst FROM Knows WHERE src = ?  [params: 1]",
+        "SELECT id, name FROM Person WHERE id IN (?)  [params: '<neighbour ids>']",
+    ]
+    profile = build(graph.traversal()).profile()
+    assert profile.sql_queries == len(statements) == 2
