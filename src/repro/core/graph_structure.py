@@ -364,11 +364,12 @@ class OverlayGraph(GraphProvider):
             return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
         for entry in plan:
-            out = entry.sides[0].direction is Direction.OUT
+            [side] = entry.sides
+            out = side.direction is Direction.OUT
+            edges: dict[Any, list[Any]] = {}
             for edge in self._fetch_edges_for(entry.statements, pushdown, edge_labels):
-                bucket = result.get(edge.out_v_id if out else edge.in_v_id)
-                if bucket is not None:
-                    bucket.append(edge)
+                edges.setdefault(edge.out_v_id if out else edge.in_v_id, []).append(edge)
+            _deliver(result, edges, side.aliases)
         return result
 
     def _fetch_edges_for(
@@ -498,14 +499,19 @@ class OverlayGraph(GraphProvider):
                     if side.keep is not None:
                         near_at = keys.index(near.only_column.lower())
                         side_rows = [row for row in rows if row[near_at] in side.keep]
+                    buckets = result
+                    if side.aliases:
+                        buckets = {**result, **{near_id: [] for near_id in side.aliases}}
                     for row in side_rows:
                         if label_at is not None and str(row[label_at]) not in edge_labels:
                             continue
                         key, other = ends(row)
-                        bucket = result.get(key)
+                        bucket = buckets.get(key)
                         if bucket is None or key is None or other is None:
                             continue
                         bucket.append(other if entry is None else entry(other, row))
+                    if side.aliases:
+                        _deliver(result, buckets, side.aliases)
         return result
 
     def _vertex_entry(
@@ -778,6 +784,22 @@ def _endpoint_reader(
     near_id, far_id = _id_reader(keys, near), _id_reader(keys, far)
     at = [keys.index(c.lower()) for c in (*near.columns, *far.columns)]
     return lambda row: (None, None) if None in [row[i] for i in at] else (near_id(row), far_id(row))
+
+
+def _deliver(
+    result: dict[Any, list[Any]],
+    found: Mapping[Any, list[Any]],
+    aliases: Mapping[Any, list[Any]] | None,
+) -> None:
+    """Append the entries ``found`` per near id to ``result``'s bucket of
+    that id and of each input id in ``aliases`` that spells it another
+    way (:class:`~repro.core.planning.Side`)."""
+    for near_id, entries in found.items():
+        receivers = [near_id] if aliases is None else [near_id, *aliases.get(near_id, ())]
+        for receiver in receivers:
+            bucket = result.get(receiver)
+            if bucket is not None and bucket is not entries:
+                bucket.extend(entries)
 
 
 def _weight_entry(

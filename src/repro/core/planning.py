@@ -78,13 +78,17 @@ class Side(NamedTuple):
     ``keep`` the near endpoint values a scan keeps (``None``: probes).
     On the vertex path, ``row_vertex`` is the vertex table whose far
     vertex is built from the row (§6.3 vertex-from-edge) and ``hint``
-    the far vertex's declared table (§6.3 src/dst narrowing)."""
+    the far vertex's declared table (§6.3 src/dst narrowing).
+    ``aliases`` maps a near id that rows render to the input ids that
+    decode to it under another spelling (``"1"`` on a BIGINT column):
+    those inputs receive its rows too."""
 
     direction: Direction
     matching: list[Vertex] | None
     keep: set[Any] | None
     row_vertex: VertexTopology | None
     hint: str | None
+    aliases: dict[Any, list[Any]] | None = None
 
 
 class Adjacency(NamedTuple):
@@ -339,7 +343,7 @@ class Planner:
                     probe = SqlPredicate(column, "IN", ("<input vertex ids>",))
                     entries.append(([Side(d, None, None, *far)], [[probe] + base], pushable))
                     continue
-                matching, decoded = self._vertices_matching_endpoint(etop, vertices, d)
+                matching, decoded, aliases = self._vertices_matching_endpoint(etop, vertices, d)
                 if not matching:
                     eliminated.append((etop.table_name, "src_dst_tables"))
                     continue
@@ -348,13 +352,14 @@ class Planner:
                     if scan_sides is None:  # under BOTH, IN joins OUT's scan
                         scan_sides = []
                         entries.append((scan_sides, [base], False))
-                    scan_sides.append(Side(d, matching, keep, *far))
+                    scan_sides.append(Side(d, matching, keep, *far, aliases))
                     continue
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
                 # the IN list dedups them: fetch and weight instead
                 aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
-                entries.append(([Side(d, matching, None, *far)], [g + base for g in groups], aggregated))
+                side = Side(d, matching, None, *far, aliases)
+                entries.append(([side], [g + base for g in groups], aggregated))
             for sides, groups, aggregated in entries:
                 label_column = weight_column = aggregate = None
                 if neighbours:
@@ -392,11 +397,14 @@ class Planner:
 
     def _vertices_matching_endpoint(
         self, etop: EdgeTopology, vertices: Sequence[Vertex], d: Direction
-    ) -> tuple[list[Vertex], list[dict[str, Any]]]:
+    ) -> tuple[list[Vertex], list[dict[str, Any]], dict[Any, list[Any]] | None]:
         """src/dst vertex-table narrowing (§6.3): which of the input
-        vertices can possibly have edges in this table+direction, and
-        the decoded endpoint values of those whose id also coerces to
-        the column types."""
+        vertices can possibly have edges in this table+direction, the
+        decoded endpoint values of those whose id also coerces to the
+        column types, and :class:`Side`'s ``aliases``: a single-column
+        endpoint renders its coerced value, so an input id that coerces
+        to another value of the same text (``"1"`` -> ``1``) is that
+        vertex, as ``g.V("1")`` finds ``v[1]``."""
         declared = etop.src_v_table if d is Direction.OUT else etop.dst_v_table
         template = etop.src_template if d is Direction.OUT else etop.dst_template
         narrow = self.opts.use_src_dst_tables and declared is not None
@@ -406,6 +414,8 @@ class Planner:
         coercers = [(c, etop.relation.coercer(c)) for c in template.columns]
         matching: list[Vertex] = []
         decoded: list[dict[str, Any]] = []
+        aliased: dict[Any, dict[Any, None]] = {}
+        column = template.columns[0] if template.is_single_column else None
         for vertex in vertices:
             if (
                 narrow
@@ -423,7 +433,12 @@ class Planner:
             except Exception:
                 continue
             decoded.append(values)
-        return matching, decoded
+            if column is not None:
+                value = values[column]
+                if value != vertex.id and str(value) == str(vertex.id):
+                    aliased.setdefault(value, {})[vertex.id] = None
+        aliases = {value: list(ids) for value, ids in aliased.items()} or None
+        return matching, decoded, aliases
 
     # -- ids -----------------------------------------------------------------
 

@@ -409,6 +409,53 @@ class TestNullEndpoints:
         assert [e.out_v_id for e in graph.traversal().V(2).inE().toList()] == [1]
 
 
+class TestFoldedIdSpelling:
+    """``g.V("1")`` finds ``v[1]`` on a BIGINT id column, so the §6.2
+    fold of ``g.V("1").out()``/``outE()`` must return what the unfolded
+    run returns: the rows render the near id ``1``, and the input id
+    ``"1"`` receives them."""
+
+    QUERIES = {
+        "V": lambda g: g.V("1"),
+        "out": lambda g: g.V("1").out(),
+        "outE": lambda g: g.V("1").outE(),
+        "out.count": lambda g: g.V("1").out().count(),
+        "V(\"1\", 1).out": lambda g: g.V("1", 1).out(),
+        "outE.has.count": lambda g: g.V("1").outE().has("w", P.outside(0, 6)).count(),
+        "outE.has": lambda g: g.V("1").outE().has("w", P.outside(0, 6)),
+        "outE.count": lambda g: g.V("1", 1).outE().count(),
+    }
+
+    @staticmethod
+    def run(optimized):
+        from repro.relational import Database
+
+        db = Database()
+        db.execute("CREATE TABLE node (id BIGINT PRIMARY KEY, name VARCHAR)")
+        db.execute("CREATE TABLE link (src BIGINT, dst BIGINT, w INT)")
+        db.execute("INSERT INTO node VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        db.execute("INSERT INTO link VALUES (1, 2, 5), (1, 3, 7)")
+        overlay = {
+            "v_tables": [{"table_name": "node", "id": "id", "fix_label": True,
+                          "label": "'node'"}],
+            "e_tables": [{"table_name": "link", "src_v": "src", "dst_v": "dst",
+                          "implicit_edge_id": True, "fix_label": True, "label": "'link'"}],
+        }
+        graph = Db2Graph.open(db, overlay, cache=False, optimized=optimized)
+        g = graph.traversal()
+        got = {name: [getattr(x, "id", x) for x in query(g).toList()]
+               for name, query in TestFoldedIdSpelling.QUERIES.items()}
+        graph.close()
+        return got
+
+    def test_folded_and_unfolded_runs_agree(self):
+        unfolded = self.run(optimized=False)
+        assert unfolded["out"] == [2, 3]
+        assert unfolded["V(\"1\", 1).out"] == [2, 3, 2, 3]
+        assert unfolded["outE.count"] == [4]
+        assert self.run(optimized=True) == unfolded
+
+
 class TestAggregatesAcrossTables:
     @pytest.fixture
     def two_table_graph(self, db):
