@@ -208,14 +208,14 @@ class Planner:
         when everything else pushes down too; otherwise its statements
         fetch rows.  ``ids=None`` scans; :data:`RUNTIME_IDS` previews a
         fetch whose ids are known only at run time."""
-        candidates, eliminated = self.candidate_tables(kind, pushdown, tables=tables)
         if pushdown.aggregate is not None and has_repeats(ids):
             # g.V(1, 1).count() == 2, but the IN list dedups: the rows are
-            # fetched and aggregated in memory instead
+            # fetched and aggregated in memory instead.  The fetch keeps
+            # the aggregate key, so it eliminates the same tables.
             fetch = pushdown.copy()
             fetch.aggregate = None
-            fetch_eliminated, plan = self.plan(kind, ids, fetch, tables)
-            return eliminated + fetch_eliminated, plan
+            return self.plan(kind, ids, fetch, tables)
+        candidates, eliminated = self.candidate_tables(kind, pushdown, tables=tables)
         projection = effective_projection(pushdown)
         plan: list[Statement] = []
         for top in candidates:

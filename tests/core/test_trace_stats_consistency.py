@@ -192,6 +192,23 @@ def test_prefixed_id_pinning_counters_match_events(traced):
     assert_counters_match_events(graph, recorder)
 
 
+def test_repeated_ids_eliminate_each_table_once(traced):
+    # g.V(10, 10).count() fetches and counts in memory (the IN list
+    # dedups), but it prunes Patient once, as g.V(10).count() does
+    graph, recorder = traced
+    g = graph.traversal()
+    eliminations = []
+    for ids in ((10,), (10, 10)):
+        graph.reset_stats()
+        recorder.clear()
+        assert g.V(*ids).hasLabel("disease").count().next() == len(ids)
+        eliminations.append(recorder.named(tracing.TABLE_ELIMINATED))
+        assert graph.stats()["tables_eliminated"] == len(eliminations[-1])
+    single, repeated = ([(e.get("table"), e.get("rule")) for e in es] for es in eliminations)
+    assert repeated == single == [("Patient", "label_values")]
+    assert_counters_match_events(graph, recorder)
+
+
 def test_vertex_from_edge_counters_match_events(traced):
     graph, recorder = traced
     g = graph.traversal()
