@@ -51,10 +51,6 @@ class RuntimeOptimizations:
     use_implicit_edge_ids: bool = True
 
     @classmethod
-    def all_on(cls) -> "RuntimeOptimizations":
-        return cls()
-
-    @classmethod
     def all_off(cls) -> "RuntimeOptimizations":
         return cls(False, False, False, False, False, False)
 

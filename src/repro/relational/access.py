@@ -51,9 +51,6 @@ class AccessControl:
                 f"user {user!r} lacks {privilege.upper()} privilege on {table!r}"
             )
 
-    def privileges_of(self, user: str, table: str) -> set[str]:
-        return set(self._grants.get((user.lower(), table.lower()), set()))
-
     def dump_grants(self) -> list[list]:
         """``[user, table, [privileges...]]`` rows for checkpointing."""
         with self._lock:

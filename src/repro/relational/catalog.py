@@ -164,9 +164,6 @@ class Catalog:
     def view_names(self) -> list[str]:
         return sorted(v.name for v in self._views.values())
 
-    def has_relation(self, name: str) -> bool:
-        return self.has_table(name) or self.has_view(name)
-
     # -- indexes ----------------------------------------------------------
 
     def create_index(
@@ -202,9 +199,6 @@ class Catalog:
                 table.storage.drop_index(key)
             del self._indexes[key]
 
-    def index_names(self) -> list[str]:
-        return sorted(self._indexes)
-
     def has_index(self, name: str) -> bool:
         return name.lower() in self._indexes
 
@@ -223,6 +217,3 @@ class Catalog:
         if func is None:
             raise CatalogError(f"unknown table function {name!r}")
         return func
-
-    def has_function(self, name: str) -> bool:
-        return name.lower() in self._functions

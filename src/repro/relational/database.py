@@ -28,7 +28,7 @@ from .executor import Executor, ResultSet
 from .planner import ExecContext, TableScanNode
 from .prepared import PreparedStatement, StatementCache
 from .schema import TableSchema
-from .sql_parser import parse_script, parse_statement
+from .sql_parser import parse_statement
 from .sql_ast import TransactionStmt
 from .transactions import LockManager, Transaction, TransactionManager
 
@@ -185,11 +185,6 @@ class Database:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Run one statement as the admin user (autocommit)."""
         return self.connect().execute(sql, params)
-
-    def execute_script(self, sql: str) -> list[ResultSet]:
-        """Run a ``;``-separated script as the admin user."""
-        session = self.connect()
-        return [session.execute_parsed(stmt, ()) for stmt in parse_script(sql)]
 
     def create_table(self, schema: TableSchema, owner: str = "admin") -> None:
         self.catalog.create_table(schema, owner)

@@ -48,9 +48,6 @@ class ResultSet:
             return None
         return self.rows[0][0]
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     @staticmethod
     def from_count(count: int) -> "ResultSet":
         return ResultSet(columns=[], rows=[], rowcount=count)
