@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from collections import Counter
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..cache.graph_cache import NEGATIVE
@@ -28,6 +27,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
 from .ids import IdTemplate
 from .planning import (
+    EVERY_ROW,
     Adjacency,
     Planner,
     RuntimeOptimizations,
@@ -66,12 +66,32 @@ def resolve_batch_size(batch_size: int | None) -> int:
 
 
 class OverlayEdge(Edge):
-    __slots__ = ("row", "etop")
+    """An edge over one fetched row tuple (``columns`` its lowercase
+    names).  The row holds every property its statement fetched, so the
+    edge counts as materialized; the property dict, limited to a folded
+    ``projection``, is built on first read."""
 
-    def __init__(self, *args: Any, row: Mapping[str, Any], etop: EdgeTopology, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.row = row
-        self.etop = etop
+    __slots__ = ("columns", "values", "etop", "projection")
+
+    def __init__(self, edge_id, label, out_v_id, in_v_id, provider, out_v_table, in_v_table,
+                 columns, values, etop, projection):  # fmt: skip
+        super().__init__(edge_id, label, out_v_id, in_v_id, None, provider, etop.name,
+                         out_v_table, in_v_table)  # fmt: skip
+        self.columns, self.values, self.etop, self.projection = columns, values, etop, projection
+
+    @property
+    def row(self) -> dict[str, Any]:
+        return dict(zip(self.columns, self.values))
+
+    @property
+    def properties(self) -> dict[str, Any]:
+        if self._properties is None:
+            self._properties = self.etop.row_properties(self.row, self.projection)
+        return self._properties
+
+    @property
+    def is_materialized(self) -> bool:
+        return True
 
 
 class OverlayGraph(GraphProvider):
@@ -149,15 +169,15 @@ class OverlayGraph(GraphProvider):
 
     def _run_select(self, kind: str, s: Statement, pushdown: Pushdown) -> list[Any]:
         """One row-fetching statement, rows built into elements."""
+        if kind == "edge":
+            edges: list[Any] = []
+            entry = Adjacency(s.top, [EVERY_ROW], [s], None, None)
+            self._walk(entry, None, {}, self._edge_entry(pushdown), edges)
+            return [edge for edge in edges if pushdown.matches(edge)]
         self._note_table_query(s.table, kind)
-        make = self._make_vertex if kind == "vertex" else self._make_edge
-        out: list[Any] = []
         keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
-        for values in rows:
-            element = make(s.top, dict(zip(keys, values)), pushdown)
-            if element is not None:
-                out.append(element)
-        return out
+        made = (self._make_vertex(s.top, dict(zip(keys, values)), pushdown) for values in rows)
+        return [vertex for vertex in made if vertex is not None]
 
     def _run_plan(self, kind: str, plan: tuple, pushdown: Pushdown) -> Iterator[Any]:
         """Record a plan's eliminations, then its elements, statement by
@@ -179,67 +199,37 @@ class OverlayGraph(GraphProvider):
     def _make_vertex(
         self, vtop: VertexTopology, row: Mapping[str, Any], pushdown: Pushdown
     ) -> Vertex | None:
-        label = vtop.row_label(row)
-        if not pushdown.matches_labels(label):
-            return None
         properties = vtop.row_properties(row, effective_projection(pushdown))
-        vertex_id = vtop.row_id(row)
-        if not pushdown.matches_predicates(properties, label, vertex_id):
-            return None
-        return Vertex(vertex_id, label, properties, provider=self, source_table=vtop.table_name)
-
-    def _make_edge(
-        self, etop: EdgeTopology, row: Mapping[str, Any], pushdown: Pushdown
-    ) -> OverlayEdge | None:
-        if None in etop.endpoint_values(row):
-            return None  # a NULL endpoint column: no edge
-        label = etop.row_label(row)
-        if not pushdown.matches_labels(label):
-            return None
-        properties = etop.row_properties(row, effective_projection(pushdown))
-        edge_id = etop.row_id(row)
-        if not self._edge_matches_predicates(etop, row, properties, label, edge_id, pushdown):
-            return None
-        return OverlayEdge(
-            edge_id,
-            label,
-            out_v_id=etop.row_src(row),
-            in_v_id=etop.row_dst(row),
-            properties=properties,
-            provider=self,
-            source_table=etop.name,
-            out_v_table=etop.src_v_table if self.opts.use_src_dst_tables else None,
-            in_v_table=etop.dst_v_table if self.opts.use_src_dst_tables else None,
-            row=row,
-            etop=etop,
+        vertex = Vertex(
+            vtop.row_id(row), vtop.row_label(row), properties,
+            provider=self, source_table=vtop.table_name,
         )
+        return vertex if pushdown.matches(vertex) else None
 
-    def _edge_matches_predicates(
-        self,
-        etop: EdgeTopology,
-        row: Mapping[str, Any],
-        properties: Mapping[str, Any],
-        label: str,
-        edge_id: Any,
-        pushdown: Pushdown,
-    ) -> bool:
-        for key, p in pushdown.predicates:
-            if key == "~src_v":
-                if not p.test(etop.row_src(row)):
-                    return False
-            elif key == "~dst_v":
-                if not p.test(etop.row_dst(row)):
-                    return False
-            elif key == "~label":
-                if not p.test(label):
-                    return False
-            elif key == "~id":
-                if not p.test(edge_id):
-                    return False
-            else:
-                if not p.test(properties.get(key)):
-                    return False
-        return True
+    def _edge_reader(
+        self, etop: EdgeTopology, keys: Sequence[str], projection: Sequence[str] | None
+    ) -> Callable[[Any, Sequence[Any]], OverlayEdge]:
+        """The one edge constructor: the edge of a row tuple over
+        ``keys`` whose endpoint columns hold no NULL (the far id argument
+        of :meth:`_walk`'s entries is unused)."""
+        columns = tuple(keys)
+        src_id, dst_id = _id_reader(keys, etop.src_template), _id_reader(keys, etop.dst_template)
+        if etop.implicit_id is None:
+            edge_id = _id_reader(keys, etop.id_template)
+        else:
+            edge_id = lambda row: etop.implicit_id.render(dict(zip(columns, row)))  # noqa: E731
+        label_at = None if etop.fixed_label is not None else keys.index(etop.label.column.lower())
+        narrow = self.opts.use_src_dst_tables
+        tables = (etop.src_v_table, etop.dst_v_table) if narrow else (None, None)
+        return lambda _far, row: OverlayEdge(
+            edge_id(row), etop.fixed_label if label_at is None else str(row[label_at]),
+            src_id(row), dst_id(row), self, *tables, columns, row, etop, projection,
+        )  # fmt: skip
+
+    def _edge_entry(self, pushdown: Pushdown) -> Callable[..., Callable[..., OverlayEdge]]:
+        """:meth:`_walk`'s ``entry_for`` on the edge path."""
+        projection = effective_projection(pushdown)
+        return lambda keys, _side, entry: self._edge_reader(entry.etop, keys, projection)
 
     # ------------------------------------------------------------------
     # GSA entry point: g.V(ids) / g.E(ids)
@@ -264,24 +254,12 @@ class OverlayGraph(GraphProvider):
 
     def edge_endpoints(self, edge_labels: tuple[str, ...] | None) -> list[tuple[Any, Any]]:
         """``g.E()``'s plan, eliminations and events reduced to ``(out
-        id, in id)`` pairs: rows are read as tuples, and no edge is
-        built.  Rows are dropped as :meth:`_neighbours` drops them, NULL
-        endpoints included."""
+        id, in id)`` pairs by the row walk: no edge is built."""
         eliminated, plan = self.planner.endpoint_plan(edge_labels)
         self._note_eliminations(eliminated)
         pairs: list[tuple[Any, Any]] = []
-        for etop, _sides, [s], label_column, _weight in plan:
-            self._note_table_query(s.table, "edge")
-            keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
-            if edge_labels and etop.fixed_label not in (None, *edge_labels):
-                continue  # survives only with label elimination off
-            ends = _endpoint_reader(keys, etop.src_template, etop.dst_template)
-            if label_column:
-                label_at = keys.index(label_column.lower())
-                rows = [row for row in rows if str(row[label_at]) in edge_labels]
-            pairs.extend(
-                (near, far) for near, far in map(ends, rows) if near is not None and far is not None
-            )
+        for entry in plan:
+            self._walk(entry, edge_labels, {}, lambda *_: _PAIR, every=pairs)
         return pairs
 
     def _elements(
@@ -296,7 +274,8 @@ class OverlayGraph(GraphProvider):
         if pushdown.aggregate is not None:
             if has_repeats(ids):
                 elements = self._fetch_ids(kind, ids, statements, pushdown)
-                yield _memory_aggregate_final(elements, pushdown)
+                partial = _memory_aggregate(elements, pushdown)
+                yield _combine_aggregates(pushdown.aggregate, [partial])
             else:
                 yield self._aggregate_over_tables(kind, statements, pushdown)
             return
@@ -353,58 +332,39 @@ class OverlayGraph(GraphProvider):
         pushdown: Pushdown,
     ) -> dict[Any, list[Any]]:
         if return_type == "vertex":
-            targets = self._neighbours(vertices, direction, edge_labels, hinted=True)
+            targets = self._adjacency(vertices, direction, edge_labels, "vertex")
             return self._resolve_adjacent_vertices(targets, pushdown)
-        eliminated, plan = self.planner.adjacent_plan(vertices, direction, edge_labels, pushdown)
+        eliminated, plan = self.planner.adjacent_plan(
+            vertices, direction, edge_labels, pushdown, "edge"
+        )
         self._note_eliminations(eliminated)
-        if pushdown.aggregate is not None:
-            aggregates = [
-                self._aggregate_edges_for(entry, pushdown, edge_labels) for entry in plan
-            ]
-            return {None: [_combine_aggregates(pushdown.aggregate, aggregates)]}
-        result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
+        edge = self._edge_entry(pushdown)
+        if pushdown.aggregate is None:
+            result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
+            for entry in plan:
+                self._walk(entry, edge_labels, result, edge)
+            if pushdown.labels is None and not pushdown.predicates:
+                return result
+            return {vid: [e for e in edges if pushdown.matches(e)] for vid, edges in result.items()}
+        partials: list[Any] = []
         for entry in plan:
+            if entry.statements and entry.statements[0].aggregate:
+                table = [self._aggregate("edge", s) for s in entry.statements]
+                partials.append(_combine_aggregates(pushdown.aggregate, table))
+                continue
+            # in memory: each matching input vertex's edges count, so
+            # g.V(1, 1).outE().count() counts them twice
             [side] = entry.sides
-            out = side.direction is Direction.OUT
-            edges: dict[Any, list[Any]] = {}
-            for edge in self._fetch_edges_for(entry.statements, pushdown, edge_labels):
-                edges.setdefault(edge.out_v_id if out else edge.in_v_id, []).append(edge)
-            _deliver(result, edges, side.aliases)
-        return result
-
-    def _fetch_edges_for(
-        self,
-        statements: list[Statement],
-        pushdown: Pushdown,
-        edge_labels: tuple[str, ...] | None,
-    ) -> Iterator[OverlayEdge]:
-        """One SELECT against the edge table per id batch, yielding the
-        matching edges."""
-        for s in statements:
-            for edge in self._run_select("edge", s, pushdown):
-                if not edge_labels or edge.label in edge_labels:
-                    yield edge
-
-    def _aggregate_edges_for(
-        self, entry: Adjacency, pushdown: Pushdown, edge_labels: tuple[str, ...] | None
-    ) -> Any:
-        [(d, matching, *_far)], statements = entry.sides, entry.statements
-        if statements and statements[0].aggregate:
-            partials = [self._aggregate("edge", s) for s in statements]
-            return _combine_aggregates(pushdown.aggregate, partials)
-        # Fetch and aggregate in memory, weighting each edge by its
-        # endpoint's multiplicity (g.V(1, 1).outE().count()).
-        multiplicity = Counter(str(v.id) for v in matching)
-        weighted: list[OverlayEdge] = []
-        for edge in self._fetch_edges_for(statements, pushdown, edge_labels):
-            endpoint = str(edge.out_v_id if d is Direction.OUT else edge.in_v_id)
-            weighted.extend([edge] * multiplicity.get(endpoint, 1))
-        return _memory_aggregate(weighted, pushdown)
+            buckets: dict[Any, list[Any]] = {v.id: [] for v in side.matching}
+            self._walk(entry, edge_labels, buckets, edge)
+            edges = [e for v in side.matching for e in buckets[v.id] if pushdown.matches(e)]
+            partials.append(_memory_aggregate(edges, pushdown))
+        return {None: [_combine_aggregates(pushdown.aggregate, partials)]}
 
     def _resolve_adjacent_vertices(
         self, targets: dict[Any, list[Vertex]], pushdown: Pushdown
     ) -> dict[Any, list[Vertex]]:
-        """Vertex id -> neighbour vertices from :meth:`_neighbours`: lazy
+        """Vertex id -> neighbour vertices from :meth:`_adjacency`: lazy
         ones as they are, or, when a ``has()`` or projection was folded
         into the step, fetched in one pass per table hint, over the hint
         table alone (§6.3 src/dst narrowing, as :meth:`load_vertex`).  A
@@ -431,10 +391,7 @@ class OverlayGraph(GraphProvider):
         def kept(v: Vertex) -> Vertex | None:
             if not v.is_materialized:
                 return resolved.get((v.id, v.source_table))
-            matches = pushdown.matches_labels(v.label) and pushdown.matches_predicates(
-                v.properties, v.label, v.id
-            )
-            return v if matches else None
+            return v if pushdown.matches(v) else None
 
         return {
             vertex_id: [k for v in entry if (k := kept(v)) is not None]
@@ -449,74 +406,86 @@ class OverlayGraph(GraphProvider):
         weight: str | None = None,
     ) -> dict[Any, list[Any]]:
         """``adjacent()`` reduced to ids for bulk analytics: the same
-        neighbour row loop as ``out()``/``in()``/``both()``."""
+        row walk as ``out()``/``in()``/``outE()``."""
         vertices = [Vertex(v, provider=self) for v in vertex_ids]
-        return self._neighbours(vertices, direction, edge_labels, weight)
+        return self._adjacency(vertices, direction, edge_labels, "id", weight)
 
-    def _neighbours(
+    def _adjacency(
         self,
         vertices: Sequence[Vertex],
         direction: Direction,
         edge_labels: tuple[str, ...] | None,
+        return_type: str,
         weight: str | None = None,
-        hinted: bool = False,
     ) -> dict[Any, list[Any]]:
-        """Vertex id -> far endpoints, over the planner's neighbour plan
-        (endpoint columns only, §6.2 projection pushdown); rows are read
-        as tuples, no edge is built, and a row with a NULL endpoint
-        column is no edge.  An entry is the far id; with ``weight``, a
-        ``(far id, weight value)`` pair; with ``hinted``, a vertex: lazy
-        and hinted with the far endpoint's declared vertex table (§6.3
-        narrowing), or built from the row when that table is the edge
-        table itself (§6.3 vertex-from-edge)."""
-        eliminated, plan = self.planner.neighbour_plan(
-            vertices, direction, edge_labels, weight, hinted
+        """Vertex id -> far endpoints over the planner's adjacency plan:
+        per row, the far id, with ``weight`` a ``(far id, weight value)``
+        pair, or with ``return_type`` ``"vertex"`` the far vertex."""
+        eliminated, plan = self.planner.adjacent_plan(
+            vertices, direction, edge_labels, None, return_type, weight
         )
         self._note_eliminations(eliminated)
+        entry_for = (lambda *_: None) if weight is None else _weight_entry
+        if return_type == "vertex":
+            entry_for = self._vertex_entry
         result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
-        for etop, sides, statements, label_column, weight_column in plan:
-            # a fixed label outside edge_labels survives only with label
-            # elimination off: its statements run, its rows are dropped
-            rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
-            for s in statements:
-                self._note_table_query(s.table, "edge")
-                keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
-                if rejected:
-                    continue
-                label_at = keys.index(label_column.lower()) if label_column else None
-                for side in sides:
-                    near, far = etop.src_template, etop.dst_template
-                    if side.direction is Direction.IN:
-                        near, far = far, near
-                    ends = _endpoint_reader(keys, near, far)
-                    if weight is not None:
-                        entry = _weight_entry(keys, weight_column)
-                    elif hinted:
-                        entry = self._vertex_entry(keys, side)
-                    else:
-                        entry = None
-                    side_rows = rows
-                    if side.keep is not None:
-                        near_at = keys.index(near.only_column.lower())
-                        side_rows = [row for row in rows if row[near_at] in side.keep]
-                    buckets = result
-                    if side.aliases:
-                        buckets = {**result, **{near_id: [] for near_id in side.aliases}}
-                    for row in side_rows:
-                        if label_at is not None and str(row[label_at]) not in edge_labels:
-                            continue
-                        key, other = ends(row)
-                        bucket = buckets.get(key)
-                        if bucket is None or key is None or other is None:
-                            continue
-                        bucket.append(other if entry is None else entry(other, row))
-                    if side.aliases:
-                        _deliver(result, buckets, side.aliases)
+        for entry in plan:
+            self._walk(entry, edge_labels, result, entry_for)
         return result
 
-    def _vertex_entry(
-        self, keys: Sequence[str], side: Side
-    ) -> Callable[[Any, Sequence[Any]], Vertex]:
+    def _walk(
+        self,
+        entry: Adjacency,
+        edge_labels: tuple[str, ...] | None,
+        result: dict[Any, list[Any]],
+        entry_for: Callable[[Sequence[str], Side, Adjacency], Any],
+        every: list[Any] | None = None,
+    ) -> None:
+        """The one loop over edge rows (tuples): per side, append what
+        ``entry_for(keys, side, entry)`` makes of a row to the ``result``
+        bucket of its near id, else to ``every``.  It makes the far id
+        (``None``), the ``(near, far)`` pair (:data:`_PAIR`) or calls
+        ``make(far id, row)``.  A NULL endpoint column is no edge."""
+        etop, sides, statements, label_column, _weight = entry
+        # a fixed label outside edge_labels survives only with label
+        # elimination off: its statements run, its rows are dropped
+        rejected = bool(edge_labels) and etop.fixed_label not in (None, *edge_labels)
+        for s in statements:
+            self._note_table_query(s.table, "edge")
+            keys, rows = self.dialect.select(s.table, s.columns, s.predicates)
+            if rejected:
+                continue
+            label_at = keys.index(label_column.lower()) if label_column else None
+            for side in sides:
+                near, far = etop.src_template, etop.dst_template
+                if side.direction is Direction.IN:
+                    near, far = far, near
+                ends = _endpoint_reader(keys, near, far)
+                make = entry_for(keys, side, entry)
+                side_rows = rows
+                if side.keep is not None:
+                    near_at = keys.index(near.only_column.lower())
+                    side_rows = [row for row in rows if row[near_at] in side.keep]
+                buckets = result
+                if side.aliases:
+                    buckets = {**result, **{near_id: [] for near_id in side.aliases}}
+                for row in side_rows:
+                    if label_at is not None and str(row[label_at]) not in edge_labels:
+                        continue
+                    pair = ends(row)
+                    key, other = pair
+                    bucket = buckets.get(key, every)
+                    if bucket is None or key is None or other is None:
+                        continue
+                    bucket.append(
+                        other if make is None else pair if make is _PAIR else make(other, row)
+                    )
+                for near_id, ids in (side.aliases or {}).items():
+                    for receiver in (near_id, *ids):
+                        if receiver in result:
+                            result[receiver] += buckets[near_id]
+
+    def _vertex_entry(self, keys: Sequence[str], side: Side, _entry: Adjacency) -> Callable:
         """The far vertex of one neighbour row over ``side``."""
         row_vertex, hint = side.row_vertex, side.hint
         if row_vertex is not None:
@@ -591,8 +560,8 @@ class OverlayGraph(GraphProvider):
             merged[column] = etop.relation.coerce(column, value)
         columns, values = self._row_from_properties(etop, merged, label)
         self.dialect.insert(etop.table_name, columns, values)
-        row = {c.lower(): v for c, v in zip(columns, values)}
-        return self._make_edge(etop, row, Pushdown())
+        keys = [c.lower() for c in columns]
+        return self._edge_reader(etop, keys, None)(None, tuple(values))
 
     def _unique_table_for_label(self, tables: list, label: str, kind: str):
         matches = [t for t in tables if t.fixed_label == label]
@@ -786,34 +755,17 @@ def _endpoint_reader(
     return lambda row: (None, None) if None in [row[i] for i in at] else (near_id(row), far_id(row))
 
 
-def _deliver(
-    result: dict[Any, list[Any]],
-    found: Mapping[Any, list[Any]],
-    aliases: Mapping[Any, list[Any]] | None,
-) -> None:
-    """Append the entries ``found`` per near id to ``result``'s bucket of
-    that id and of each input id in ``aliases`` that spells it another
-    way (:class:`~repro.core.planning.Side`)."""
-    for near_id, entries in found.items():
-        receivers = [near_id] if aliases is None else [near_id, *aliases.get(near_id, ())]
-        for receiver in receivers:
-            bucket = result.get(receiver)
-            if bucket is not None and bucket is not entries:
-                bucket.extend(entries)
+#: ``_walk``'s marker for an ``(near id, far id)`` pair entry.
+_PAIR = object()
 
 
 def _weight_entry(
-    keys: Sequence[str], weight_column: str | None
+    keys: Sequence[str], _side: Side, entry: Adjacency
 ) -> Callable[[Any, Sequence[Any]], tuple[Any, Any]]:
     """``(far id, weight value)`` of one neighbour row; the value is
     ``None`` on a table without the weight property."""
-    at = keys.index(weight_column.lower()) if weight_column else None
+    at = keys.index(entry.weight_column.lower()) if entry.weight_column else None
     return lambda other, row: (other, None if at is None else row[at])
-
-
-def _memory_aggregate_final(elements: list, pushdown: Pushdown) -> Any:
-    """Terminal in-memory aggregate (mean folded to its final value)."""
-    return _combine_aggregates(pushdown.aggregate, [_memory_aggregate(elements, pushdown)])
 
 
 def _memory_aggregate(elements: list, pushdown: Pushdown) -> Any:
@@ -824,15 +776,7 @@ def _memory_aggregate(elements: list, pushdown: Pushdown) -> Any:
     values = [e.value(key) for e in elements if key and e.has_property(key)]
     if kind == "mean":
         return (float(sum(values)), len(values))
-    if not values:
-        return None
-    if kind == "sum":
-        return sum(values)
-    if kind == "min":
-        return min(values)
-    if kind == "max":
-        return max(values)
-    return None
+    return _reduce(kind, values)
 
 
 def _combine_aggregates(kind: str | None, partials: list[Any]) -> Any:
@@ -848,13 +792,10 @@ def _combine_aggregates(kind: str | None, partials: list[Any]) -> Any:
             total += s or 0
             count += c or 0
         return total / count if count else None
-    values = [p for p in partials if p is not None]
-    if not values:
-        return None
-    if kind == "sum":
-        return sum(values)
-    if kind == "min":
-        return min(values)
-    if kind == "max":
-        return max(values)
-    return None
+    return _reduce(kind, [p for p in partials if p is not None])
+
+
+def _reduce(kind: str | None, values: list[Any]) -> Any:
+    """``sum``/``min``/``max`` of non-empty ``values``, else ``None``."""
+    reducer = {"sum": sum, "min": min, "max": max}.get(kind or "")
+    return reducer(values) if values and reducer else None

@@ -75,9 +75,8 @@ class Side(NamedTuple):
     On the vertex path, ``row_vertex`` is the vertex table whose far
     vertex is built from the row (§6.3 vertex-from-edge) and ``hint``
     the far vertex's declared table (§6.3 src/dst narrowing).
-    ``aliases`` maps a near id that rows render to the input ids that
-    decode to it under another spelling (``"1"`` on a BIGINT column):
-    those inputs receive its rows too."""
+    ``aliases`` maps a near id to the input ids that spell it otherwise
+    (``"1"`` on a BIGINT column), which receive its rows too."""
 
     direction: Direction
     matching: list[Vertex] | None
@@ -87,11 +86,16 @@ class Side(NamedTuple):
     aliases: dict[Any, list[Any]] | None = None
 
 
+#: The side of an entry that keeps every row, walked OUT (``g.E()``).
+EVERY_ROW = Side(Direction.OUT, None, None, None, None)
+
+
 class Adjacency(NamedTuple):
-    """One edge table's share of an ``adjacent()`` plan.  A probe entry
-    has one side; a scan under BOTH serves both sides from one
-    statement, walked OUT then IN.  ``label_column`` is re-checked
-    against the step's edge labels, ``weight_column`` read for SSSP."""
+    """One edge table's share of an ``adjacent()`` or ``g.E()`` endpoint
+    plan.  A probe entry has one side; a scan under BOTH serves both
+    sides from one statement, walked OUT then IN.  ``label_column`` is
+    re-checked against the step's edge labels, ``weight_column`` read
+    for SSSP."""
 
     etop: EdgeTopology
     sides: list[Side]
@@ -261,13 +265,14 @@ class Planner:
         ]
 
     def endpoint_plan(self, edge_labels: tuple[str, ...] | None) -> Plan:
-        """``g.E()``'s plan reduced to endpoints: one entry per edge
-        table, each SELECT fetching only :func:`neighbour_columns`."""
+        """``g.E()``'s plan reduced to endpoints: one :data:`EVERY_ROW`
+        entry per edge table, fetching :func:`neighbour_columns`."""
         eliminated, plan = self.plan("edge", None, Pushdown(labels=edge_labels))
         entries = []
         for s in plan:
             columns, label_column, _weight = neighbour_columns(s.top, edge_labels)
-            entries.append(Adjacency(s.top, [], [s._replace(columns=columns)], label_column, None))
+            entry = [EVERY_ROW], [s._replace(columns=columns)], label_column, None
+            entries.append(Adjacency(s.top, *entry))
         return eliminated, entries
 
     # -- adjacent(): out()/in()/both()/outE()/... ----------------------------
@@ -277,44 +282,20 @@ class Planner:
         vertices: Sequence[Vertex] | None,
         direction: Direction,
         edge_labels: tuple[str, ...] | None,
-        pushdown: Pushdown,
-    ) -> Plan:
-        """``outE()``/``inE()``/``bothE()`` and their aggregates for one
-        vertex batch: probes only, each fetching whole edges or computing
-        the pushed-down aggregate.  A scan would build an edge per table
-        row, and an aggregate would no longer push down."""
-        return self._adjacency(vertices, direction, edge_labels, pushdown, False)
-
-    def neighbour_plan(
-        self,
-        vertices: Sequence[Vertex] | None,
-        direction: Direction,
-        edge_labels: tuple[str, ...] | None,
+        pushdown: Pushdown | None = None,
+        return_type: str = "id",
         weight: str | None = None,
-        hinted: bool = False,
     ) -> Plan:
-        """``out()``/``in()``/``both()`` and ``adjacent_ids``: each SELECT
-        fetches only :func:`neighbour_columns`, and an entry may scan
-        instead of probing (:meth:`_scan_filter`).  ``hinted`` (the
-        vertex path) fills each side's ``row_vertex`` and ``hint``."""
-        return self._adjacency(
-            vertices, direction, edge_labels, Pushdown(), True, weight, hinted
-        )
-
-    def _adjacency(
-        self,
-        vertices: Sequence[Vertex] | None,
-        direction: Direction,
-        edge_labels: tuple[str, ...] | None,
-        pushdown: Pushdown,
-        neighbours: bool,
-        weight: str | None = None,
-        hinted: bool = False,
-    ) -> Plan:
-        """Eliminations plus :class:`Adjacency` entries in run order.
-        ``vertices=None`` plans for a batch known only at run time
-        (``explain()`` of ``out()``): nothing is narrowed and the
-        endpoint probe is a placeholder."""
+        """Eliminations plus :class:`Adjacency` entries in run order for
+        ``adjacent()`` returning ``"vertex"``, ``"edge"`` (with the step's
+        ``pushdown``) or ``"id"`` (``adjacent_ids``).  Edge entries fetch
+        whole rows or the pushed-down aggregate, and always probe; the
+        others fetch :func:`neighbour_columns` and may scan.  Vertex
+        sides carry ``row_vertex`` and ``hint``.  ``vertices=None`` plans
+        a preview: nothing narrowed, a placeholder endpoint probe."""
+        edges, hinted = return_type == "edge", return_type == "vertex"
+        if not edges or pushdown is None:
+            pushdown = Pushdown()
         directions = (
             (Direction.OUT, Direction.IN) if direction is Direction.BOTH else (direction,)
         )
@@ -343,7 +324,7 @@ class Planner:
                 if not matching:
                     eliminated.append((etop.table_name, "src_dst_tables"))
                     continue
-                keep = self._scan_filter(etop, template.only_column, decoded) if neighbours else None
+                keep = None if edges else self._scan_filter(etop, template.only_column, decoded)
                 if keep is not None:
                     if scan_sides is None:  # under BOTH, IN joins OUT's scan
                         scan_sides = []
@@ -352,19 +333,18 @@ class Planner:
                     continue
                 groups = self._id_groups(etop, decoded, template.only_column)
                 # duplicate endpoints each count toward an aggregate, but
-                # the IN list dedups them: fetch and weight instead
+                # the IN list dedups them: fetch and count per input instead
                 aggregated = pushable and len({str(v.id) for v in matching}) == len(matching)
                 side = Side(d, matching, None, *far, aliases)
                 entries.append(([side], [g + base for g in groups], aggregated))
             for sides, groups, aggregated in entries:
-                label_column = weight_column = aggregate = None
-                if neighbours:
-                    columns, label_column, weight_column = neighbour_columns(
-                        etop, edge_labels, weight, [side.row_vertex for side in sides]
-                    )
-                elif aggregated:
+                columns, label_column, weight_column = neighbour_columns(
+                    etop, edge_labels, weight, [side.row_vertex for side in sides]
+                )
+                aggregate = None
+                if aggregated:
                     columns, aggregate = None, aggregate_spec(pushdown)
-                else:
+                elif edges:
                     columns = etop.required_columns(projection)
                 statements = [
                     Statement(etop, etop.table_name, columns, g, aggregate) for g in groups

@@ -12,7 +12,6 @@ by table name, by id prefix, and vertex-from-edge subsumption.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -271,8 +270,6 @@ class EdgeTopology(_TableTopology):
                 relation.canonical(column)
 
         key_columns = [*self.src_template.columns, *self.dst_template.columns]
-        # a row's endpoint column values (two or more): a NULL is no edge
-        self.endpoint_values = operator.itemgetter(*(c.lower() for c in key_columns))
         if self.id_template is not None:
             key_columns.extend(self.id_template.columns)
         if not self.label.is_fixed and self.label.column:

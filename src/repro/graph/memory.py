@@ -124,7 +124,7 @@ class InMemoryGraph(GraphProvider):
                 pool = (self._edges[i] for i in ids if i in self._edges)
             else:
                 pool = iter(list(self._edges.values()))
-        filtered = (e for e in pool if self._passes(e, pushdown))
+        filtered = (e for e in pool if pushdown.matches(e))
         if pushdown.aggregate is not None:
             yield _aggregate(filtered, pushdown)
             return
@@ -154,14 +154,14 @@ class InMemoryGraph(GraphProvider):
                     if edge_labels is not None and edge.label not in edge_labels:
                         continue
                     if return_type == "edge":
-                        if self._passes(edge, pushdown):
+                        if pushdown.matches(edge):
                             elements.append(edge)
                     else:
                         other_id = (
                             edge.in_v_id if edge_direction is Direction.OUT else edge.out_v_id
                         )
                         other = self._vertices[other_id]
-                        if self._passes(other, pushdown):
+                        if pushdown.matches(other):
                             elements.append(other)
             if aggregating:
                 collected.extend(elements)
@@ -202,12 +202,6 @@ class InMemoryGraph(GraphProvider):
         if direction is Direction.BOTH:
             return (Direction.OUT, Direction.IN)
         return (direction,)
-
-    @staticmethod
-    def _passes(element: Any, pushdown: Pushdown) -> bool:
-        if not pushdown.matches_labels(element.label):
-            return False
-        return pushdown.matches_predicates(element.properties, element.label, element.id)
 
 
 def _aggregate(elements: Iterator[Any], pushdown: Pushdown) -> Any:

@@ -60,6 +60,27 @@ class Pushdown:
             aggregate_key=self.aggregate_key,
         )
 
+    def matches(self, element: Any) -> bool:
+        """Whether ``element`` passes the folded label filter and
+        predicates.  ``~src_v``/``~dst_v`` read an edge's endpoint ids;
+        properties are read only for a predicate that names one."""
+        if self.labels is not None and element.label not in self.labels:
+            return False
+        for key, predicate in self.predicates:
+            if key == "~label":
+                value: Any = element.label
+            elif key == "~id":
+                value = element.id
+            elif key == "~src_v":
+                value = element.out_v_id
+            elif key == "~dst_v":
+                value = element.in_v_id
+            else:
+                value = element.properties.get(key)
+            if not predicate.test(value):
+                return False
+        return True
+
     def matches_labels(self, label: str) -> bool:
         return self.labels is None or label in self.labels
 

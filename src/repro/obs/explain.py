@@ -153,14 +153,9 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
             # out()/in()/outE()/...: the vertex batch is known only at run
             # time, so the endpoint probe is a placeholder
             vertices, direction, edge_labels = None, step.direction, step.edge_labels
-        if step.return_type == "vertex":
-            eliminated, adjacency = planner.neighbour_plan(
-                vertices, direction, edge_labels, hinted=True
-            )
-        else:
-            eliminated, adjacency = planner.adjacent_plan(
-                vertices, direction, edge_labels, pushdown
-            )
+        eliminated, adjacency = planner.adjacent_plan(
+            vertices, direction, edge_labels, pushdown, step.return_type
+        )
         statements = [s for a in adjacency for s in a.statements]
         if step.return_type == "vertex" and fills(pushdown):
             # the fetch of the lazy neighbours a folded has() or

@@ -1,5 +1,5 @@
 """Scan or probe: on the neighbour path (``adjacent_ids`` and
-``adjacent(..., "vertex")``), ``Planner.neighbour_plan`` replaces
+``adjacent(..., "vertex")``), ``Planner.adjacent_plan`` replaces
 the ``IN (...)`` probes on an unindexed single-column endpoint of a base
 table with one scan of the table when a batch holds more distinct ids
 than ``batch_size`` (DESIGN.md §9).  Both physical forms must return the
@@ -78,7 +78,7 @@ def scannable_tables(provider) -> set[str]:
 
 
 def scanned_tables(provider, vertices) -> set[str]:
-    _eliminated, plan = provider.planner.neighbour_plan(vertices, Direction.BOTH, None)
+    _eliminated, plan = provider.planner.adjacent_plan(vertices, Direction.BOTH, None)
     return {
         entry.etop.table_name
         for entry in plan
