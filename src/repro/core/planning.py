@@ -576,7 +576,9 @@ class Planner:
             if key == "~id":
                 return False
             if not etop.has_property(key):
-                continue  # table can't match; COUNT(*) with impossible pred is fine
+                if p.test(None):
+                    continue  # every row passes: its SQL drops the predicate
+                return False  # no row passes, but its SQL would count them all
             column = etop.relation.canonical(key)
             if predicate_to_sql(column, p) is None:
                 return False
@@ -597,7 +599,9 @@ class Planner:
             if key in ("~src_v", "~dst_v"):
                 return False
             if not top.has_property(key):
-                continue
+                if p.test(None):
+                    continue
+                return False  # as in _fully_pushable
             if predicate_to_sql(top.relation.canonical(key), p) is None:
                 return False
         if pushdown.aggregate_key is not None and not top.has_property(pushdown.aggregate_key):

@@ -28,6 +28,8 @@ import pytest
 
 from repro.core import Db2Graph
 from repro.core.graph_structure import OverlayEdge, RuntimeOptimizations
+from repro.core.topology import EdgeTopology
+from repro.graph import P
 from repro.graph.model import Direction, GraphProvider, Pushdown, Vertex
 from repro.relational import Database
 from repro.testing import (
@@ -133,8 +135,50 @@ def test_generated_overlays_match_the_element_default(seed):
                         assert_contract(provider, vertex_ids, direction, edge_labels, weight)
                     assert_vertex_contract(provider, vertices, direction, edge_labels)
             assert_mutation_contract(graph.traversal(), vertex_ids, labels[:1])
+            assert_edge_contract(graph, vertices, labels[:1])
+            key = next((k for e in oracle._edges.values() for k in sorted(e.properties)), None)
+            if key is not None:
+                value = next(e.properties[key] for e in oracle._edges.values() if key in e.properties)
+                starts = [Vertex(v, provider=provider) for v in vertex_ids + vertex_ids[:1]]
+                assert_memory_count(provider, starts, labels[:1], key, value)
         finally:
             graph.close()
+
+
+def edge_facts(edge):
+    return (edge.id, edge.label, edge.out_v_id, edge.in_v_id, edge.out_v_table,
+            edge.in_v_table, edge.properties)  # fmt: skip
+
+
+def assert_edge_contract(graph, vertices, labels):
+    """The edges ``adjacent(..., "edge")`` builds from its rows equal the
+    ``g.E()`` edges of the same ids: label, endpoints, endpoint tables
+    and properties (parallel edges share an implicit id, so any one of
+    that id's edges may match)."""
+    by_id: dict = {}
+    for edge in graph.traversal().E().toList():
+        by_id.setdefault(edge.id, []).append(edge_facts(edge))
+    for direction in DIRECTIONS:
+        for edge_labels in (None, tuple(labels) or None):
+            got = graph.provider.adjacent(vertices, direction, edge_labels, "edge", Pushdown())
+            for edge in (e for edges in got.values() for e in edges):
+                assert edge_facts(edge) in by_id.get(edge.id, []), (direction, edge_labels)
+
+
+def assert_memory_count(provider, starts, labels, key, value):
+    """A ``count()`` that cannot push down (``outside`` has no SQL form)
+    counts each start's listed edges, a repeated start id twice."""
+    for direction in DIRECTIONS:
+        for edge_labels in (None, tuple(labels) or None):
+            predicates = [(key, P.outside(value, value))]
+            listed = provider.adjacent(
+                starts, direction, edge_labels, "edge", Pushdown(predicates=predicates)
+            )
+            counted = provider.adjacent(
+                starts, direction, edge_labels, "edge",
+                Pushdown(predicates=predicates, aggregate="count"),
+            )  # fmt: skip
+            assert counted == {None: [sum(len(listed[v.id]) for v in starts)]}, direction
 
 
 def assert_mutation_contract(g, vertex_ids, labels):
@@ -325,3 +369,32 @@ def test_folded_in_builds_no_edge_elements(healthcare_graph, monkeypatch):
     patients = g.V(*diseases).in_("hasDisease").toList()
     assert want and [v.id for v in patients] == want
     assert built == []
+
+
+def test_out_e_builds_properties_on_first_read(corner_graph, monkeypatch):
+    """``outE()`` keeps each edge's row; no property dict is built until
+    one is read, and then it equals the ``g.E(id)`` edge's."""
+    built = []
+    row_properties = EdgeTopology.row_properties
+
+    def counting(self, *args):
+        built.append(self.name)
+        return row_properties(self, *args)
+
+    monkeypatch.setattr(EdgeTopology, "row_properties", counting)
+    g = corner_graph.traversal()
+    edges = g.V(2).outE("link").toList() + g.V(3).outE("a").toList()
+    assert [e.id for e in edges] == ["2::link::3", 1]
+    assert all(e.is_materialized for e in edges) and built == []
+    for edge in edges:
+        assert edge.properties == g.E(edge.id).next().properties
+    assert built
+
+
+def test_folded_projection_yields_only_projected_keys(corner_graph):
+    provider = corner_graph.provider
+    projected = Pushdown(projection=("w",))
+    got = provider.adjacent([Vertex(1)], Direction.OUT, ("link",), "edge", projected)
+    assert [sorted(e.properties) for e in got[1]] == [["w"]] * 3
+    value_maps = corner_graph.traversal().V(1).outE("link").valueMap("w").toList()
+    assert len(value_maps) == 3 and all(set(m) <= {"w"} for m in value_maps)
