@@ -1,12 +1,17 @@
 """Pins the configuration surface: the ``REPRO_*`` environment knobs the
 engine reads, the keywords ``Db2Graph.open`` takes, the README knob
-table, the knobs and test paths the CI workflow names, and that nothing
-imports the deleted ``repro.bench`` package.
+table, the knobs and test paths the CI workflow names, that nothing
+imports the deleted ``repro.bench`` package, and a ceiling on engine
+lines.
 
-A new knob or ``open()`` keyword must be added here on purpose; a knob
-the workflow sets but nothing reads fails instead of soaking nothing,
-and a CI step that names a missing test or a deleted benchmark script
-fails instead of checking nothing.
+A new knob, ``open()`` keyword or engine line must be added here on
+purpose; a knob the workflow sets but nothing reads fails instead of
+soaking nothing, and a CI step that names a missing test or a deleted
+benchmark script fails instead of checking nothing.
+
+Print the line counts the ceiling checks with::
+
+    PYTHONPATH=src python -m tests.test_config_surface
 """
 
 from __future__ import annotations
@@ -64,6 +69,39 @@ OPEN_KEYWORDS = {
     "registry",
     "recorder",
 }
+
+
+# Engine lines: src/repro/ without the conformance harness, the baseline
+# stores and the workload generators (ROADMAP.md).  The planner split is
+# the §6 Graph Structure module, the §6.3 planner and explain().
+ENGINE_EXCLUDED = ("testing", "baselines", "workloads")
+PLANNER_SPLIT = ("core/graph_structure.py", "core/planning.py", "obs/explain.py")
+MAX_ENGINE_LINES = 20_156
+MAX_PLANNER_SPLIT_LINES = 1_659
+
+
+def line_counts() -> tuple[int, int]:
+    """``(engine lines, planner-split lines)``."""
+    package = ROOT / "src" / "repro"
+
+    def lines(path: Path) -> int:
+        return len(path.read_text().splitlines())
+
+    engine = sum(
+        lines(path)
+        for path in package.rglob("*.py")
+        if path.relative_to(package).parts[0] not in ENGINE_EXCLUDED
+    )
+    return engine, sum(lines(package / name) for name in PLANNER_SPLIT)
+
+
+def test_engine_lines_stay_under_the_ceiling():
+    """A change that adds engine lines raises the ceiling here."""
+    engine, split = line_counts()
+    assert engine <= MAX_ENGINE_LINES and split <= MAX_PLANNER_SPLIT_LINES, (
+        f"engine lines {engine} (ceiling {MAX_ENGINE_LINES}), graph_structure + "
+        f"planning + explain {split} (ceiling {MAX_PLANNER_SPLIT_LINES})"
+    )
 
 
 def _knobs_in(paths) -> set[str]:
@@ -135,3 +173,9 @@ def test_nothing_imports_the_deleted_bench_package():
         if BENCH_IMPORT.search(path.read_text())
     ]
     assert importers == []
+
+
+if __name__ == "__main__":
+    engine_lines, split_lines = line_counts()
+    print(f"engine lines: {engine_lines}")
+    print(f"graph_structure.py + planning.py + obs/explain.py: {split_lines}")
