@@ -73,10 +73,13 @@ class OverlayEdge(Edge):
 
     __slots__ = ("columns", "values", "etop", "projection")
 
-    def __init__(self, edge_id, label, out_v_id, in_v_id, provider, out_v_table, in_v_table,
-                 columns, values, etop, projection):  # fmt: skip
-        super().__init__(edge_id, label, out_v_id, in_v_id, None, provider, etop.name,
-                         out_v_table, in_v_table)  # fmt: skip
+    def __init__(
+        self, edge_id, label, out_v_id, in_v_id, provider, out_v_table, in_v_table,
+        columns, values, etop, projection,
+    ):
+        super().__init__(
+            edge_id, label, out_v_id, in_v_id, None, provider, etop.name, out_v_table, in_v_table
+        )
         self.columns, self.values, self.etop, self.projection = columns, values, etop, projection
 
     @property
@@ -224,7 +227,7 @@ class OverlayGraph(GraphProvider):
         return lambda _far, row: OverlayEdge(
             edge_id(row), etop.fixed_label if label_at is None else str(row[label_at]),
             src_id(row), dst_id(row), self, *tables, columns, row, etop, projection,
-        )  # fmt: skip
+        )
 
     def _edge_entry(self, pushdown: Pushdown) -> Callable[..., Callable[..., OverlayEdge]]:
         """:meth:`_walk`'s ``entry_for`` on the edge path."""
@@ -343,8 +346,6 @@ class OverlayGraph(GraphProvider):
             result: dict[Any, list[Any]] = {v.id: [] for v in vertices}
             for entry in plan:
                 self._walk(entry, edge_labels, result, edge)
-            if pushdown.labels is None and not pushdown.predicates:
-                return result
             return {vid: [e for e in edges if pushdown.matches(e)] for vid, edges in result.items()}
         partials: list[Any] = []
         for entry in plan:
@@ -727,10 +728,7 @@ class OverlayGraph(GraphProvider):
         return None
 
     def load_edge(self, edge_id: Any) -> Edge | None:
-        empty = Pushdown()
-        for edge in self._elements("edge", [edge_id], empty):
-            return edge
-        return None
+        return next(self._elements("edge", [edge_id], Pushdown()), None)
 
 
 def _id_reader(keys: Sequence[str], template: IdTemplate) -> Callable[[Sequence[Any]], Any]:

@@ -145,13 +145,11 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
         eliminated, statements = planner.plan(step.return_type, step.ids, pushdown)
     else:
         if isinstance(step, GraphStep):
-            # g.V(ids).out()/outE()/... after the GraphStep::VertexStep
-            # mutation: the vertex batch is the constant ids
+            # g.V(ids).out()/outE() folded (§6.2): the batch is the ids
             direction, edge_labels, ids = step.endpoint_filter
             vertices = [Vertex(v, provider=provider) for v in ids]
         else:
-            # out()/in()/outE()/...: the vertex batch is known only at run
-            # time, so the endpoint probe is a placeholder
+            # out()/outE()/...: a placeholder for the run-time batch
             vertices, direction, edge_labels = None, step.direction, step.edge_labels
         eliminated, adjacency = planner.adjacent_plan(
             vertices, direction, edge_labels, pushdown, step.return_type
@@ -163,8 +161,7 @@ def preview_step_sql(provider: Any, step: "Step") -> StepSql:
             lazy = [side.hint for a in adjacency for side in a.sides if side.row_vertex is None]
             for hint in dict.fromkeys(lazy):
                 fill = planner.plan("vertex", RUNTIME_IDS, pushdown, planner.hint_tables(hint))
-                eliminated = eliminated + fill[0]
-                statements += fill[1]
+                eliminated, statements = eliminated + fill[0], statements + fill[1]
     entry.notes = [f"table {table} eliminated ({rule})" for table, rule in eliminated]
     for s in statements:
         sql, params = provider.dialect.build_select(s.table, s.columns, s.predicates, s.aggregate)

@@ -146,8 +146,8 @@ def test_generated_overlays_match_the_element_default(seed):
 
 
 def edge_facts(edge):
-    return (edge.id, edge.label, edge.out_v_id, edge.in_v_id, edge.out_v_table,
-            edge.in_v_table, edge.properties)  # fmt: skip
+    ends = edge.out_v_id, edge.in_v_id, edge.out_v_table, edge.in_v_table
+    return edge.id, edge.label, *ends, edge.properties
 
 
 def assert_edge_contract(graph, vertices, labels):
@@ -174,10 +174,8 @@ def assert_memory_count(provider, starts, labels, key, value):
             listed = provider.adjacent(
                 starts, direction, edge_labels, "edge", Pushdown(predicates=predicates)
             )
-            counted = provider.adjacent(
-                starts, direction, edge_labels, "edge",
-                Pushdown(predicates=predicates, aggregate="count"),
-            )  # fmt: skip
+            counting = Pushdown(predicates=predicates, aggregate="count")
+            counted = provider.adjacent(starts, direction, edge_labels, "edge", counting)
             assert counted == {None: [sum(len(listed[v.id]) for v in starts)]}, direction
 
 
