@@ -351,7 +351,10 @@ class OverlayGraph(GraphProvider):
         for entry in plan:
             if entry.statements and entry.statements[0].aggregate:
                 table = [self._aggregate("edge", s) for s in entry.statements]
-                partials.append(_combine_aggregates(pushdown.aggregate, table))
+                if pushdown.aggregate == "mean":  # (sum, count) partials
+                    partials.extend(table)
+                else:
+                    partials.append(_combine_aggregates(pushdown.aggregate, table))
                 continue
             # in memory: each matching input vertex's edges count, so
             # g.V(1, 1).outE().count() counts them twice
@@ -473,8 +476,7 @@ class OverlayGraph(GraphProvider):
                 for row in side_rows:
                     if label_at is not None and str(row[label_at]) not in edge_labels:
                         continue
-                    pair = ends(row)
-                    key, other = pair
+                    key, other = pair = ends(row)
                     bucket = buckets.get(key, every)
                     if bucket is None or key is None or other is None:
                         continue

@@ -396,3 +396,12 @@ def test_folded_projection_yields_only_projected_keys(corner_graph):
     assert [sorted(e.properties) for e in got[1]] == [["w"]] * 3
     value_maps = corner_graph.traversal().V(1).outE("link").valueMap("w").toList()
     assert len(value_maps) == 3 and all(set(m) <= {"w"} for m in value_maps)
+
+
+def test_folded_edge_mean_pushes_down(corner_graph):
+    """``mean()`` over a folded ``outE()`` runs as SUM and COUNT in SQL
+    and combines the (sum, count) partials: NULL weights are skipped."""
+    g = corner_graph.traversal()
+    weights = g.V(1, 2).outE("link").values("w").toList()
+    assert sorted(weights) == [0.5, 1.0, 2.0]
+    assert g.V(1, 2).outE("link").values("w").mean().next() == pytest.approx(3.5 / 3)
