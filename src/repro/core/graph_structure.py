@@ -215,18 +215,17 @@ class OverlayGraph(GraphProvider):
         """The one edge constructor: the edge of a row tuple over
         ``keys`` whose endpoint columns hold no NULL (the far id argument
         of :meth:`_walk`'s entries is unused)."""
-        columns = tuple(keys)
-        src_id, dst_id = _id_reader(keys, etop.src_template), _id_reader(keys, etop.dst_template)
+        ends = _endpoint_reader(keys, etop.src_template, etop.dst_template)
         if etop.implicit_id is None:
             edge_id = _id_reader(keys, etop.id_template)
         else:
-            edge_id = lambda row: etop.implicit_id.render(dict(zip(columns, row)))  # noqa: E731
+            edge_id = lambda row: etop.implicit_id.render(dict(zip(keys, row)))  # noqa: E731
         label_at = None if etop.fixed_label is not None else keys.index(etop.label.column.lower())
         narrow = self.opts.use_src_dst_tables
         tables = (etop.src_v_table, etop.dst_v_table) if narrow else (None, None)
         return lambda _far, row: OverlayEdge(
             edge_id(row), etop.fixed_label if label_at is None else str(row[label_at]),
-            src_id(row), dst_id(row), self, *tables, columns, row, etop, projection,
+            *ends(row), self, *tables, keys, row, etop, projection,
         )
 
     def _edge_entry(self, pushdown: Pushdown) -> Callable[..., Callable[..., OverlayEdge]]:
@@ -356,8 +355,7 @@ class OverlayGraph(GraphProvider):
                 else:
                     partials.append(_combine_aggregates(pushdown.aggregate, table))
                 continue
-            # in memory: each matching input vertex's edges count, so
-            # g.V(1, 1).outE().count() counts them twice
+            # each matching input's edges count: g.V(1, 1).outE() twice
             [side] = entry.sides
             buckets: dict[Any, list[Any]] = {v.id: [] for v in side.matching}
             self._walk(entry, edge_labels, buckets, edge)
@@ -446,10 +444,10 @@ class OverlayGraph(GraphProvider):
         every: list[Any] | None = None,
     ) -> None:
         """The one loop over edge rows (tuples): per side, append what
-        ``entry_for(keys, side, entry)`` makes of a row to the ``result``
-        bucket of its near id, else to ``every``.  It makes the far id
-        (``None``), the ``(near, far)`` pair (:data:`_PAIR`) or calls
-        ``make(far id, row)``.  A NULL endpoint column is no edge."""
+        ``entry_for(keys, side, entry)`` makes of a row (the far id for
+        ``None``, the ``(near, far)`` pair for :data:`_PAIR`, else
+        ``make(far id, row)``) to the ``result`` bucket of its near id,
+        else to ``every``.  A NULL endpoint column is no edge."""
         etop, sides, statements, label_column, _weight = entry
         # a fixed label outside edge_labels survives only with label
         # elimination off: its statements run, its rows are dropped
@@ -759,9 +757,7 @@ def _endpoint_reader(
 _PAIR = object()
 
 
-def _weight_entry(
-    keys: Sequence[str], _side: Side, entry: Adjacency
-) -> Callable[[Any, Sequence[Any]], tuple[Any, Any]]:
+def _weight_entry(keys: Sequence[str], _side: Side, entry: Adjacency) -> Callable:
     """``(far id, weight value)`` of one neighbour row; the value is
     ``None`` on a table without the weight property."""
     at = keys.index(entry.weight_column.lower()) if entry.weight_column else None

@@ -303,6 +303,7 @@ class Planner:
         projection = effective_projection(pushdown)
         plan: list[Adjacency] = []
         for etop in candidates:
+            label_column = etop.label.column if edge_labels and etop.fixed_label is None else None
             base = self._base_predicates("edge", etop, pushdown, edge_labels)
             pushable = pushdown.aggregate is not None and self._fully_pushable(
                 etop, pushdown, edge_labels
@@ -338,14 +339,15 @@ class Planner:
                 side = Side(d, matching, None, *far, aliases)
                 entries.append(([side], [g + base for g in groups], aggregated))
             for sides, groups, aggregated in entries:
-                columns, label_column, weight_column = neighbour_columns(
-                    etop, edge_labels, weight, [side.row_vertex for side in sides]
-                )
-                aggregate = None
+                weight_column = aggregate = None
                 if aggregated:
                     columns, aggregate = None, aggregate_spec(pushdown)
                 elif edges:
                     columns = etop.required_columns(projection)
+                else:
+                    columns, _label, weight_column = neighbour_columns(
+                        etop, edge_labels, weight, [side.row_vertex for side in sides]
+                    )
                 statements = [
                     Statement(etop, etop.table_name, columns, g, aggregate) for g in groups
                 ]

@@ -76,8 +76,8 @@ OPEN_KEYWORDS = {
 # the §6 Graph Structure module, the §6.3 planner and explain().
 ENGINE_EXCLUDED = ("testing", "baselines", "workloads")
 PLANNER_SPLIT = ("core/graph_structure.py", "core/planning.py", "obs/explain.py")
-MAX_ENGINE_LINES = 20_157
-MAX_PLANNER_SPLIT_LINES = 1_660
+MAX_ENGINE_LINES = 20_155
+MAX_PLANNER_SPLIT_LINES = 1_658
 
 
 def line_counts() -> tuple[int, int]:
